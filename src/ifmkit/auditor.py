@@ -24,6 +24,28 @@ strong-triangle inequalities on spaces that claim them:
 A violation must exceed 1e-12 on the violating side, so rounding noise
 cannot fail a sound space.  Reports are deterministic given the sampler
 seed, and byte-identical when serialized twice.
+
+The rows are array comparisons over grade tables, built one chunk of drawn
+tuples at a time.  Per chunk, mu and nu are tabulated once over the t-grid
+for (x, y), (y, x), (y, z) and the singles (x, x), and once over the grid
+plus every t+s and max(t, s) for (x, z); v, x and na-* index into those
+tables instead of grading again.  A chunk covers at most 2^14
+(tuple, t, s) cells, so no array grows with the sample count.
+
+Array forms travel with the functions: a grade function or t-(co)norm
+function may carry one as its ``array`` attribute, and the built-ins of
+`standard_space`, `crisp_threshold_space` and `norms` do.  A function
+without one (a custom space, or any wrapper around a built-in) fills the
+same tables by element-wise calls on plain Python floats and ints, so a
+replaced mu or nu is never audited through a stale array form.
+
+Each row keeps its exact violation count and its first ten witnesses in
+the order of a tuple-by-tuple scan: (pair, t) for the pair rows; singles,
+then distinct pairs, for iii/viii; (triple, t, s) with t outer for v/x;
+per triple the single-t entries, then the (t, s) entries, for na-*.  The
+all-grid iii/viii witness is the min((mu, t)) / max((nu, t)) over the
+grid.  Witness points, times and sides are plain Python scalars, so the
+serialized report is byte-identical to that of the scalar loop.
 """
 
 from __future__ import annotations
@@ -32,8 +54,11 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .errors import PreconditionError, WitnessIntegrityError
-from .sampling import EXHAUSTIVE, SamplerConfig, draw_tuples
+from .sampling import EXHAUSTIVE, SamplerConfig, draw_array
+from .sampling import draw_tuples  # noqa: F401  perfbench/tracer.py patches this name
 from .spaces import IFSpace, IntervalDomain, NON_ARCHIMEDEAN
 
 AUDIT_TOL = 1e-12
@@ -41,6 +66,9 @@ MAX_WITNESSES = 10
 _CONTINUITY_GRID_POINTS = 64
 _CONTINUITY_PROBE_PAIRS = 8
 _MAX_SHRINK_ROUNDS = 64
+# Grade tables are built per chunk of tuples; a chunk holds at most this
+# many (tuple, t, s) cells, so memory stays bounded for any grid size.
+_CHUNK_CELLS = 1 << 14
 
 AXIOM_ORDER = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x", "xi",
                "na-mu", "na-nu")
@@ -135,11 +163,40 @@ class _Collector:
         self.witnesses = []
 
     def add(self, x, y, t, z=None, s=None, lhs=0.0, rhs=0.0):
-        self.count += 1
-        if len(self.witnesses) < MAX_WITNESSES:
-            self.witnesses.append(
-                Witness(self.axiom, x, y, t, z=z, s=s, lhs=lhs, rhs=rhs)
-            )
+        self.witnesses.append(Witness(self.axiom, x, y, t, z=z, s=s, lhs=lhs, rhs=rhs))
+
+    def take(self, mask) -> list[int]:
+        """Count the hits of a boolean mask; return the flat indices, in
+        row-major order, of those that still fit among the witnesses."""
+        hits = int(np.count_nonzero(mask))
+        self.count += hits
+        room = MAX_WITNESSES - len(self.witnesses)
+        if not hits or room <= 0:
+            return []
+        return np.flatnonzero(mask)[:room].tolist()
+
+    def scan(self, mask, lhs, rhs, points, times):
+        """Record the hits of a (tuples, len(times)) mask.
+
+        Row r is the tuple ``points[.][r]`` (x, y and z, where z may be
+        None) and column c the ``times[c] = (t, s)`` pair; lhs and rhs
+        broadcast to the mask's shape.
+        """
+        cells = self.take(mask)
+        if not cells:
+            return
+        lhs = np.broadcast_to(lhs, mask.shape)
+        rhs = np.broadcast_to(rhs, mask.shape)
+        for cell in cells:
+            r, c = divmod(cell, mask.shape[1])
+            x, y, z = (None if p is None else p[r].tolist() for p in points)
+            t, s = times[c]
+            self.add(x, y, t, z=z, s=s, lhs=lhs[r, c].tolist(), rhs=rhs[r, c].tolist())
+
+    def merge(self, later: "_Collector"):
+        """Append the violations of a later scan of the same axiom."""
+        self.count += later.count
+        self.witnesses += later.witnesses[:MAX_WITNESSES - len(self.witnesses)]
 
     def finish(self, detail=None) -> AxiomCheck:
         status = "FAIL" if self.count else "PASS"
@@ -216,6 +273,111 @@ def violation_margin(space: IFSpace, w: Witness):
     raise PreconditionError(f"axiom {a!r} has no re-evaluable violation semantics")
 
 
+def _array_form(fn, nargs: int):
+    """The array form attached to ``fn`` as ``fn.array``; without one, fn
+    called element-wise on plain Python scalars, results as a float array."""
+    form = getattr(fn, "array", None)
+    if form is not None:
+        return form
+    scalar = np.frompyfunc(fn, nargs, 1)
+    return lambda *args: scalar(*args).astype(float)
+
+
+def _chunks(rows, size: int):
+    for start in range(0, len(rows), size):
+        yield rows[start:start + size]
+
+
+class _ArrayScan:
+    """The audit's predicate rows, evaluated chunk by chunk over grade tables.
+
+    Each scan method takes one chunk of tuples and records its rows'
+    violations in the scalar scan order: (pair, t); single then distinct
+    pair for iii/viii; (triple, t, s) with t outer for v/x; per triple the g
+    single-t entries, then the g^2 (t, s) entries, for na-*.  The
+    comparisons are written as in `violation_margin`, so NaN compares the
+    same way.
+    """
+
+    def __init__(self, space: IFSpace, grid: tuple[float, ...]):
+        self.mu = _array_form(space.mu, 3)
+        self.nu = _array_form(space.nu, 3)
+        self.tnorm = _array_form(space.tnorm.fn, 2)
+        self.tconorm = _array_form(space.tconorm.fn, 2)
+        self.same = space.domain.same_point
+        self.non_archimedean = space.triangle_mode == NON_ARCHIMEDEAN
+        g = len(grid)
+        self.chunk = max(1, _CHUNK_CELLS // (g * g))
+        self.t_grid = grid
+        self.grid = np.array(grid)
+        t, s = self.grid[:, None], self.grid[None, :]
+        # (x, z) is graded once over grid | {t+s} | {max(t, s)}; these index
+        # its columns.  max(t, s) is written as Python's max picks.
+        self.xz_times, at = np.unique(
+            np.concatenate([self.grid, (t + s).ravel(), np.where(s > t, s, t).ravel()]),
+            return_inverse=True,
+        )
+        self.at_t, self.at_sum, self.at_max = at[:g], at[g:g + g * g], at[g + g * g:]
+        self.single_times = [(t, None) for t in grid]
+        self.split_times = [(t, s) for t in grid for s in grid]
+        self.col = {axiom: _Collector(axiom) for axiom in AXIOM_ORDER}
+        # the all-grid identity rows come after every single in scan order
+        self.indiscernible = {"iii": _Collector("iii"), "viii": _Collector("viii")}
+
+    def grades(self, a, b, times=None):
+        """(mu, nu) tables of shape (len(a), len(times)); the grid by default."""
+        times = self.grid if times is None else times
+        a, b = a[:, None], b[:, None]
+        return self.mu(a, b, times), self.nu(a, b, times)
+
+    def pairs(self, x, y, mxy, nxy):
+        col, tol, times, pts = self.col, AUDIT_TOL, self.single_times, (x, y, None)
+        myx, nyx = self.grades(y, x)
+        total = mxy + nxy
+        col["i"].scan(total > 1.0 + tol, total, 1.0, pts, times)
+        col["ii"].scan(mxy <= 0.0, mxy, 0.0, pts, times)
+        col["iv"].scan(abs(mxy - myx) > tol, mxy, myx, pts, times)
+        col["ix"].scan(abs(nxy - nyx) > tol, nxy, nyx, pts, times)
+        distinct = ~self.same(x, y)
+        col["vii"].scan(distinct[:, None] & (mxy < 1.0 - tol) & (nxy <= 0.0),
+                        nxy, 0.0, pts, times)
+        # sampled identity of indiscernibles: distinct pairs fully near /
+        # fully non-far at every grid t; the witness is the worst t
+        near, far = self.indiscernible["iii"], self.indiscernible["viii"]
+        for r in near.take(distinct & (mxy >= 1.0).all(axis=1)):
+            m, t = min(zip(mxy[r].tolist(), self.t_grid))
+            near.add(x[r].tolist(), y[r].tolist(), t, lhs=m, rhs=1.0)
+        for r in far.take(distinct & (nxy <= 0.0).all(axis=1)):
+            n, t = max(zip(nxy[r].tolist(), self.t_grid))
+            far.add(x[r].tolist(), y[r].tolist(), t, lhs=n, rhs=0.0)
+
+    def singles(self, x):
+        col, tol, times, pts = self.col, AUDIT_TOL, self.single_times, (x, x, None)
+        mxx, nxx = self.grades(x, x)
+        col["iii"].scan(abs(mxx - 1.0) > tol, mxx, 1.0, pts, times)
+        col["viii"].scan(abs(nxx) > tol, nxx, 0.0, pts, times)
+
+    def triples(self, x, y, z, mxy, nxy):
+        col, tol, times, pts = self.col, AUDIT_TOL, self.split_times, (x, y, z)
+        myz, nyz = self.grades(y, z)
+        mxz, nxz = self.grades(x, z, self.xz_times)
+        # (tuples, g, g) bounds flattened with t outer, s inner
+        bound = self.tnorm(mxy[:, :, None], myz[:, None, :]).reshape(len(x), -1)
+        nbound = self.tconorm(nxy[:, :, None], nyz[:, None, :]).reshape(len(x), -1)
+        lhs, nlhs = mxz[:, self.at_sum], nxz[:, self.at_sum]
+        col["v"].scan(lhs < bound - tol, lhs, bound, pts, times)
+        col["x"].scan(nlhs > nbound + tol, nlhs, nbound, pts, times)
+        if not self.non_archimedean:
+            return
+        times = self.single_times + self.split_times
+        lhs = np.concatenate([mxz[:, self.at_t], mxz[:, self.at_max]], axis=1)
+        bound = np.concatenate([self.tnorm(mxy, myz), bound], axis=1)
+        col["na-mu"].scan(lhs < bound - tol, lhs, bound, pts, times)
+        nlhs = np.concatenate([nxz[:, self.at_t], nxz[:, self.at_max]], axis=1)
+        nbound = np.concatenate([self.tconorm(nxy, nyz), nbound], axis=1)
+        col["na-nu"].scan(nlhs > nbound + tol, nlhs, nbound, pts, times)
+
+
 def audit_space(space: IFSpace, sampler: SamplerConfig) -> AuditReport:
     """Check every axiom on every drawn sample.
 
@@ -227,110 +389,50 @@ def audit_space(space: IFSpace, sampler: SamplerConfig) -> AuditReport:
     samples cannot decide continuity.
     """
     domain = space.domain
-    mu, nu = space.mu, space.nu
-    tnorm_fn = space.tnorm.fn
-    tconorm_fn = space.tconorm.fn
-    same = domain.same_point
-    tol = AUDIT_TOL
+    grid = sampler.t_grid
+    scan = _ArrayScan(space, grid)
 
-    triples = draw_tuples(domain, sampler, 3)
+    triples = draw_array(domain, sampler, 3)
     if sampler.mode == EXHAUSTIVE:
         # enumerate each tuple exactly once so violation counts are exact
-        pairs = draw_tuples(domain, sampler, 2)
-        singles = [x for (x,) in draw_tuples(domain, sampler, 1)]
+        pairs = draw_array(domain, sampler, 2)
+        for chunk in _chunks(pairs, scan.chunk):
+            x, y = chunk.T
+            scan.pairs(x, y, *scan.grades(x, y))
+        for chunk in _chunks(draw_array(domain, sampler, 1), scan.chunk):
+            scan.singles(chunk[:, 0])
+        for chunk in _chunks(triples, scan.chunk):
+            x, y, z = chunk.T
+            scan.triples(x, y, z, *scan.grades(x, y))
     else:
-        pairs = [(x, y) for x, y, _ in triples]
-        singles = [x for x, _, _ in triples]
-    grid = sampler.t_grid
-    ts_pairs = [(t, s) for t in grid for s in grid]
+        # pairs and singles are the prefixes of the triples, so one set of
+        # (x, y) tables serves all three scans
+        pairs = triples[:, :2]
+        for chunk in _chunks(triples, scan.chunk):
+            x, y, z = chunk.T
+            mxy, nxy = scan.grades(x, y)
+            scan.pairs(x, y, mxy, nxy)
+            scan.singles(x)
+            scan.triples(x, y, z, mxy, nxy)
 
-    col = {axiom: _Collector(axiom) for axiom in AXIOM_ORDER}
-
-    for x, y in pairs:
-        for t in grid:
-            m = mu(x, y, t)
-            n = nu(x, y, t)
-            if m + n > 1.0 + tol:
-                col["i"].add(x, y, t, lhs=m + n, rhs=1.0)
-            if m <= 0.0:
-                col["ii"].add(x, y, t, lhs=m, rhs=0.0)
-            msym = mu(y, x, t)
-            if abs(m - msym) > tol:
-                col["iv"].add(x, y, t, lhs=m, rhs=msym)
-            nsym = nu(y, x, t)
-            if abs(n - nsym) > tol:
-                col["ix"].add(x, y, t, lhs=n, rhs=nsym)
-            if not same(x, y) and m < 1.0 - tol and n <= 0.0:
-                col["vii"].add(x, y, t, lhs=n, rhs=0.0)
-
-    # Self-distance behaviour plus the sampled identity-of-indiscernibles
-    # direction: distinct pairs that look fully near / fully non-far at
-    # every grid t.
-    for x in singles:
-        for t in grid:
-            m = mu(x, x, t)
-            if abs(m - 1.0) > tol:
-                col["iii"].add(x, x, t, lhs=m, rhs=1.0)
-            n = nu(x, x, t)
-            if abs(n) > tol:
-                col["viii"].add(x, x, t, lhs=n, rhs=0.0)
-    for x, y in pairs:
-        if same(x, y):
-            continue
-        mus = [(mu(x, y, t), t) for t in grid]
-        if all(m >= 1.0 for m, _ in mus):
-            worst = min(mus)
-            col["iii"].add(x, y, worst[1], lhs=worst[0], rhs=1.0)
-        nus = [(nu(x, y, t), t) for t in grid]
-        if all(n <= 0.0 for n, _ in nus):
-            worst = max(nus)
-            col["viii"].add(x, y, worst[1], lhs=worst[0], rhs=0.0)
-
-    for x, y, z in triples:
-        for t, s in ts_pairs:
-            bound = tnorm_fn(mu(x, y, t), mu(y, z, s))
-            lhs = mu(x, z, t + s)
-            if lhs < bound - tol:
-                col["v"].add(x, y, t, z=z, s=s, lhs=lhs, rhs=bound)
-            nbound = tconorm_fn(nu(x, y, t), nu(y, z, s))
-            nlhs = nu(x, z, t + s)
-            if nlhs > nbound + tol:
-                col["x"].add(x, y, t, z=z, s=s, lhs=nlhs, rhs=nbound)
-
+    col = scan.col
+    col["iii"].merge(scan.indiscernible["iii"])
+    col["viii"].merge(scan.indiscernible["viii"])
+    probe_pairs = pairs[:_CONTINUITY_PROBE_PAIRS].tolist()
     checks: list[AxiomCheck] = []
     checks.append(col["i"].finish())
     checks.append(col["ii"].finish())
     checks.append(col["iii"].finish())
     checks.append(col["iv"].finish())
     checks.append(col["v"].finish())
-    checks.append(_continuity_probe("vi", mu, pairs, grid))
+    checks.append(_continuity_probe("vi", space.mu, probe_pairs, grid))
     checks.append(col["vii"].finish(detail="checked for distinct pairs with mu < 1"))
     checks.append(col["viii"].finish())
     checks.append(col["ix"].finish())
     checks.append(col["x"].finish())
-    checks.append(_continuity_probe("xi", nu, pairs, grid))
+    checks.append(_continuity_probe("xi", space.nu, probe_pairs, grid))
 
-    if space.triangle_mode == NON_ARCHIMEDEAN:
-        for x, y, z in triples:
-            for t in grid:
-                bound = tnorm_fn(mu(x, y, t), mu(y, z, t))
-                lhs = mu(x, z, t)
-                if lhs < bound - tol:
-                    col["na-mu"].add(x, y, t, z=z, lhs=lhs, rhs=bound)
-                nbound = tconorm_fn(nu(x, y, t), nu(y, z, t))
-                nlhs = nu(x, z, t)
-                if nlhs > nbound + tol:
-                    col["na-nu"].add(x, y, t, z=z, lhs=nlhs, rhs=nbound)
-            for t, s in ts_pairs:
-                tm = max(t, s)
-                bound = tnorm_fn(mu(x, y, t), mu(y, z, s))
-                lhs = mu(x, z, tm)
-                if lhs < bound - tol:
-                    col["na-mu"].add(x, y, t, z=z, s=s, lhs=lhs, rhs=bound)
-                nbound = tconorm_fn(nu(x, y, t), nu(y, z, s))
-                nlhs = nu(x, z, tm)
-                if nlhs > nbound + tol:
-                    col["na-nu"].add(x, y, t, z=z, s=s, lhs=nlhs, rhs=nbound)
+    if scan.non_archimedean:
         checks.append(col["na-mu"].finish(detail="single-t bound plus max(t,s) variant"))
         checks.append(col["na-nu"].finish(detail="single-t bound plus max(t,s) variant"))
     else:

@@ -72,6 +72,27 @@ def _bounded_sum(a: float, b: float) -> float:
     return s if s < 1.0 else 1.0
 
 
+def _lukasiewicz_array(a, b):
+    s = a + b - 1.0
+    return np.where(s > 0.0, s, 0.0)
+
+
+def _bounded_sum_array(a, b):
+    s = a + b
+    return np.where(s < 1.0, s, 1.0)
+
+
+# Element-wise array forms of the built-ins, attached to the scalar function
+# so that a replaced ``fn`` never keeps a stale one.  Each mirrors its scalar
+# branch (np.minimum / np.maximum would treat NaN differently).
+_product.array = _product
+_probabilistic_sum.array = _probabilistic_sum
+_minimum.array = lambda a, b: np.where(a <= b, a, b)
+_maximum.array = lambda a, b: np.where(a >= b, a, b)
+_lukasiewicz.array = _lukasiewicz_array
+_bounded_sum.array = _bounded_sum_array
+
+
 _TNORM_BUILTINS = {
     "product": _product,
     "minimum": _minimum,

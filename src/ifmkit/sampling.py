@@ -7,7 +7,6 @@ enumerates the whole finite domain instead of drawing.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,14 +46,20 @@ class SamplerConfig:
         }
 
 
-def draw_tuples(domain: PointDomain, cfg: SamplerConfig, arity: int) -> list[tuple]:
-    """Point tuples of the given arity, exhaustive or seeded-random."""
+def draw_array(domain: PointDomain, cfg: SamplerConfig, arity: int) -> np.ndarray:
+    """Point tuples of the given arity as the rows of an (N, arity) array.
+
+    Exhaustive mode lists every tuple of the finite domain in lexicographic
+    order; random mode draws ``sample_count`` rows from the seeded generator.
+    """
     if cfg.mode == EXHAUSTIVE:
         if not isinstance(domain, FiniteDomain):
             raise PreconditionError("exhaustive sampling requires a finite domain")
-        return list(itertools.product(domain.points(), repeat=arity))
+        return np.indices((domain.size,) * arity).reshape(arity, -1).T
     rng = np.random.default_rng(cfg.seed)
-    pts = domain.random_points(rng, (cfg.sample_count, arity))
-    if isinstance(domain, FiniteDomain):
-        return [tuple(int(v) for v in row) for row in pts.tolist()]
-    return [tuple(row) for row in pts.tolist()]
+    return domain.random_points(rng, (cfg.sample_count, arity))
+
+
+def draw_tuples(domain: PointDomain, cfg: SamplerConfig, arity: int) -> list[tuple]:
+    """`draw_array` as a list of tuples of plain Python floats or ints."""
+    return [tuple(row) for row in draw_array(domain, cfg, arity).tolist()]

@@ -10,13 +10,17 @@ with a t-norm / t-conorm pair and a triangle mode:
 Constructors never reject non-conforming grade functions; the auditor is
 the place where axioms are certified or falsified.  The ``relaxed`` flag
 marks spaces that are known to violate strict positivity by design.
+
+The built-in spaces attach an element-wise form of each grade function as
+``mu.array`` / ``nu.array``, which the auditor evaluates on point and time
+arrays; ``same_point`` of either domain also works element-wise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -91,14 +95,17 @@ class FiniteDomain:
             raise DomainError("metric diagonal must be zero")
         if np.any(np.abs(m - m.T) > POINT_EQ_TOL):
             raise DomainError("metric must be symmetric")
+        # One O(n^2) slab per i: bad[j, k] is m[i, k] > m[i, j] + m[j, k] + tol,
+        # so the first hit of the first failing i is the lexicographically
+        # first (i, j, k).
         for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if m[i, k] > m[i, j] + m[j, k] + POINT_EQ_TOL:
-                        raise DomainError(
-                            f"triangle inequality fails at indices ({i}, {j}, {k}): "
-                            f"{m[i, k]} > {m[i, j]} + {m[j, k]}"
-                        )
+            bad = m[i][None, :] > m[i][:, None] + m + POINT_EQ_TOL
+            if bad.any():
+                j, k = np.argwhere(bad)[0].tolist()
+                raise DomainError(
+                    f"triangle inequality fails at indices ({i}, {j}, {k}): "
+                    f"{m[i, k]} > {m[i, j]} + {m[j, k]}"
+                )
         m.setflags(write=False)
         self.labels = labels
         self.metric = m
@@ -127,7 +134,7 @@ class FiniteDomain:
         return self._rows[x][y]
 
     def same_point(self, x, y) -> bool:
-        return int(x) == int(y)
+        return x == y
 
     def anchor(self):
         return self.size // 2
@@ -142,7 +149,7 @@ class FiniteDomain:
         return f"FiniteDomain(n={self.size})"
 
 
-PointDomain = Union[IntervalDomain, FiniteDomain]
+PointDomain = IntervalDomain | FiniteDomain
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,8 +191,11 @@ def standard_space(domain: PointDomain, tnorm: TNorm, tconorm: TConorm) -> IFSpa
             d = abs(x - y)
             return d / (t + d)
 
+        # the same arithmetic works element-wise on arrays
+        mu.array, nu.array = mu, nu
+
     else:
-        rows = domain._rows
+        rows, metric = domain._rows, domain.metric
 
         def mu(x, y, t):
             return t / (t + rows[x][y])
@@ -193,6 +203,15 @@ def standard_space(domain: PointDomain, tnorm: TNorm, tconorm: TConorm) -> IFSpa
         def nu(x, y, t):
             d = rows[x][y]
             return d / (t + d)
+
+        def mu_array(x, y, t):
+            return t / (t + metric[x, y])
+
+        def nu_array(x, y, t):
+            d = metric[x, y]
+            return d / (t + d)
+
+        mu.array, nu.array = mu_array, nu_array
 
     mode = NON_ARCHIMEDEAN if tnorm.kind == "product" else ARCHIMEDEAN
     return IFSpace(domain, mu, nu, tnorm, tconorm, mode, relaxed=False, name="standard")
@@ -220,6 +239,9 @@ def crisp_threshold_space(domain: PointDomain, tnorm: TNorm, tconorm: TConorm) -
         if same(x, y):
             return 0.0
         return 0.0 if t > 1.0 else 1.0
+
+    mu.array = lambda x, y, t: np.where(same(x, y), 1.0, np.where(t > 1.0, 1.0, 0.0))
+    nu.array = lambda x, y, t: np.where(same(x, y), 0.0, np.where(t > 1.0, 0.0, 1.0))
 
     return IFSpace(
         domain, mu, nu, tnorm, tconorm, NON_ARCHIMEDEAN, relaxed=True, name="crisp"

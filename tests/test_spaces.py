@@ -1,5 +1,11 @@
+import gc
+import importlib
+import itertools
+import sys
+import weakref
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ifmkit import (
@@ -51,6 +57,32 @@ class TestDomains:
                          [[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
         with pytest.raises(DomainError, match="nonnegative"):
             FiniteDomain(["a", "b"], [[0.0, -1.0], [-1.0, 0.0]])
+
+    @settings(deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6), st.data())
+    def test_triangle_check_matches_brute_force(self, coords, data):
+        # a line metric with a few symmetric entries moved, so the triangle
+        # inequality fails at none, one or several (i, j, k)
+        n = len(coords)
+        m = [[abs(a - b) for b in coords] for a in coords]
+        for _ in range(data.draw(st.integers(0, 3))):
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            if i != j:
+                m[i][j] = m[j][i] = max(0.0, m[i][j] + data.draw(st.floats(-0.5, 0.5)))
+        expected = next(
+            (f"triangle inequality fails at indices ({i}, {j}, {k}): "
+             f"{m[i][k]} > {m[i][j]} + {m[j][k]}"
+             for i, j, k in itertools.product(range(n), repeat=3)
+             if m[i][k] > m[i][j] + m[j][k] + TOL),
+            None,
+        )
+        labels = [str(i) for i in range(n)]
+        if expected is None:
+            FiniteDomain(labels, m)
+        else:
+            with pytest.raises(DomainError) as err:
+                FiniteDomain(labels, m)
+            assert str(err.value) == expected
 
     def test_line_domain(self):
         line = FiniteDomain.line(10)
@@ -162,3 +194,25 @@ class TestEvalValidation:
         )
         with pytest.raises(DomainError, match="not a unit value"):
             eval_mu(broken, 0.1, 0.2, 1.0)
+
+
+def test_reimport_releases_old_module_graph():
+    # Nothing may keep an earlier import of the package alive once it has
+    # left sys.modules (a typing subscription cache on a module-level alias
+    # once did).
+    def ifmkit_modules():
+        return [name for name in sys.modules if name == "ifmkit" or name.startswith("ifmkit.")]
+
+    saved = {name: sys.modules[name] for name in ifmkit_modules()}
+    refs = []
+    try:
+        for _ in range(3):
+            for name in ifmkit_modules():
+                del sys.modules[name]
+            refs.append(weakref.ref(importlib.import_module("ifmkit").IntervalDomain))
+    finally:
+        for name in ifmkit_modules():
+            del sys.modules[name]
+        sys.modules.update(saved)
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
