@@ -39,6 +39,12 @@ without one (a custom space, or any wrapper around a built-in) fills the
 same tables by element-wise calls on plain Python floats and ints, so a
 replaced mu or nu is never audited through a stale array form.
 
+Each row's comparison is one predicate over grade values, written so that
+it works on Python floats and numpy arrays alike: `_ArrayScan` applies it
+to grade tables and `violation_margin` to the grades of one witness, so a
+reported witness re-checks by the very comparison that found it.
+`minimize_witness` shrinks witnesses through `sampling.shrink`.
+
 Each row keeps its exact violation count and its first ten witnesses in
 the order of a tuple-by-tuple scan: (pair, t) for the pair rows; singles,
 then distinct pairs, for iii/viii; (triple, t, s) with t outer for v/x;
@@ -57,21 +63,22 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import PreconditionError, WitnessIntegrityError
-from .sampling import EXHAUSTIVE, SamplerConfig, draw_array
+from .sampling import EXHAUSTIVE, MAX_WITNESSES, SamplerConfig, draw_array, shrink
 from .sampling import draw_tuples  # noqa: F401  perfbench/tracer.py patches this name
-from .spaces import IFSpace, IntervalDomain, NON_ARCHIMEDEAN
+from .spaces import IFSpace, NON_ARCHIMEDEAN
 
 AUDIT_TOL = 1e-12
-MAX_WITNESSES = 10
 _CONTINUITY_GRID_POINTS = 64
 _CONTINUITY_PROBE_PAIRS = 8
-_MAX_SHRINK_ROUNDS = 64
 # Grade tables are built per chunk of tuples; a chunk holds at most this
 # many (tuple, t, s) cells, so memory stays bounded for any grid size.
 _CHUNK_CELLS = 1 << 14
 
 AXIOM_ORDER = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x", "xi",
                "na-mu", "na-nu")
+_DETAILS = {"vii": "checked for distinct pairs with mu < 1",
+            "na-mu": "single-t bound plus max(t,s) variant",
+            "na-nu": "single-t bound plus max(t,s) variant"}
 
 
 @dataclass(frozen=True)
@@ -203,73 +210,80 @@ class _Collector:
         return AxiomCheck(self.axiom, status, self.count, tuple(self.witnesses), detail)
 
 
+# Row predicates: grade values -> (violated, lhs, rhs).  Each works on Python
+# floats and on numpy arrays alike, so `_ArrayScan` applies it to grade
+# tables and `violation_margin` to the grades of one witness.  A comparison
+# with NaN is false, so NaN grades never count as violations here.
+
+
+def _sum_at_most_one(m, n):  # i
+    total = m + n
+    return total > 1.0 + AUDIT_TOL, total, 1.0
+
+
+def _positive(g):  # ii; vii and viii on distinct pairs
+    return g <= 0.0, g, 0.0
+
+
+def _below_one(m):  # iii on distinct pairs, at each sampled t
+    # strict, so a grade genuinely below 1 is never a false positive
+    return m >= 1.0, m, 1.0
+
+
+def _equal(left, right):  # iv, ix; iii and viii on the diagonal (right = 1, 0)
+    return abs(left - right) > AUDIT_TOL, left, right
+
+
+def _mu_triangle(lhs, bound):  # v, na-mu
+    return lhs < bound - AUDIT_TOL, lhs, bound
+
+
+def _nu_triangle(lhs, bound):  # x, na-nu
+    return lhs > bound + AUDIT_TOL, lhs, bound
+
+
+def _nu_positive_unless_near(distinct, m, n):  # vii
+    return distinct & (m < 1.0 - AUDIT_TOL) & (n <= 0.0), n, 0.0
+
+
 def violation_margin(space: IFSpace, w: Witness):
     """Re-evaluate a witness directly against the space.
 
-    Returns (violated, lhs, rhs) using the same per-axiom semantics as the
-    audit loops; this is the single arbiter used by `minimize_witness` and
-    by soundness tests.
+    Returns (violated, lhs, rhs) from the same row predicates as the audit
+    scan; this is the single arbiter used by `minimize_witness` and by
+    soundness tests.  On iii and viii a witness with x = y is checked
+    against the diagonal row, any other against the distinct-pair row.
     """
     mu, nu = space.mu, space.nu
-    same = space.domain.same_point
     x, y, z, t, s = w.x, w.y, w.z, w.t, w.s
     a = w.axiom
+    if a in ("v", "na-mu", "x", "na-nu"):
+        if a in ("v", "na-mu"):
+            grade, op, row = mu, space.tnorm.fn, _mu_triangle
+        else:
+            grade, op, row = nu, space.tconorm.fn, _nu_triangle
+        if a in ("v", "x"):
+            at = t + s
+        elif s is None:  # the single-t na bound
+            at = s = t
+        else:
+            at = max(t, s)
+        return row(grade(x, z, at), op(grade(x, y, t), grade(y, z, s)))
+    same = space.domain.same_point(x, y)
     if a == "i":
-        total = mu(x, y, t) + nu(x, y, t)
-        return total > 1.0 + AUDIT_TOL, total, 1.0
+        return _sum_at_most_one(mu(x, y, t), nu(x, y, t))
     if a == "ii":
-        m = mu(x, y, t)
-        return m <= 0.0, m, 0.0
+        return _positive(mu(x, y, t))
     if a == "iii":
-        m = mu(x, y, t)
-        if same(x, y):
-            return abs(m - 1.0) > AUDIT_TOL, m, 1.0
-        # distinct points flagged only when fully near (strict, so a grade
-        # genuinely below 1 is never a false positive)
-        return m >= 1.0, m, 1.0
+        return _equal(mu(x, y, t), 1.0) if same else _below_one(mu(x, y, t))
     if a == "iv":
-        l, r = mu(x, y, t), mu(y, x, t)
-        return abs(l - r) > AUDIT_TOL, l, r
-    if a == "v":
-        lhs = mu(x, z, t + s)
-        rhs = space.tnorm.fn(mu(x, y, t), mu(y, z, s))
-        return lhs < rhs - AUDIT_TOL, lhs, rhs
+        return _equal(mu(x, y, t), mu(y, x, t))
     if a == "vii":
-        if same(x, y):
-            return False, 0.0, 0.0
-        m = mu(x, y, t)
-        if m >= 1.0 - AUDIT_TOL:
-            return False, m, 0.0
-        n = nu(x, y, t)
-        return n <= 0.0, n, 0.0
+        return _nu_positive_unless_near(not same, mu(x, y, t), nu(x, y, t))
     if a == "viii":
-        n = nu(x, y, t)
-        if same(x, y):
-            return abs(n) > AUDIT_TOL, n, 0.0
-        return n <= 0.0, n, 0.0
+        return _equal(nu(x, y, t), 0.0) if same else _positive(nu(x, y, t))
     if a == "ix":
-        l, r = nu(x, y, t), nu(y, x, t)
-        return abs(l - r) > AUDIT_TOL, l, r
-    if a == "x":
-        lhs = nu(x, z, t + s)
-        rhs = space.tconorm.fn(nu(x, y, t), nu(y, z, s))
-        return lhs > rhs + AUDIT_TOL, lhs, rhs
-    if a == "na-mu":
-        if s is None:
-            lhs = mu(x, z, t)
-            rhs = space.tnorm.fn(mu(x, y, t), mu(y, z, t))
-        else:
-            lhs = mu(x, z, max(t, s))
-            rhs = space.tnorm.fn(mu(x, y, t), mu(y, z, s))
-        return lhs < rhs - AUDIT_TOL, lhs, rhs
-    if a == "na-nu":
-        if s is None:
-            lhs = nu(x, z, t)
-            rhs = space.tconorm.fn(nu(x, y, t), nu(y, z, t))
-        else:
-            lhs = nu(x, z, max(t, s))
-            rhs = space.tconorm.fn(nu(x, y, t), nu(y, z, s))
-        return lhs > rhs + AUDIT_TOL, lhs, rhs
+        return _equal(nu(x, y, t), nu(y, x, t))
     raise PreconditionError(f"axiom {a!r} has no re-evaluable violation semantics")
 
 
@@ -295,8 +309,7 @@ class _ArrayScan:
     violations in the scalar scan order: (pair, t); single then distinct
     pair for iii/viii; (triple, t, s) with t outer for v/x; per triple the g
     single-t entries, then the g^2 (t, s) entries, for na-*.  The
-    comparisons are written as in `violation_margin`, so NaN compares the
-    same way.
+    comparisons are the row predicates that `violation_margin` uses.
     """
 
     def __init__(self, space: IFSpace, grid: tuple[float, ...]):
@@ -331,51 +344,45 @@ class _ArrayScan:
         return self.mu(a, b, times), self.nu(a, b, times)
 
     def pairs(self, x, y, mxy, nxy):
-        col, tol, times, pts = self.col, AUDIT_TOL, self.single_times, (x, y, None)
+        col, times, pts = self.col, self.single_times, (x, y, None)
         myx, nyx = self.grades(y, x)
-        total = mxy + nxy
-        col["i"].scan(total > 1.0 + tol, total, 1.0, pts, times)
-        col["ii"].scan(mxy <= 0.0, mxy, 0.0, pts, times)
-        col["iv"].scan(abs(mxy - myx) > tol, mxy, myx, pts, times)
-        col["ix"].scan(abs(nxy - nyx) > tol, nxy, nyx, pts, times)
-        distinct = ~self.same(x, y)
-        col["vii"].scan(distinct[:, None] & (mxy < 1.0 - tol) & (nxy <= 0.0),
-                        nxy, 0.0, pts, times)
+        col["i"].scan(*_sum_at_most_one(mxy, nxy), pts, times)
+        col["ii"].scan(*_positive(mxy), pts, times)
+        col["iv"].scan(*_equal(mxy, myx), pts, times)
+        col["ix"].scan(*_equal(nxy, nyx), pts, times)
+        distinct = np.logical_not(self.same(x, y))
+        col["vii"].scan(*_nu_positive_unless_near(distinct[:, None], mxy, nxy), pts, times)
         # sampled identity of indiscernibles: distinct pairs fully near /
         # fully non-far at every grid t; the witness is the worst t
         near, far = self.indiscernible["iii"], self.indiscernible["viii"]
-        for r in near.take(distinct & (mxy >= 1.0).all(axis=1)):
+        for r in near.take(distinct & _below_one(mxy)[0].all(axis=1)):
             m, t = min(zip(mxy[r].tolist(), self.t_grid))
             near.add(x[r].tolist(), y[r].tolist(), t, lhs=m, rhs=1.0)
-        for r in far.take(distinct & (nxy <= 0.0).all(axis=1)):
+        for r in far.take(distinct & _positive(nxy)[0].all(axis=1)):
             n, t = max(zip(nxy[r].tolist(), self.t_grid))
             far.add(x[r].tolist(), y[r].tolist(), t, lhs=n, rhs=0.0)
 
     def singles(self, x):
-        col, tol, times, pts = self.col, AUDIT_TOL, self.single_times, (x, x, None)
+        col, times, pts = self.col, self.single_times, (x, x, None)
         mxx, nxx = self.grades(x, x)
-        col["iii"].scan(abs(mxx - 1.0) > tol, mxx, 1.0, pts, times)
-        col["viii"].scan(abs(nxx) > tol, nxx, 0.0, pts, times)
+        col["iii"].scan(*_equal(mxx, 1.0), pts, times)
+        col["viii"].scan(*_equal(nxx, 0.0), pts, times)
 
     def triples(self, x, y, z, mxy, nxy):
-        col, tol, times, pts = self.col, AUDIT_TOL, self.split_times, (x, y, z)
+        pts = (x, y, z)
         myz, nyz = self.grades(y, z)
         mxz, nxz = self.grades(x, z, self.xz_times)
-        # (tuples, g, g) bounds flattened with t outer, s inner
-        bound = self.tnorm(mxy[:, :, None], myz[:, None, :]).reshape(len(x), -1)
-        nbound = self.tconorm(nxy[:, :, None], nyz[:, None, :]).reshape(len(x), -1)
-        lhs, nlhs = mxz[:, self.at_sum], nxz[:, self.at_sum]
-        col["v"].scan(lhs < bound - tol, lhs, bound, pts, times)
-        col["x"].scan(nlhs > nbound + tol, nlhs, nbound, pts, times)
-        if not self.non_archimedean:
-            return
-        times = self.single_times + self.split_times
-        lhs = np.concatenate([mxz[:, self.at_t], mxz[:, self.at_max]], axis=1)
-        bound = np.concatenate([self.tnorm(mxy, myz), bound], axis=1)
-        col["na-mu"].scan(lhs < bound - tol, lhs, bound, pts, times)
-        nlhs = np.concatenate([nxz[:, self.at_t], nxz[:, self.at_max]], axis=1)
-        nbound = np.concatenate([self.tconorm(nxy, nyz), nbound], axis=1)
-        col["na-nu"].scan(nlhs > nbound + tol, nlhs, nbound, pts, times)
+        sides = (("v", "na-mu", _mu_triangle, self.tnorm, mxy, myz, mxz),
+                 ("x", "na-nu", _nu_triangle, self.tconorm, nxy, nyz, nxz))
+        for split, single, row, op, gxy, gyz, gxz in sides:
+            # (tuples, g, g) bounds flattened with t outer, s inner
+            bound = op(gxy[:, :, None], gyz[:, None, :]).reshape(len(x), -1)
+            self.col[split].scan(*row(gxz[:, self.at_sum], bound), pts, self.split_times)
+            if self.non_archimedean:
+                lhs = np.concatenate([gxz[:, self.at_t], gxz[:, self.at_max]], axis=1)
+                bound = np.concatenate([op(gxy, gyz), bound], axis=1)
+                self.col[single].scan(*row(lhs, bound), pts,
+                                      self.single_times + self.split_times)
 
 
 def audit_space(space: IFSpace, sampler: SamplerConfig) -> AuditReport:
@@ -419,27 +426,16 @@ def audit_space(space: IFSpace, sampler: SamplerConfig) -> AuditReport:
     col["iii"].merge(scan.indiscernible["iii"])
     col["viii"].merge(scan.indiscernible["viii"])
     probe_pairs = pairs[:_CONTINUITY_PROBE_PAIRS].tolist()
-    checks: list[AxiomCheck] = []
-    checks.append(col["i"].finish())
-    checks.append(col["ii"].finish())
-    checks.append(col["iii"].finish())
-    checks.append(col["iv"].finish())
-    checks.append(col["v"].finish())
-    checks.append(_continuity_probe("vi", space.mu, probe_pairs, grid))
-    checks.append(col["vii"].finish(detail="checked for distinct pairs with mu < 1"))
-    checks.append(col["viii"].finish())
-    checks.append(col["ix"].finish())
-    checks.append(col["x"].finish())
-    checks.append(_continuity_probe("xi", space.nu, probe_pairs, grid))
-
-    if scan.non_archimedean:
-        checks.append(col["na-mu"].finish(detail="single-t bound plus max(t,s) variant"))
-        checks.append(col["na-nu"].finish(detail="single-t bound plus max(t,s) variant"))
-    else:
-        skipped = "space is not tagged non-Archimedean"
-        checks.append(AxiomCheck("na-mu", "SKIPPED", detail=skipped))
-        checks.append(AxiomCheck("na-nu", "SKIPPED", detail=skipped))
-
+    probed = {"vi": space.mu, "xi": space.nu}
+    checks = []
+    for axiom in AXIOM_ORDER:
+        if axiom in probed:
+            checks.append(_continuity_probe(axiom, probed[axiom], probe_pairs, grid))
+        elif axiom.startswith("na-") and not scan.non_archimedean:
+            checks.append(AxiomCheck(axiom, "SKIPPED",
+                                     detail="space is not tagged non-Archimedean"))
+        else:
+            checks.append(col[axiom].finish(detail=_DETAILS.get(axiom)))
     return AuditReport(
         space_name=space.name,
         triangle_mode=space.triangle_mode,
@@ -457,12 +453,9 @@ def _continuity_probe(axiom: str, grade_fn, pairs, grid) -> AxiomCheck:
         math.exp(log_lo + (log_hi - log_lo) * i / (_CONTINUITY_GRID_POINTS - 1))
         for i in range(_CONTINUITY_GRID_POINTS)
     ]
+    pairs = pairs[:_CONTINUITY_PROBE_PAIRS]
     max_delta = 0.0
-    probed = 0
     for x, y in pairs:
-        if probed >= _CONTINUITY_PROBE_PAIRS:
-            break
-        probed += 1
         values = [grade_fn(x, y, t) for t in tgrid]
         for a, b in zip(values, values[1:]):
             max_delta = max(max_delta, abs(b - a))
@@ -471,7 +464,7 @@ def _continuity_probe(axiom: str, grade_fn, pairs, grid) -> AxiomCheck:
         "PROBED",
         0,
         (),
-        detail=f"max adjacent delta {max_delta:.6g} over {probed} pairs "
+        detail=f"max adjacent delta {max_delta:.6g} over {len(pairs)} pairs "
                f"on a {_CONTINUITY_GRID_POINTS}-point log grid",
     )
 
@@ -481,42 +474,20 @@ def minimize_witness(space: IFSpace, violation: Witness) -> Witness:
 
     Each round halves every point coordinate's distance to the domain
     anchor (the midpoint) and every time coordinate's distance to 1,
-    keeping a proposed step only if the violation persists.  Runs at most
-    64 rounds.  A witness that does not reproduce raises
-    `WitnessIntegrityError`, which signals a nondeterministic space.
+    keeping a proposed step only if the violation persists (`shrink`).  A
+    witness that does not reproduce raises `WitnessIntegrityError`, which
+    signals a nondeterministic space.
     """
     violated, lhs, rhs = violation_margin(space, violation)
     if not violated:
         raise WitnessIntegrityError(
             f"witness for axiom {violation.axiom!r} does not reproduce its violation"
         )
-    domain = space.domain
-    interval = isinstance(domain, IntervalDomain)
-    anchor = domain.anchor()
-
-    def half_point(p):
-        if interval:
-            return p + (anchor - p) * 0.5
-        return int(p) + (int(anchor) - int(p)) // 2
-
-    def half_time(t):
-        return t + (1.0 - t) * 0.5
-
-    current = replace(violation, lhs=lhs, rhs=rhs)
-    for _ in range(_MAX_SHRINK_ROUNDS):
-        moved = False
-        for coord in ("x", "y", "z", "t", "s"):
-            old = getattr(current, coord)
-            if old is None:
-                continue
-            new = half_time(old) if coord in ("t", "s") else half_point(old)
-            if new == old:
-                continue
-            candidate = replace(current, **{coord: new})
-            ok, cl, cr = violation_margin(space, candidate)
-            if ok:
-                current = replace(candidate, lhs=cl, rhs=cr)
-                moved = True
-        if not moved:
-            break
-    return current
+    anchor = space.domain.anchor()
+    targets = {"x": anchor, "y": anchor, "z": anchor, "t": 1.0, "s": 1.0}
+    coords = {c: getattr(violation, c) for c in targets}
+    coords, lhs, rhs = shrink(
+        space.domain, coords, lambda _: targets,
+        lambda c: violation_margin(space, replace(violation, **c)), lhs, rhs,
+    )
+    return replace(violation, **coords, lhs=lhs, rhs=rhs)

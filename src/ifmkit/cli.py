@@ -5,7 +5,8 @@ Subcommands:
     audit     check the space axioms, write audit.json        (exit 3 on FAIL)
     contract  check a contraction condition, write contract.json (exit 3)
     solve     run the fixed-point solver, write solve.json + traces
-              (exit 4 when nothing converges, 5 when limits disagree)
+              (exit 4 when nothing converges, 5 when limits disagree
+              or some seeds did not converge)
     demo      run the three bundled scenarios deterministically
 
 Configs are JSON with a mandatory top-level "schema_version".  Maps are
@@ -62,10 +63,12 @@ EXIT_VIOLATIONS = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_NOT_UNIQUE = 5
 
-_TNORM_KINDS = ("product", "minimum", "lukasiewicz")
-_TCONORM_KINDS = ("probabilistic_sum", "maximum", "bounded_sum")
+_TNORM_KINDS = tuple(TNorm.BUILTINS)
+_TCONORM_KINDS = tuple(TConorm.BUILTINS)
 _MAP_NAMES = ("scale", "affine_clamped", "constant", "identity", "table")
 _CONTROL_NAMES = ("from_k", "identity", "power")
+# Optional config sections, validated in this order after "space".
+_SECTIONS = ("map", "contraction", "sampler", "solver")
 
 
 def _expect(cfg: dict, key: str, path: str, types, choices=None):
@@ -100,6 +103,18 @@ def _number(cfg: dict, key: str, path: str, lo=None, hi=None, open_lo=False, ope
     return v
 
 
+def _t_grid(cfg: dict, path: str, increasing=False) -> list[float]:
+    t_grid = _expect(cfg, "t_grid", path, list)
+    if not t_grid or any(
+        isinstance(t, bool) or not isinstance(t, (int, float)) or t <= 0
+        for t in t_grid
+    ):
+        raise ConfigError(f"{path}.t_grid", "must be a nonempty list of positive numbers")
+    if increasing and (sorted(t_grid) != t_grid or len(set(t_grid)) != len(t_grid)):
+        raise ConfigError(f"{path}.t_grid", "must be strictly increasing")
+    return [float(t) for t in t_grid]
+
+
 class RunConfig:
     """A validated, normalized run configuration.
 
@@ -116,10 +131,12 @@ class RunConfig:
             raise ConfigError("schema_version", f"expected {SCHEMA_VERSION}, got {version}")
         self.schema_version = version
         self.space = self._validate_space(_expect(data, "space", "<root>", dict))
-        self.map = self._validate_map(data.get("map"))
-        self.contraction = self._validate_contraction(data.get("contraction"))
-        self.sampler = self._validate_sampler(data.get("sampler"))
-        self.solver = self._validate_solver(data.get("solver"))
+        for section in _SECTIONS:
+            cfg = data.get(section)
+            if cfg is not None and not isinstance(cfg, dict):
+                raise ConfigError(section, "must be an object")
+            validate = getattr(self, f"_validate_{section}")
+            setattr(self, section, None if cfg is None else validate(cfg))
 
     @staticmethod
     def _validate_space(cfg: dict) -> dict:
@@ -153,11 +170,7 @@ class RunConfig:
         }
 
     @staticmethod
-    def _validate_map(cfg) -> dict | None:
-        if cfg is None:
-            return None
-        if not isinstance(cfg, dict):
-            raise ConfigError("map", "must be an object")
+    def _validate_map(cfg: dict) -> dict:
         name = _expect(cfg, "name", "map", str, _MAP_NAMES)
         out = {"name": name}
         if name == "scale":
@@ -177,11 +190,7 @@ class RunConfig:
         return out
 
     @staticmethod
-    def _validate_contraction(cfg) -> dict | None:
-        if cfg is None:
-            return None
-        if not isinstance(cfg, dict):
-            raise ConfigError("contraction", "must be an object")
+    def _validate_contraction(cfg: dict) -> dict:
         check = _expect(cfg, "check", "contraction", str, ("psi-phi", "k"))
         out = {"check": check}
         if check == "k" or ("k" in cfg and "psi" not in cfg):
@@ -206,46 +215,26 @@ class RunConfig:
         return out
 
     @staticmethod
-    def _validate_sampler(cfg) -> dict | None:
-        if cfg is None:
-            return None
-        if not isinstance(cfg, dict):
-            raise ConfigError("sampler", "must be an object")
+    def _validate_sampler(cfg: dict) -> dict:
         mode = _expect(cfg, "mode", "sampler", str, (RANDOM, EXHAUSTIVE))
         count = _expect(cfg, "sample_count", "sampler", int)
         if count < 1:
             raise ConfigError("sampler.sample_count", f"must be >= 1, got {count}")
-        t_grid = _expect(cfg, "t_grid", "sampler", list)
-        if not t_grid or any(
-            isinstance(t, bool) or not isinstance(t, (int, float)) or t <= 0
-            for t in t_grid
-        ):
-            raise ConfigError("sampler.t_grid", "must be a nonempty list of positive numbers")
+        t_grid = _t_grid(cfg, "sampler")
         seed = cfg.get("seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ConfigError("sampler.seed", "must be an integer")
         return {
             "mode": mode,
             "sample_count": count,
-            "t_grid": [float(t) for t in t_grid],
+            "t_grid": t_grid,
             "seed": seed,
         }
 
     @staticmethod
-    def _validate_solver(cfg) -> dict | None:
-        if cfg is None:
-            return None
-        if not isinstance(cfg, dict):
-            raise ConfigError("solver", "must be an object")
+    def _validate_solver(cfg: dict) -> dict:
         epsilon = _number(cfg, "epsilon", "solver", lo=0.0, hi=1.0, open_lo=True, open_hi=True)
-        t_grid = _expect(cfg, "t_grid", "solver", list)
-        if not t_grid or any(
-            isinstance(t, bool) or not isinstance(t, (int, float)) or t <= 0
-            for t in t_grid
-        ):
-            raise ConfigError("solver.t_grid", "must be a nonempty list of positive numbers")
-        if sorted(t_grid) != list(t_grid) or len(set(t_grid)) != len(t_grid):
-            raise ConfigError("solver.t_grid", "must be strictly increasing")
+        t_grid = _t_grid(cfg, "solver", increasing=True)
         max_iter = cfg.get("max_iter", 10**6)
         if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 1:
             raise ConfigError("solver.max_iter", "must be a positive integer")
@@ -258,7 +247,7 @@ class RunConfig:
             raise ConfigError("solver.cauchy_window", "must be an integer >= 2")
         return {
             "epsilon": epsilon,
-            "t_grid": [float(t) for t in t_grid],
+            "t_grid": t_grid,
             "max_iter": max_iter,
             "point_tol": point_tol,
             "seeds": list(seeds),
@@ -267,7 +256,7 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         out = {"schema_version": self.schema_version, "space": self.space}
-        for key in ("map", "contraction", "sampler", "solver"):
+        for key in _SECTIONS:
             value = getattr(self, key)
             if value is not None:
                 out[key] = value
@@ -478,7 +467,8 @@ def cmd_solve(config: RunConfig, out_dir: Path) -> int:
             write_trace_csv(tr, out_dir / f"trace_seed{i}.csv")
     shown = space.domain.describe(report.fixed_point)
     if not report.unique:
-        print(f"solve: fixed point {shown} but limits disagree across seeds")
+        print(f"solve: fixed point {shown} but not unique: limits disagree across "
+              "seeds or some seeds did not converge")
         return EXIT_NOT_UNIQUE
     print(f"solve: fixed point {shown} (unique across seeds)")
     return EXIT_OK

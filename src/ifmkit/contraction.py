@@ -18,24 +18,30 @@ mutually inverse on [0,1].  psi_k is exactly the inverse of phi_k, which
 makes the mu-side psi condition *equivalent* to the mu-side k condition;
 on the nu side the two printed conditions meet only at equality (see the
 grid oracle in the test suite, which pins this down numerically).
+
+Each condition is written once, as a side predicate over the grade values
+g = grade(x, y, t) and g_f = grade(f(x), f(y), t): `_psi_phi_side` and
+`_k_side`.  The pairwise scan (which maps each sampled pair once), its
+witness shrinker (`sampling.shrink`) and the sequence predicates over
+iteration traces, where (g, g_f) are consecutive diagnostic values, all
+call them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from .errors import DomainError, PreconditionError
-from .sampling import SamplerConfig, draw_tuples
+from .sampling import MAX_WITNESSES, SamplerConfig, draw_tuples, shrink
 from .spaces import IFSpace, IntervalDomain
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import IterationTrace
 
 CHECK_TOL = 1e-12
-MAX_WITNESSES = 10
-_MAX_SHRINK_ROUNDS = 64
 _JUMP_THRESHOLD = 0.1
 
 
@@ -340,112 +346,79 @@ class ContractionReport:
         }
 
 
-def _psi_phi_violation(space: IFSpace, f: SelfMap, pair: PsiPhiPair, x, y, t, side):
-    """Returns (violated, lhs, rhs) for one side of the psi-phi condition.
+# Side predicates: one side ("mu" or "nu") of a condition at one pair and t,
+# as (violated, lhs, rhs) of g = grade(x, y, t) and g_f = grade(f(x), f(y), t).
+# The pairwise scan, its shrinker and the sequence checks all call these.
 
-    Vacuous antecedents (mu = 0, nu = 1) satisfy the implication by fiat.
-    """
-    fx, fy = f(x), f(y)
+
+def _psi_phi_side(pair: PsiPhiPair, side: str, g, g_f):
+    """psi(mu_f) >= mu when mu > 0, and phi(nu_f) <= nu when nu < 1; the
+    vacuous antecedents (mu <= 0, nu >= 1) satisfy the implication."""
     if side == "mu":
-        mu = space.mu(x, y, t)
-        if mu <= 0.0:
-            return False, 0.0, mu
-        lhs = pair.psi(space.mu(fx, fy, t))
-        return lhs < mu - CHECK_TOL, lhs, mu
-    nu = space.nu(x, y, t)
-    if nu >= 1.0:
-        return False, 1.0, nu
-    lhs = pair.phi(space.nu(fx, fy, t))
-    return lhs > nu + CHECK_TOL, lhs, nu
+        if g <= 0.0:
+            return False, 0.0, g
+        lhs = pair.psi(g_f)
+        return lhs < g - CHECK_TOL, lhs, g
+    if g >= 1.0:
+        return False, 1.0, g
+    lhs = pair.phi(g_f)
+    return lhs > g + CHECK_TOL, lhs, g
 
 
-def _k_tol(lhs: float, rhs: float) -> float:
+def _k_side(k: float, side: str, g, g_f):
+    """1/g_f - 1 <= c * (1/g - 1) with c = k on the mu side and 1/k on the
+    nu side.  A zero grade on either end skips the comparison (the
+    reciprocal gap is undefined there)."""
+    if g <= 0.0 or g_f <= 0.0:
+        return False, 0.0, 0.0
+    lhs = 1.0 / g_f - 1.0
+    rhs = (k if side == "mu" else 1.0 / k) * (1.0 / g - 1.0)
     # Reciprocal gaps are unbounded, so the tolerance scales with the
     # comparison magnitude; a flat 1e-12 would sit below one ulp for large
     # gaps and turn rounding noise into violations.
-    return CHECK_TOL * max(1.0, abs(lhs), abs(rhs))
+    return lhs > rhs + CHECK_TOL * max(1.0, abs(lhs), abs(rhs)), lhs, rhs
 
 
-def _k_violation(space: IFSpace, f: SelfMap, k: float, x, y, t, side):
-    """Returns (violated, lhs, rhs) for one side of the k condition.
-
-    Samples where either grade is zero on the relevant side are skipped
-    (the reciprocal gap is undefined there).
-    """
-    fx, fy = f(x), f(y)
-    if side == "mu":
-        mu = space.mu(x, y, t)
-        muf = space.mu(fx, fy, t)
-        if mu <= 0.0 or muf <= 0.0:
-            return False, 0.0, 0.0
-        lhs = 1.0 / muf - 1.0
-        rhs = k * (1.0 / mu - 1.0)
-        return lhs > rhs + _k_tol(lhs, rhs), lhs, rhs
-    nu = space.nu(x, y, t)
-    nuf = space.nu(fx, fy, t)
-    if nu <= 0.0 or nuf <= 0.0:
-        return False, 0.0, 0.0
-    lhs = 1.0 / nuf - 1.0
-    rhs = (1.0 / k) * (1.0 / nu - 1.0)
-    return lhs > rhs + _k_tol(lhs, rhs), lhs, rhs
-
-
-def _minimize_contraction_witness(space, f, violated_at, witness: ContractionWitness,
+def _minimize_contraction_witness(space, f, side_check, witness: ContractionWitness,
                                   t_target: float) -> ContractionWitness:
-    """Binary-shrink the witness pair toward each other and t toward the
-    central grid value while the violation persists."""
-    domain = space.domain
-    x, y, t = witness.x, witness.y, witness.t
-    interval = isinstance(domain, IntervalDomain)
+    """Shrink the witness pair toward its midpoint (fixed per round) and t
+    toward the central grid value while the violation persists."""
+    grade = space.mu if witness.side == "mu" else space.nu
+    interval = isinstance(space.domain, IntervalDomain)
 
-    def half_toward(value, target):
-        if interval:
-            return value + (target - value) * 0.5
-        return int(value) + int((int(target) - int(value)) // 2)
-
-    lhs, rhs = witness.lhs, witness.rhs
-    for _ in range(_MAX_SHRINK_ROUNDS):
-        moved = False
+    def targets(c):
+        x, y = c["x"], c["y"]
         mid = (x + y) / 2 if interval else (int(x) + int(y)) // 2
-        for which in ("x", "y", "t"):
-            if which == "x":
-                cand = (half_toward(x, mid), y, t)
-            elif which == "y":
-                cand = (x, half_toward(y, mid), t)
-            else:
-                cand = (x, y, t + (t_target - t) * 0.5)
-            if cand == (x, y, t):
-                continue
-            ok, cl, cr = violated_at(space, f, *cand)
-            if ok:
-                x, y, t = cand
-                lhs, rhs = cl, cr
-                moved = True
-        if not moved:
-            break
-    return ContractionWitness(witness.side, x, y, t, lhs, rhs)
+        return {"x": mid, "y": mid, "t": t_target}
+
+    def violated_at(c):
+        x, y, t = c["x"], c["y"], c["t"]
+        return side_check(witness.side, grade(x, y, t), grade(f(x), f(y), t))
+
+    coords = {"x": witness.x, "y": witness.y, "t": witness.t}
+    c, lhs, rhs = shrink(space.domain, coords, targets, violated_at, witness.lhs, witness.rhs)
+    return ContractionWitness(witness.side, c["x"], c["y"], c["t"], lhs, rhs)
 
 
-def _run_contraction_check(space, f, sampler, condition, violated_at) -> ContractionReport:
+def _run_contraction_check(space, f, sampler, condition, side_check) -> ContractionReport:
     pairs = draw_tuples(space.domain, sampler, 2)
     t_grid = sampler.t_grid
     t_target = t_grid[len(t_grid) // 2]
+    sides = (("mu", space.mu), ("nu", space.nu))
     violations = 0
     raw_witnesses: list[ContractionWitness] = []
     for x, y in pairs:
+        fx, fy = f(x), f(y)
         for t in t_grid:
-            for side in ("mu", "nu"):
-                bad, lhs, rhs = violated_at(space, f, x, y, t, side)
+            for side, grade in sides:
+                bad, lhs, rhs = side_check(side, grade(x, y, t), grade(fx, fy, t))
                 if bad:
                     violations += 1
                     if len(raw_witnesses) < MAX_WITNESSES:
                         raw_witnesses.append(ContractionWitness(side, x, y, t, lhs, rhs))
 
-    def side_eval(side):
-        return lambda sp, mp, x, y, t: violated_at(sp, mp, x, y, t, side)
-
     witnesses = [
-        _minimize_contraction_witness(space, f, side_eval(w.side), w, t_target)
+        _minimize_contraction_witness(space, f, side_check, w, t_target)
         for w in raw_witnesses
     ]
     return ContractionReport(
@@ -467,21 +440,13 @@ def check_psi_phi_contractive(space: IFSpace, f: SelfMap, pair: PsiPhiPair,
     Violations are data, not errors: the report carries the total count and
     up to ten minimized witnesses, deterministically given the sampler seed.
     """
-
-    def violated_at(sp, mp, x, y, t, side):
-        return _psi_phi_violation(sp, mp, pair, x, y, t, side)
-
-    return _run_contraction_check(space, f, sampler, "psi-phi", violated_at)
+    return _run_contraction_check(space, f, sampler, "psi-phi", partial(_psi_phi_side, pair))
 
 
 def check_k_contractive(space: IFSpace, f: SelfMap, k, sampler: SamplerConfig) -> ContractionReport:
     """Sampled check of the reciprocal-gap contraction condition for k."""
     kv = k.k if isinstance(k, KContraction) else _validated_k(k)
-
-    def violated_at(sp, mp, x, y, t, side):
-        return _k_violation(sp, mp, kv, x, y, t, side)
-
-    return _run_contraction_check(space, f, sampler, "k", violated_at)
+    return _run_contraction_check(space, f, sampler, "k", partial(_k_side, kv))
 
 
 # ---------------------------------------------------------------------------
@@ -492,23 +457,13 @@ def check_k_contractive(space: IFSpace, f: SelfMap, k, sampler: SamplerConfig) -
 def is_contractive_sequence(trace: "IterationTrace", pair: PsiPhiPair):
     """Whether the traced orbit satisfies, at every step n and grid t,
 
-        psi(mu(x_{n+1}, x_{n+2}, t)) >= mu(x_n, x_{n+1}, t)
-        phi(nu(x_{n+1}, x_{n+2}, t)) <= nu(x_n, x_{n+1}, t)
+        mu(x_n, x_{n+1}, t) > 0  =>  psi(mu(x_{n+1}, x_{n+2}, t)) >= mu(x_n, x_{n+1}, t)
+        nu(x_n, x_{n+1}, t) < 1  =>  phi(nu(x_{n+1}, x_{n+2}, t)) <= nu(x_n, x_{n+1}, t)
 
-    within 1e-12.  Returns (ok, first_failing_step) with the step index
-    None when the trace passes.
+    within 1e-12, the pairwise condition along the orbit.  Returns (ok,
+    first_failing_step) with the step index None when the trace passes.
     """
-    _require_three_points(trace)
-    psi, phi = pair.psi, pair.phi
-    for n in range(len(trace.points) - 2):
-        for t in trace.t_grid:
-            mu_d = trace.mu_diag[t]
-            nu_d = trace.nu_diag[t]
-            if psi(mu_d[n + 1]) < mu_d[n] - CHECK_TOL:
-                return False, n
-            if phi(nu_d[n + 1]) > nu_d[n] + CHECK_TOL:
-                return False, n
-    return True, None
+    return _first_failing_step(trace, partial(_psi_phi_side, pair))
 
 
 def is_k_contractive_sequence(trace: "IterationTrace", k):
@@ -516,21 +471,18 @@ def is_k_contractive_sequence(trace: "IterationTrace", k):
     diagnostic values must satisfy the k inequalities at every grid t.
     Zero grades are skipped on the affected side, as in the pairwise check.
     """
-    _require_three_points(trace)
     kv = k.k if isinstance(k, KContraction) else _validated_k(k)
+    return _first_failing_step(trace, partial(_k_side, kv))
+
+
+def _first_failing_step(trace, side_check):
+    """The pairwise side predicates on consecutive diagnostics: the step
+    n -> n+1 maps (x_n, x_{n+1}) to (x_{n+1}, x_{n+2})."""
+    _require_three_points(trace)
     for n in range(len(trace.points) - 2):
         for t in trace.t_grid:
-            mu_d = trace.mu_diag[t]
-            nu_d = trace.nu_diag[t]
-            if mu_d[n] > 0.0 and mu_d[n + 1] > 0.0:
-                lhs = 1.0 / mu_d[n + 1] - 1.0
-                rhs = kv * (1.0 / mu_d[n] - 1.0)
-                if lhs > rhs + _k_tol(lhs, rhs):
-                    return False, n
-            if nu_d[n] > 0.0 and nu_d[n + 1] > 0.0:
-                lhs = 1.0 / nu_d[n + 1] - 1.0
-                rhs = (1.0 / kv) * (1.0 / nu_d[n] - 1.0)
-                if lhs > rhs + _k_tol(lhs, rhs):
+            for side, diag in (("mu", trace.mu_diag[t]), ("nu", trace.nu_diag[t])):
+                if side_check(side, diag[n], diag[n + 1])[0]:
                     return False, n
     return True, None
 

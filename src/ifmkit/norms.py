@@ -4,6 +4,10 @@ A t-norm models conjunction of membership degrees (identity 1), a t-conorm
 models disjunction of non-membership degrees (identity 0).  Built-in pairs
 are exact in double precision up to rounding, so algebraic identities are
 checked against a single global tolerance of 1e-12.
+
+`TNorm` and `TConorm` are thin subclasses of one frozen binary-operation
+class holding the kind, the function and the identity element; each
+subclass lists its built-in kinds in ``BUILTINS``.
 """
 
 from __future__ import annotations
@@ -93,18 +97,6 @@ _lukasiewicz.array = _lukasiewicz_array
 _bounded_sum.array = _bounded_sum_array
 
 
-_TNORM_BUILTINS = {
-    "product": _product,
-    "minimum": _minimum,
-    "lukasiewicz": _lukasiewicz,
-}
-
-_TCONORM_BUILTINS = {
-    "probabilistic_sum": _probabilistic_sum,
-    "maximum": _maximum,
-    "bounded_sum": _bounded_sum,
-}
-
 # De Morgan duals of the built-in t-norms.
 _DUAL_KIND = {
     "product": "probabilistic_sum",
@@ -114,8 +106,9 @@ _DUAL_KIND = {
 
 
 @dataclass(frozen=True)
-class TNorm:
-    """A binary operation on [0,1] intended to satisfy the t-norm axioms.
+class _BinaryOp:
+    """A binary operation on [0,1]: a built-in ``kind`` from the subclass's
+    ``BUILTINS`` table, or ``"custom"`` with a caller-supplied ``fn``.
 
     Built-in kinds are verified analytically; custom functions are accepted
     unverified so that `check_norm_axioms` can exercise failure paths.
@@ -125,13 +118,33 @@ class TNorm:
     fn: Callable[[float, float], float] = field(compare=False, repr=False, default=None)
 
     def __post_init__(self):
-        if self.kind in _TNORM_BUILTINS:
-            object.__setattr__(self, "fn", _TNORM_BUILTINS[self.kind])
+        if self.kind in self.BUILTINS:
+            object.__setattr__(self, "fn", self.BUILTINS[self.kind])
         elif self.kind == "custom":
             if self.fn is None:
-                raise DomainError("custom t-norm requires a binary function")
+                raise DomainError(f"custom {self._LABEL} requires a binary function")
         else:
-            raise DomainError(f"unknown t-norm kind {self.kind!r}")
+            raise DomainError(f"unknown {self._LABEL} kind {self.kind!r}")
+
+    @classmethod
+    def custom(cls, fn: Callable[[float, float], float]):
+        return cls("custom", fn)
+
+    @property
+    def identity_element(self) -> float:
+        return self._IDENTITY
+
+    def __call__(self, a: float, b: float) -> float:
+        """Raw, unvalidated application; use `tnorm_apply` at API boundaries."""
+        return self.fn(a, b)
+
+
+class TNorm(_BinaryOp):
+    """A t-norm: conjunction of membership degrees, identity element 1."""
+
+    BUILTINS = {"product": _product, "minimum": _minimum, "lukasiewicz": _lukasiewicz}
+    _LABEL = "t-norm"
+    _IDENTITY = 1.0
 
     @classmethod
     def product(cls) -> "TNorm":
@@ -145,34 +158,14 @@ class TNorm:
     def lukasiewicz(cls) -> "TNorm":
         return cls("lukasiewicz")
 
-    @classmethod
-    def custom(cls, fn: Callable[[float, float], float]) -> "TNorm":
-        return cls("custom", fn)
 
-    @property
-    def identity_element(self) -> float:
-        return 1.0
+class TConorm(_BinaryOp):
+    """Dual of `TNorm`: disjunction of non-membership degrees, identity 0."""
 
-    def __call__(self, a: float, b: float) -> float:
-        """Raw, unvalidated application; use `tnorm_apply` at API boundaries."""
-        return self.fn(a, b)
-
-
-@dataclass(frozen=True)
-class TConorm:
-    """Dual of `TNorm`: identity element 0, built-ins verified analytically."""
-
-    kind: str
-    fn: Callable[[float, float], float] = field(compare=False, repr=False, default=None)
-
-    def __post_init__(self):
-        if self.kind in _TCONORM_BUILTINS:
-            object.__setattr__(self, "fn", _TCONORM_BUILTINS[self.kind])
-        elif self.kind == "custom":
-            if self.fn is None:
-                raise DomainError("custom t-conorm requires a binary function")
-        else:
-            raise DomainError(f"unknown t-conorm kind {self.kind!r}")
+    BUILTINS = {"probabilistic_sum": _probabilistic_sum, "maximum": _maximum,
+                "bounded_sum": _bounded_sum}
+    _LABEL = "t-conorm"
+    _IDENTITY = 0.0
 
     @classmethod
     def probabilistic_sum(cls) -> "TConorm":
@@ -186,19 +179,10 @@ class TConorm:
     def bounded_sum(cls) -> "TConorm":
         return cls("bounded_sum")
 
-    @classmethod
-    def custom(cls, fn: Callable[[float, float], float]) -> "TConorm":
-        return cls("custom", fn)
 
-    @property
-    def identity_element(self) -> float:
-        return 0.0
-
-    def __call__(self, a: float, b: float) -> float:
-        return self.fn(a, b)
-
-
-def _checked_apply(op, a, b) -> UnitValue:
+def tnorm_apply(op: TNorm | TConorm, a, b) -> UnitValue:
+    """Apply a t-norm (or t-conorm) to two unit values, validating operands
+    and result."""
     av = as_unit(a)
     bv = as_unit(b)
     raw = op.fn(av, bv)
@@ -215,14 +199,7 @@ def _checked_apply(op, a, b) -> UnitValue:
     return UnitValue(raw)
 
 
-def tnorm_apply(norm: TNorm, a, b) -> UnitValue:
-    """Apply a t-norm to two unit values, validating operands and result."""
-    return _checked_apply(norm, a, b)
-
-
-def tconorm_apply(conorm: TConorm, a, b) -> UnitValue:
-    """Apply a t-conorm to two unit values, validating operands and result."""
-    return _checked_apply(conorm, a, b)
+tconorm_apply = tnorm_apply
 
 
 def dual_of(norm: TNorm) -> TConorm:

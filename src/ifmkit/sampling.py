@@ -1,8 +1,11 @@
-"""Deterministic sample generation for axiom and contraction checks.
+"""Deterministic sample generation and witness shrinking for axiom and
+contraction checks.
 
 All sampling is derived from a single integer seed so that identical
 (space, sampler) inputs yield byte-identical reports.  Exhaustive mode
-enumerates the whole finite domain instead of drawing.
+enumerates the whole finite domain instead of drawing.  `shrink` is the one
+witness shrinker: both the auditor and the contraction checks halve their
+witnesses' coordinates through it.
 """
 
 from __future__ import annotations
@@ -12,10 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .spaces import FiniteDomain, PointDomain
+from .spaces import FiniteDomain, IntervalDomain, PointDomain
 
 EXHAUSTIVE = "exhaustive"
 RANDOM = "random"
+
+MAX_WITNESSES = 10
+_MAX_SHRINK_ROUNDS = 64
 
 
 @dataclass(frozen=True)
@@ -63,3 +69,37 @@ def draw_array(domain: PointDomain, cfg: SamplerConfig, arity: int) -> np.ndarra
 def draw_tuples(domain: PointDomain, cfg: SamplerConfig, arity: int) -> list[tuple]:
     """`draw_array` as a list of tuples of plain Python floats or ints."""
     return [tuple(row) for row in draw_array(domain, cfg, arity).tolist()]
+
+
+def shrink(domain: PointDomain, coords: dict, targets, violated_at, lhs, rhs):
+    """Halve a violating witness's coordinates toward targets while it still
+    violates.
+
+    ``coords`` maps coordinate names to values: points "x", "y", "z" and
+    times "t", "s", tried in that order; None values are left alone.  Each
+    round, ``targets(coords)`` gives every coordinate's target, and each
+    coordinate in turn moves halfway toward it (points of a finite domain
+    by integer halving) when ``violated_at(candidate)`` still returns a
+    violation.  Stops after a round without a move or after 64 rounds.
+    Returns the final coordinates with their ``(lhs, rhs)``.
+    """
+    interval = isinstance(domain, IntervalDomain)
+    for _ in range(_MAX_SHRINK_ROUNDS):
+        moved = False
+        for coord, target in targets(coords).items():
+            old = coords[coord]
+            if old is None:
+                continue
+            if interval or coord in ("t", "s"):
+                new = old + (target - old) * 0.5
+            else:
+                new = int(old) + (int(target) - int(old)) // 2
+            if new == old:
+                continue
+            candidate = {**coords, coord: new}
+            violated, cl, cr = violated_at(candidate)
+            if violated:
+                coords, lhs, rhs, moved = candidate, cl, cr, True
+        if not moved:
+            break
+    return coords, lhs, rhs

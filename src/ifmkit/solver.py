@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -93,15 +94,12 @@ class IterationTrace:
         return self.points[-1]
 
 
-def _window_pairs_cauchy(space: IFSpace, points, epsilon: float, t: float, window: int) -> bool:
-    tail = points[-window:]
-    mu = space.mu
-    nu = space.nu
-    lo = 1.0 - epsilon
-    for i in range(len(tail)):
-        for j in range(i + 1, len(tail)):
-            if not (mu(tail[i], tail[j], t) > lo and nu(tail[i], tail[j], t) < epsilon):
-                return False
+def _all_near(space: IFSpace, pairs, t: float, epsilon: float) -> bool:
+    """Every pair has mu > 1 - epsilon and nu < epsilon at t."""
+    mu, nu, lo = space.mu, space.nu, 1.0 - epsilon
+    for a, b in pairs:
+        if not (mu(a, b, t) > lo and nu(a, b, t) < epsilon):
+            return False
     return True
 
 
@@ -117,7 +115,7 @@ def detect_m_cauchy(trace: IterationTrace, epsilon: float, t: float, window: int
         raise PreconditionError(
             f"window must be in [1, {len(trace.points)}], got {window}"
         )
-    return _window_pairs_cauchy(trace.space, trace.points, epsilon, t, window)
+    return _all_near(trace.space, combinations(trace.points[-window:], 2), t, epsilon)
 
 
 def detect_g_cauchy(trace: IterationTrace, m_offset: int, t: float,
@@ -134,14 +132,10 @@ def detect_g_cauchy(trace: IterationTrace, m_offset: int, t: float,
         )
     if t <= 0:
         raise DomainError("t must be positive")
-    space = trace.space
-    lo = 1.0 - eps_tail
-    first = n_points - m_offset - _G_CAUCHY_TAIL_PAIRS
-    for n in range(max(0, first), n_points - m_offset):
-        a, b = trace.points[n], trace.points[n + m_offset]
-        if not (space.mu(a, b, t) > lo and space.nu(a, b, t) < eps_tail):
-            return False
-    return True
+    first = max(0, n_points - m_offset - _G_CAUCHY_TAIL_PAIRS)
+    pts = trace.points
+    pairs = ((pts[n], pts[n + m_offset]) for n in range(first, n_points - m_offset))
+    return _all_near(trace.space, pairs, t, eps_tail)
 
 
 def picard_iterate(space: IFSpace, f: SelfMap, x0, config: SolverConfig) -> IterationTrace:
@@ -182,7 +176,7 @@ def picard_iterate(space: IFSpace, f: SelfMap, x0, config: SolverConfig) -> Iter
         points.append(x_next)
         x = x_next
         window = min(config.cauchy_window, len(points))
-        if _window_pairs_cauchy(space, points, config.epsilon, t_min, window):
+        if _all_near(space, combinations(points[-window:], 2), t_min, config.epsilon):
             stop_reason = "converged"
             break
     return IterationTrace(
@@ -257,22 +251,34 @@ class FixedPointReport:
         }
 
 
-def _pairwise_limit_witnesses(domain, limits):
-    witnesses = []
+def _cross_checked(method: str, space: IFSpace, f: SelfMap, config: SolverConfig,
+                   limits: list, **per_seed) -> FixedPointReport:
+    """The report of either engine, from one limit (None if not reached) per
+    seed: the first limit found is the fixed point, verified over the grid,
+    and `unique` holds when every seed reached a limit and all limits agree
+    within `point_tol`.  Witnesses are the distances between found limits."""
+    domain = space.domain
     found = [(i, p) for i, p in enumerate(limits) if p is not None]
-    for a in range(len(found)):
-        for b in range(a + 1, len(found)):
-            i, p = found[a]
-            j, q = found[b]
-            witnesses.append((i, j, domain.distance(p, q)))
-    return witnesses
+    fixed_point = found[0][1] if found else None
+    return FixedPointReport(
+        method=method,
+        fixed_point=fixed_point,
+        limits=limits,
+        residual=None if fixed_point is None else verify_fixed_point(
+            space, f, fixed_point, config.t_grid, config.epsilon),
+        unique=bool(found) and len(found) == len(limits) and all(
+            domain.distance(fixed_point, p) <= config.point_tol for _, p in found),
+        witnesses=[(i, j, domain.distance(p, q)) for (i, p), (j, q) in combinations(found, 2)],
+        domain=domain,
+        **per_seed,
+    )
 
 
 def solve_fixed_point(space: IFSpace, f: SelfMap, config: SolverConfig) -> FixedPointReport:
     """Run Picard iteration from every seed and cross-check the limits.
 
     The fixed point reported is the first converged limit; `unique` states
-    whether every converged limit agrees with it within `point_tol`.
+    whether every seed converged and all limits agree within `point_tol`.
     Raises `NonConvergenceError` (carrying all traces) when no seed
     converges within the iteration budget.
     """
@@ -285,28 +291,16 @@ def solve_fixed_point(space: IFSpace, f: SelfMap, config: SolverConfig) -> Fixed
             UserWarning,
         )
     traces = [picard_iterate(space, f, x0, config) for x0 in config.seeds]
-    limits = [tr.limit if tr.stop_reason == "converged" else None for tr in traces]
-    converged = [p for p in limits if p is not None]
-    if not converged:
+    if all(tr.stop_reason != "converged" for tr in traces):
         raise NonConvergenceError(
             f"no seed converged within {config.max_iter} iterations", traces
         )
-    fixed_point = converged[0]
-    residual = verify_fixed_point(space, f, fixed_point, config.t_grid, config.epsilon)
-    unique = all(
-        space.domain.distance(fixed_point, p) <= config.point_tol for p in converged
-    )
-    return FixedPointReport(
-        method="picard",
-        fixed_point=fixed_point,
-        limits=limits,
+    return _cross_checked(
+        "picard", space, f, config,
+        [tr.limit if tr.stop_reason == "converged" else None for tr in traces],
         iterations_per_seed=[tr.iterations for tr in traces],
         stop_reasons=[tr.stop_reason for tr in traces],
-        residual=residual,
-        unique=unique,
-        witnesses=_pairwise_limit_witnesses(space.domain, limits),
         traces=traces,
-        domain=space.domain,
     )
 
 
@@ -346,28 +340,12 @@ def edelstein_solve(space: IFSpace, f: SelfMap, config: SolverConfig) -> FixedPo
         iterations.append(len(orbit) - 1)
         limits.append(orbit[-1] if cycle_len == 1 else None)
         traces.append(orbit)
-    found = [p for p in limits if p is not None]
-    fixed_point = found[0] if found else None
-    residual = (
-        verify_fixed_point(space, f, fixed_point, config.t_grid, config.epsilon)
-        if fixed_point is not None
-        else None
-    )
-    unique = bool(found) and all(p is not None for p in limits) and all(
-        domain.distance(fixed_point, p) <= config.point_tol for p in found
-    )
-    return FixedPointReport(
-        method="edelstein",
-        fixed_point=fixed_point,
-        limits=limits,
+    return _cross_checked(
+        "edelstein", space, f, config, limits,
         iterations_per_seed=iterations,
         stop_reasons=["cycle" if c is not None else "max_iter" for c in cycle_lengths],
-        residual=residual,
-        unique=unique,
-        witnesses=_pairwise_limit_witnesses(domain, limits),
         cycle_lengths=cycle_lengths,
         traces=traces,
-        domain=domain,
     )
 
 

@@ -8,8 +8,8 @@ with a t-norm / t-conorm pair and a triangle mode:
 * ``non_archimedean``  — triangle bounds hold at a single t (the strong form).
 
 Constructors never reject non-conforming grade functions; the auditor is
-the place where axioms are certified or falsified.  The ``relaxed`` flag
-marks spaces that are known to violate strict positivity by design.
+the place where axioms are certified or falsified, and `eval_mu` /
+`eval_nu` validate single queries.
 
 The built-in spaces attach an element-wise form of each grade function as
 ``mu.array`` / ``nu.array``, which the auditor evaluates on point and time
@@ -167,7 +167,6 @@ class IFSpace:
     tnorm: TNorm
     tconorm: TConorm
     triangle_mode: str = ARCHIMEDEAN
-    relaxed: bool = False
     name: str = "custom"
 
     def __post_init__(self):
@@ -214,7 +213,7 @@ def standard_space(domain: PointDomain, tnorm: TNorm, tconorm: TConorm) -> IFSpa
         mu.array, nu.array = mu_array, nu_array
 
     mode = NON_ARCHIMEDEAN if tnorm.kind == "product" else ARCHIMEDEAN
-    return IFSpace(domain, mu, nu, tnorm, tconorm, mode, relaxed=False, name="standard")
+    return IFSpace(domain, mu, nu, tnorm, tconorm, mode, name="standard")
 
 
 def crisp_threshold_space(domain: PointDomain, tnorm: TNorm, tconorm: TConorm) -> IFSpace:
@@ -222,9 +221,9 @@ def crisp_threshold_space(domain: PointDomain, tnorm: TNorm, tconorm: TConorm) -
 
     Distinct points are fully far (mu=0, nu=1) at t <= 1 and fully near
     (mu=1, nu=0) at t > 1; identical points are always fully near.  This
-    space deliberately violates strict positivity of mu at t <= 1, hence
-    ``relaxed=True``; every self-map on it is psi-phi contractive, which
-    makes it the canonical stress case for the contraction checker.
+    space deliberately violates strict positivity of mu at t <= 1 (the
+    audit fails axiom ii); every self-map on it is psi-phi contractive,
+    which makes it the canonical stress case for the contraction checker.
     """
     if isinstance(domain, FiniteDomain) and domain.size < 2:
         raise PreconditionError("crisp threshold space needs at least two points")
@@ -243,35 +242,27 @@ def crisp_threshold_space(domain: PointDomain, tnorm: TNorm, tconorm: TConorm) -
     mu.array = lambda x, y, t: np.where(same(x, y), 1.0, np.where(t > 1.0, 1.0, 0.0))
     nu.array = lambda x, y, t: np.where(same(x, y), 0.0, np.where(t > 1.0, 0.0, 1.0))
 
-    return IFSpace(
-        domain, mu, nu, tnorm, tconorm, NON_ARCHIMEDEAN, relaxed=True, name="crisp"
-    )
+    return IFSpace(domain, mu, nu, tnorm, tconorm, NON_ARCHIMEDEAN, name="crisp")
 
 
-def _validate_query(space: IFSpace, x, y, t):
+def _eval_grade(space: IFSpace, name: str, x, y, t) -> UnitValue:
     if not (isinstance(t, (int, float)) and math.isfinite(t) and t > 0):
         raise DomainError(f"time parameter must be positive and finite, got {t!r}")
-    if not space.domain.contains(x):
-        raise DomainError(f"point {x!r} outside domain {space.domain!r}")
-    if not space.domain.contains(y):
-        raise DomainError(f"point {y!r} outside domain {space.domain!r}")
+    for p in (x, y):
+        if not space.domain.contains(p):
+            raise DomainError(f"point {p!r} outside domain {space.domain!r}")
+    v = getattr(space, name)(x, y, float(t))
+    try:
+        return UnitValue(v)
+    except Exception as exc:
+        raise DomainError(f"{name}({x!r}, {y!r}, {t!r}) = {v!r} is not a unit value") from exc
 
 
 def eval_mu(space: IFSpace, x, y, t) -> UnitValue:
     """Validated nearness evaluation: checks t > 0, domain membership, range."""
-    _validate_query(space, x, y, t)
-    v = space.mu(x, y, float(t))
-    try:
-        return UnitValue(v)
-    except Exception as exc:
-        raise DomainError(f"mu({x!r}, {y!r}, {t!r}) = {v!r} is not a unit value") from exc
+    return _eval_grade(space, "mu", x, y, t)
 
 
 def eval_nu(space: IFSpace, x, y, t) -> UnitValue:
     """Validated non-nearness evaluation, mirror of `eval_mu`."""
-    _validate_query(space, x, y, t)
-    v = space.nu(x, y, float(t))
-    try:
-        return UnitValue(v)
-    except Exception as exc:
-        raise DomainError(f"nu({x!r}, {y!r}, {t!r}) = {v!r} is not a unit value") from exc
+    return _eval_grade(space, "nu", x, y, t)

@@ -37,6 +37,8 @@ from ifmkit.auditor import (
     AxiomCheck,
     Witness,
     _continuity_probe,
+    minimize_witness,
+    violation_margin,
 )
 from ifmkit.sampling import draw_tuples
 
@@ -269,6 +271,25 @@ def test_chunked_audit_matches_scalar_reference(kind, norm, finite, monkeypatch)
                     "squared": ["na-mu", "na-nu"], "nan": []}
     for axiom in planted_rows[kind]:
         assert report.check(axiom).violation_count > MAX_WITNESSES, axiom
+
+
+@settings(max_examples=60, deadline=None)
+@given(audits())
+def test_witnesses_recheck_and_shrink_toward_anchor(case):
+    space, sampler = case
+    anchor = space.domain.anchor()
+    targets = {"x": anchor, "y": anchor, "z": anchor, "t": 1.0, "s": 1.0}
+    for check in audit_space(space, sampler).checks:
+        for w in check.witnesses:
+            assert violation_margin(space, w) == (True, w.lhs, w.rhs)
+            m = minimize_witness(space, w)
+            assert violation_margin(space, m) == (True, m.lhs, m.rhs)
+            for coord, target in targets.items():
+                before, after = getattr(w, coord), getattr(m, coord)
+                if before is None:
+                    assert after is None
+                else:
+                    assert abs(after - target) <= abs(before - target), coord
 
 
 def test_replaced_grade_function_is_the_one_audited(unit_space):

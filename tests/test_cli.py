@@ -199,6 +199,14 @@ class TestSolveCommand:
         path = write_config(tmp_path, cfg)
         assert main(["solve", "--config", path, "--out", str(tmp_path)]) == EXIT_NOT_UNIQUE
 
+    def test_seed_out_of_budget_not_unique(self, tmp_path, capsys):
+        cfg = standard_config()
+        cfg["solver"]["seeds"] = [0.0, 1.0]
+        cfg["solver"]["max_iter"] = 3
+        path = write_config(tmp_path, cfg)
+        assert main(["solve", "--config", path, "--out", str(tmp_path)]) == EXIT_NOT_UNIQUE
+        assert "did not converge" in capsys.readouterr().out
+
     def test_cyclic_shift_exits_no_convergence(self, tmp_path):
         cfg = {
             "schema_version": 1,

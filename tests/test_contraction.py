@@ -1,20 +1,29 @@
+from functools import partial
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifmkit import (
     EXHAUSTIVE,
     RANDOM,
     DomainError,
     FiniteDomain,
+    IntervalDomain,
     KContraction,
     PreconditionError,
     PsiPhiPair,
     SamplerConfig,
     SelfMap,
     SolverConfig,
+    TConorm,
+    TNorm,
     check_admissible,
     check_k_contractive,
     check_psi_phi_contractive,
+    crisp_threshold_space,
     eval_mu,
     eval_nu,
     is_contractive_sequence,
@@ -23,7 +32,10 @@ from ifmkit import (
     phi_from_k,
     picard_iterate,
     psi_from_k,
+    standard_space,
 )
+from ifmkit import contraction
+from ifmkit.contraction import _k_side, _psi_phi_side
 from ifmkit.solver import IterationTrace
 
 TOL = 1e-12
@@ -269,6 +281,18 @@ class TestSequencePredicates:
         ok, idx = is_k_contractive_sequence(trace, 0.4)
         assert not ok and idx == 0
 
+    def test_vacuous_antecedents_hold_along_the_orbit(self, unit_space):
+        # mu = 0 and nu = 1 at every step: both implications are vacuous, as
+        # in the pairwise check, even for a psi that leaves [0, 1]
+        trace = IterationTrace(
+            space=unit_space, map=SelfMap.identity(), t_grid=(1.0,),
+            points=[0.0, 1.0, 0.0, 1.0],
+            mu_diag={1.0: [0.0, 0.0, 0.0]}, nu_diag={1.0: [1.0, 1.0, 1.0]},
+            stop_reason="max_iter",
+        )
+        pair = PsiPhiPair(lambda s: s - 0.5, lambda s: s)
+        assert is_contractive_sequence(trace, pair) == (True, None)
+
     def test_short_trace_rejected(self, unit_space):
         trace = IterationTrace(
             space=unit_space, map=SelfMap.identity(), t_grid=(1.0,),
@@ -298,3 +322,63 @@ class TestSelfMap:
         domain = FiniteDomain.line(3)
         f = SelfMap.table([2, 0, 1])
         assert f.apply_checked(domain, 0) == 2
+
+
+# ---------------------------------------------------------------------------
+# Properties of reported witnesses: each re-checks as violated under the
+# side predicate the scan used, and shrinking moved it toward its targets.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def contraction_checks(draw):
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 8))
+        domain = FiniteDomain.line(n)
+        f = SelfMap.table(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+        mode = draw(st.sampled_from((EXHAUSTIVE, RANDOM)))
+    else:
+        domain = IntervalDomain(0.0, 1.0)
+        f = draw(st.sampled_from((
+            SelfMap.identity(), SelfMap.scale(0.5), SelfMap.scale(0.9),
+            SelfMap.affine_clamped(-0.8, 0.9, 0.0, 1.0), SelfMap.constant(0.25),
+        )))
+        mode = RANDOM
+    make = draw(st.sampled_from((standard_space, crisp_threshold_space)))
+    space = make(domain, TNorm.product(), TConorm.probabilistic_sum())
+    k = draw(st.sampled_from((0.2, 0.4, 0.5, 0.8)))
+    grid = draw(st.lists(st.sampled_from((0.1, 0.5, 1.0, 2.0, 10.0)), min_size=1, max_size=4))
+    sampler = SamplerConfig(mode, draw(st.integers(1, 80)), tuple(grid),
+                            seed=draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        pair = pair_from_k(k)
+        return space, f, sampler, partial(check_psi_phi_contractive, pair=pair), \
+            partial(_psi_phi_side, pair)
+    return space, f, sampler, partial(check_k_contractive, k=k), partial(_k_side, k)
+
+
+@settings(max_examples=120, deadline=None)
+@given(contraction_checks())
+def test_witnesses_recheck_and_shrink_toward_targets(case):
+    space, f, sampler, check, side_check = case
+    shrunk = []
+    minimize = contraction._minimize_contraction_witness
+
+    def recording(space, f, side_check, raw, t_target):
+        w = minimize(space, f, side_check, raw, t_target)
+        shrunk.append((raw, w, t_target))
+        return w
+
+    with mock.patch.object(contraction, "_minimize_contraction_witness", recording):
+        report = check(space, f, sampler=sampler)
+    assert [w for _, w, _ in shrunk] == report.witnesses
+    for raw, w, t_target in shrunk:
+        grade = space.mu if w.side == "mu" else space.nu
+        for v in (raw, w):
+            again = side_check(v.side, grade(v.x, v.y, v.t), grade(f(v.x), f(v.y), v.t))
+            assert again == (True, v.lhs, v.rhs)
+        # the pair closes in on its own midpoint and t on the middle grid value
+        lo, hi = sorted((raw.x, raw.y))
+        assert lo <= w.x <= hi and lo <= w.y <= hi
+        assert abs(w.x - w.y) <= abs(raw.x - raw.y)
+        assert abs(w.t - t_target) <= abs(raw.t - t_target)

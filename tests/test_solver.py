@@ -231,6 +231,13 @@ class TestSolve:
         assert report.unique
         assert max(d for _, _, d in report.witnesses) <= 2 * cfg.point_tol
 
+    def test_seed_stopped_by_max_iter_is_not_unique(self, unit_space):
+        cfg = _cfg(max_iter=3, seeds=(0.0, 1.0))
+        report = solve_fixed_point(unit_space, SelfMap.scale(0.5), cfg)
+        assert report.stop_reasons == ["converged", "max_iter"]
+        assert report.limits == [0.0, None]
+        assert not report.unique
+
     def test_idempotent_verification(self, unit_space):
         cfg = _cfg(epsilon=1e-8, t_grid=(0.1, 1.0, 10.0), max_iter=10_000, seeds=(1.0,))
         report = solve_fixed_point(unit_space, SelfMap.scale(0.5), cfg)
@@ -279,6 +286,14 @@ class TestEdelstein:
         report = edelstein_solve(line10_space, SelfMap.identity(), cfg)
         assert report.cycle_lengths == [1] * 10
         assert report.limits == list(range(10))
+        assert not report.unique
+
+    def test_seed_without_cycle_is_not_unique(self, line10_space):
+        cfg = _cfg(t_grid=(1.0,), point_tol=0.0, seeds=(0, 9), max_iter=3)
+        f = SelfMap.table([max(i - 1, 0) for i in range(10)])
+        report = edelstein_solve(line10_space, f, cfg)
+        assert report.cycle_lengths == [1, None]
+        assert report.limits == [0, None]
         assert not report.unique
 
     def test_requires_finite_domain(self, unit_space):

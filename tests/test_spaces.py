@@ -161,8 +161,7 @@ class TestCrispSpace:
         with pytest.raises(PreconditionError):
             crisp_threshold_space(one, TNorm.minimum(), TConorm.maximum())
 
-    def test_marked_relaxed_and_non_archimedean(self, crisp5):
-        assert crisp5.relaxed
+    def test_marked_non_archimedean(self, crisp5):
         assert crisp5.triangle_mode == NON_ARCHIMEDEAN
 
     def test_works_on_intervals_too(self, unit_interval):
