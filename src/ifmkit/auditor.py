@@ -63,9 +63,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import PreconditionError, WitnessIntegrityError
-from .sampling import EXHAUSTIVE, MAX_WITNESSES, SamplerConfig, draw_array, shrink
+from .sampling import EXHAUSTIVE, MAX_WITNESSES, SamplerConfig, chunks, draw_array, shrink
 from .sampling import draw_tuples  # noqa: F401  perfbench/tracer.py patches this name
-from .spaces import IFSpace, NON_ARCHIMEDEAN
+from .spaces import IFSpace, NON_ARCHIMEDEAN, array_form
 
 AUDIT_TOL = 1e-12
 _CONTINUITY_GRID_POINTS = 64
@@ -287,21 +287,6 @@ def violation_margin(space: IFSpace, w: Witness):
     raise PreconditionError(f"axiom {a!r} has no re-evaluable violation semantics")
 
 
-def _array_form(fn, nargs: int):
-    """The array form attached to ``fn`` as ``fn.array``; without one, fn
-    called element-wise on plain Python scalars, results as a float array."""
-    form = getattr(fn, "array", None)
-    if form is not None:
-        return form
-    scalar = np.frompyfunc(fn, nargs, 1)
-    return lambda *args: scalar(*args).astype(float)
-
-
-def _chunks(rows, size: int):
-    for start in range(0, len(rows), size):
-        yield rows[start:start + size]
-
-
 class _ArrayScan:
     """The audit's predicate rows, evaluated chunk by chunk over grade tables.
 
@@ -313,10 +298,10 @@ class _ArrayScan:
     """
 
     def __init__(self, space: IFSpace, grid: tuple[float, ...]):
-        self.mu = _array_form(space.mu, 3)
-        self.nu = _array_form(space.nu, 3)
-        self.tnorm = _array_form(space.tnorm.fn, 2)
-        self.tconorm = _array_form(space.tconorm.fn, 2)
+        self.mu = array_form(space.mu, 3)
+        self.nu = array_form(space.nu, 3)
+        self.tnorm = array_form(space.tnorm.fn, 2)
+        self.tconorm = array_form(space.tconorm.fn, 2)
         self.same = space.domain.same_point
         self.non_archimedean = space.triangle_mode == NON_ARCHIMEDEAN
         g = len(grid)
@@ -403,19 +388,19 @@ def audit_space(space: IFSpace, sampler: SamplerConfig) -> AuditReport:
     if sampler.mode == EXHAUSTIVE:
         # enumerate each tuple exactly once so violation counts are exact
         pairs = draw_array(domain, sampler, 2)
-        for chunk in _chunks(pairs, scan.chunk):
+        for chunk in chunks(pairs, scan.chunk):
             x, y = chunk.T
             scan.pairs(x, y, *scan.grades(x, y))
-        for chunk in _chunks(draw_array(domain, sampler, 1), scan.chunk):
+        for chunk in chunks(draw_array(domain, sampler, 1), scan.chunk):
             scan.singles(chunk[:, 0])
-        for chunk in _chunks(triples, scan.chunk):
+        for chunk in chunks(triples, scan.chunk):
             x, y, z = chunk.T
             scan.triples(x, y, z, *scan.grades(x, y))
     else:
         # pairs and singles are the prefixes of the triples, so one set of
         # (x, y) tables serves all three scans
         pairs = triples[:, :2]
-        for chunk in _chunks(triples, scan.chunk):
+        for chunk in chunks(triples, scan.chunk):
             x, y, z = chunk.T
             mxy, nxy = scan.grades(x, y)
             scan.pairs(x, y, mxy, nxy)

@@ -105,11 +105,14 @@ def _number(cfg: dict, key: str, path: str, lo=None, hi=None, open_lo=False, ope
 
 def _t_grid(cfg: dict, path: str, increasing=False) -> list[float]:
     t_grid = _expect(cfg, "t_grid", path, list)
+    # the upper bound rejects inf, and integers too large for a float;
+    # NaN fails every comparison
     if not t_grid or any(
-        isinstance(t, bool) or not isinstance(t, (int, float)) or t <= 0
+        isinstance(t, bool) or not isinstance(t, (int, float))
+        or not 0 < t <= sys.float_info.max
         for t in t_grid
     ):
-        raise ConfigError(f"{path}.t_grid", "must be a nonempty list of positive numbers")
+        raise ConfigError(f"{path}.t_grid", "must be a nonempty list of positive finite numbers")
     if increasing and (sorted(t_grid) != t_grid or len(set(t_grid)) != len(t_grid)):
         raise ConfigError(f"{path}.t_grid", "must be strictly increasing")
     return [float(t) for t in t_grid]

@@ -21,10 +21,22 @@ grid oracle in the test suite, which pins this down numerically).
 
 Each condition is written once, as a side predicate over the grade values
 g = grade(x, y, t) and g_f = grade(f(x), f(y), t): `_psi_phi_side` and
-`_k_side`.  The pairwise scan (which maps each sampled pair once), its
-witness shrinker (`sampling.shrink`) and the sequence predicates over
-iteration traces, where (g, g_f) are consecutive diagnostic values, all
-call them.
+`_k_side`, which work on floats and numpy arrays alike.  The pairwise scan
+applies them to grade tables, its witness shrinker (`sampling.shrink`) to
+the grades of one witness, and the sequence predicates over iteration
+traces to consecutive diagnostic values.
+
+The scan draws its pairs as one array and works through them in chunks of
+at most 2^14 (pair, t) cells, so memory does not grow with the sample
+count.  Per chunk it maps the points once (`SelfMap.array`), tabulates mu
+and nu of (x, y) and of (f(x), f(y)) over the grid, and applies the side
+predicates as masks; it keeps the exact violation count and the first ten
+witnesses in the order of a pair-by-pair scan: pair, then t, then mu
+before nu.  Array forms travel with the functions, as in the auditor:
+grade functions and the `from_k` controls carry one as ``fn.array``, the
+built-in self-maps have one, and any other callable (a custom control, a
+user closure) is evaluated element-wise on plain Python scalars.  A control
+function is only called where its antecedent holds.
 """
 
 from __future__ import annotations
@@ -34,15 +46,21 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Callable
 
+import numpy as np
+
 from .errors import DomainError, PreconditionError
-from .sampling import MAX_WITNESSES, SamplerConfig, draw_tuples, shrink
-from .spaces import IFSpace, IntervalDomain
+from .sampling import MAX_WITNESSES, SamplerConfig, chunks, draw_array, shrink
+from .sampling import draw_tuples  # noqa: F401  perfbench/tracer.py patches this name
+from .spaces import IFSpace, IntervalDomain, array_form
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import IterationTrace
 
 CHECK_TOL = 1e-12
 _JUMP_THRESHOLD = 0.1
+# The scan grades its pairs per chunk; a chunk holds at most this many
+# (pair, t) cells, so memory stays bounded for any sample count.
+_CHUNK_CELLS = 1 << 14
 
 
 def psi_from_k(k: float) -> Callable[[float], float]:
@@ -57,6 +75,7 @@ def psi_from_k(k: float) -> Callable[[float], float]:
     def psi(s: float) -> float:
         return k * s / (1.0 - one_minus_k * s)
 
+    psi.array = psi  # the same arithmetic works element-wise on arrays
     return psi
 
 
@@ -72,6 +91,7 @@ def phi_from_k(k: float) -> Callable[[float], float]:
     def phi(s: float) -> float:
         return s / (one_minus_k * s + k)
 
+    phi.array = phi
     return phi
 
 
@@ -112,7 +132,12 @@ def pair_from_k(k: float) -> PsiPhiPair:
 
 @dataclass(frozen=True)
 class SelfMap:
-    """A self-map of a point domain: a finite image table or a closure."""
+    """A self-map of a point domain: a finite image table or a closure.
+
+    `array` maps a whole array of points.  The built-in closures carry an
+    array form as ``fn.array``; a closure without one is called element-wise
+    on plain Python scalars.
+    """
 
     kind: str  # "table" | "closure"
     images: tuple[int, ...] | None = None
@@ -133,15 +158,28 @@ class SelfMap:
     @classmethod
     def scale(cls, factor: float) -> "SelfMap":
         c = float(factor)
-        return cls.closure(lambda x: c * x, name=f"scale({c:g})")
+
+        def fn(x):
+            return c * x
+
+        fn.array = fn
+        return cls.closure(fn, name=f"scale({c:g})")
 
     @classmethod
     def constant(cls, value) -> "SelfMap":
-        return cls.closure(lambda _x: value, name=f"constant({value!r})")
+        def fn(_x):
+            return value
+
+        fn.array = lambda xs: np.full(np.shape(xs), value)
+        return cls.closure(fn, name=f"constant({value!r})")
 
     @classmethod
     def identity(cls) -> "SelfMap":
-        return cls.closure(lambda x: x, name="identity")
+        def fn(x):
+            return x
+
+        fn.array = fn
+        return cls.closure(fn, name="identity")
 
     @classmethod
     def affine_clamped(cls, a: float, b: float, lo: float, hi: float) -> "SelfMap":
@@ -150,12 +188,30 @@ class SelfMap:
         def fn(x):
             return min(max(a * x + b, lo), hi)
 
+        def fn_array(xs):
+            # np.minimum/np.maximum with the ties of min/max: they differ
+            # from Python's on signed zeros, np.where does not
+            v = a * xs + b
+            v = np.where(lo > v, lo, v)
+            return np.where(hi < v, hi, v)
+
+        fn.array = fn_array
         return cls.closure(fn, name=f"affine_clamped({a:g},{b:g})")
 
     def __call__(self, x):
         if self.kind == "table":
             return self.images[int(x)]
         return self.fn(x)
+
+    def array(self, xs: np.ndarray) -> np.ndarray:
+        """The images of a 1-d array of points, element by element."""
+        if self.kind == "table":
+            return np.array(self.images)[xs]
+        form = getattr(self.fn, "array", None)
+        if form is not None:
+            return form(xs)
+        # the dtype follows the images: index points stay integers
+        return np.array([self.fn(x) for x in xs.tolist()])
 
     def apply_checked(self, domain, x):
         y = self(x)
@@ -348,20 +404,45 @@ class ContractionReport:
 
 # Side predicates: one side ("mu" or "nu") of a condition at one pair and t,
 # as (violated, lhs, rhs) of g = grade(x, y, t) and g_f = grade(f(x), f(y), t).
-# The pairwise scan, its shrinker and the sequence checks all call these.
+# Each works on floats and on numpy arrays alike: the pairwise scan applies
+# it to grade tables, its shrinker and the sequence checks to single values.
+# Where an antecedent fails ("dead"), lhs and rhs take values that make the
+# comparison false.  A comparison with NaN is false, so a NaN grade is never
+# dead and never violates.
+
+
+def _unless(dead, fn, arg, fallback):
+    """fn(arg), or ``fallback`` where ``dead`` holds.  On arrays fn runs
+    through its array form (`array_form`) on the live entries only, so a
+    control function is never called where its antecedent fails."""
+    if isinstance(dead, np.ndarray):
+        out = np.full(dead.shape, fallback)
+        live = ~dead
+        out[live] = array_form(fn, 1)(arg[live])
+        return out
+    return fallback if dead else fn(arg)
+
+
+def _gap(v):
+    """The reciprocal gap 1/v - 1."""
+    return 1.0 / v - 1.0
+
+
+def _gap_array(v):
+    with np.errstate(over="ignore"):  # 1/subnormal is inf, as for floats
+        return 1.0 / v - 1.0
+
+
+_gap.array = _gap_array
 
 
 def _psi_phi_side(pair: PsiPhiPair, side: str, g, g_f):
     """psi(mu_f) >= mu when mu > 0, and phi(nu_f) <= nu when nu < 1; the
     vacuous antecedents (mu <= 0, nu >= 1) satisfy the implication."""
     if side == "mu":
-        if g <= 0.0:
-            return False, 0.0, g
-        lhs = pair.psi(g_f)
+        lhs = _unless(g <= 0.0, pair.psi, g_f, 0.0)
         return lhs < g - CHECK_TOL, lhs, g
-    if g >= 1.0:
-        return False, 1.0, g
-    lhs = pair.phi(g_f)
+    lhs = _unless(g >= 1.0, pair.phi, g_f, 1.0)
     return lhs > g + CHECK_TOL, lhs, g
 
 
@@ -369,14 +450,18 @@ def _k_side(k: float, side: str, g, g_f):
     """1/g_f - 1 <= c * (1/g - 1) with c = k on the mu side and 1/k on the
     nu side.  A zero grade on either end skips the comparison (the
     reciprocal gap is undefined there)."""
-    if g <= 0.0 or g_f <= 0.0:
-        return False, 0.0, 0.0
-    lhs = 1.0 / g_f - 1.0
-    rhs = (k if side == "mu" else 1.0 / k) * (1.0 / g - 1.0)
+    dead = (g <= 0.0) | (g_f <= 0.0)
+    lhs = _unless(dead, _gap, g_f, 0.0)
+    rhs = (k if side == "mu" else 1.0 / k) * _unless(dead, _gap, g, 0.0)
     # Reciprocal gaps are unbounded, so the tolerance scales with the
     # comparison magnitude; a flat 1e-12 would sit below one ulp for large
-    # gaps and turn rounding noise into violations.
-    return lhs > rhs + CHECK_TOL * max(1.0, abs(lhs), abs(rhs)), lhs, rhs
+    # gaps and turn rounding noise into violations.  lhs > rhs + tol *
+    # max(1, |lhs|, |rhs|) is written as one comparison per term of the max
+    # (the largest term gives the largest bound), which floats and arrays
+    # both evaluate.
+    violated = ((lhs > rhs + CHECK_TOL) & (lhs > rhs + CHECK_TOL * abs(lhs))
+                & (lhs > rhs + CHECK_TOL * abs(rhs)))
+    return violated, lhs, rhs
 
 
 def _minimize_contraction_witness(space, f, side_check, witness: ContractionWitness,
@@ -401,21 +486,32 @@ def _minimize_contraction_witness(space, f, side_check, witness: ContractionWitn
 
 
 def _run_contraction_check(space, f, sampler, condition, side_check) -> ContractionReport:
-    pairs = draw_tuples(space.domain, sampler, 2)
+    pairs = draw_array(space.domain, sampler, 2)
     t_grid = sampler.t_grid
     t_target = t_grid[len(t_grid) // 2]
-    sides = (("mu", space.mu), ("nu", space.nu))
+    grid = np.array(t_grid)
+    sides = (("mu", array_form(space.mu, 3)), ("nu", array_form(space.nu, 3)))
     violations = 0
     raw_witnesses: list[ContractionWitness] = []
-    for x, y in pairs:
-        fx, fy = f(x), f(y)
-        for t in t_grid:
-            for side, grade in sides:
-                bad, lhs, rhs = side_check(side, grade(x, y, t), grade(fx, fy, t))
-                if bad:
-                    violations += 1
-                    if len(raw_witnesses) < MAX_WITNESSES:
-                        raw_witnesses.append(ContractionWitness(side, x, y, t, lhs, rhs))
+    for chunk in chunks(pairs, max(1, _CHUNK_CELLS // len(t_grid))):
+        x, y = chunk.T
+        fx, fy = f.array(x)[:, None], f.array(y)[:, None]
+        checked = [side_check(side, grade(x[:, None], y[:, None], grid), grade(fx, fy, grid))
+                   for side, grade in sides]
+        # (pair, t, side): flat order is the pair-by-pair scan order
+        bad = np.stack([violated for violated, _, _ in checked], axis=2)
+        hits = int(np.count_nonzero(bad))
+        violations += hits
+        room = MAX_WITNESSES - len(raw_witnesses)
+        if not hits or room <= 0:
+            continue
+        for cell in np.flatnonzero(bad)[:room].tolist():
+            rc, s = divmod(cell, 2)
+            r, c = divmod(rc, len(t_grid))
+            _, lhs, rhs = checked[s]
+            raw_witnesses.append(ContractionWitness(
+                sides[s][0], x[r].tolist(), y[r].tolist(), t_grid[c],
+                lhs[r, c].tolist(), rhs[r, c].tolist()))
 
     witnesses = [
         _minimize_contraction_witness(space, f, side_check, w, t_target)

@@ -10,6 +10,7 @@ witnesses' coordinates through it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,8 @@ class SamplerConfig:
         grid = tuple(float(t) for t in self.t_grid)
         if not grid:
             raise PreconditionError("t_grid must be nonempty")
-        if any(t <= 0 for t in grid):
-            raise PreconditionError("t_grid values must be positive")
+        if any(t <= 0 or not math.isfinite(t) for t in grid):
+            raise PreconditionError("t_grid values must be positive and finite")
         object.__setattr__(self, "t_grid", grid)
 
     def to_dict(self) -> dict:
@@ -69,6 +70,12 @@ def draw_array(domain: PointDomain, cfg: SamplerConfig, arity: int) -> np.ndarra
 def draw_tuples(domain: PointDomain, cfg: SamplerConfig, arity: int) -> list[tuple]:
     """`draw_array` as a list of tuples of plain Python floats or ints."""
     return [tuple(row) for row in draw_array(domain, cfg, arity).tolist()]
+
+
+def chunks(rows, size: int):
+    """Consecutive slices of at most ``size`` rows."""
+    for start in range(0, len(rows), size):
+        yield rows[start:start + size]
 
 
 def shrink(domain: PointDomain, coords: dict, targets, violated_at, lhs, rhs):

@@ -1,11 +1,13 @@
 """Fixed-point iteration with convergence diagnostics.
 
-`picard_iterate` follows the orbit x0, f(x0), f^2(x0), ... and records, at
-every grid time t, the consecutive-step grades mu(x_n, x_{n+1}, t) and
-nu(x_n, x_{n+1}, t).  For a psi-phi contractive map the mu diagnostic is
-non-decreasing and the nu diagnostic non-increasing in n; both limits are
-certified by the trailing-window Cauchy detector that also serves as the
-stopping rule.
+`picard_iterate` follows the orbit x0, f(x0), f^2(x0), ... until the
+trailing-window Cauchy detector, the stopping rule, fires at the smallest
+grid t.  It then records, at every grid time t, the consecutive-step grades
+mu(x_n, x_{n+1}, t) and nu(x_n, x_{n+1}, t), tabulated in one pass over the
+orbit through the grade functions' array forms (`spaces.array_form`; a grade
+function without one is called element-wise).  For a psi-phi contractive
+map the mu diagnostic is non-decreasing and the nu diagnostic
+non-increasing in n.
 
 `edelstein_solve` is the finite-domain engine: orbits on a finite point set
 must repeat within |X| steps, so convergence questions reduce to exact
@@ -24,7 +26,7 @@ import numpy as np
 
 from .contraction import SelfMap
 from .errors import DomainError, NonConvergenceError, PreconditionError
-from .spaces import FiniteDomain, IFSpace, NON_ARCHIMEDEAN
+from .spaces import FiniteDomain, IFSpace, NON_ARCHIMEDEAN, array_form
 
 _G_CAUCHY_TAIL_PAIRS = 3
 
@@ -163,26 +165,28 @@ def picard_iterate(space: IFSpace, f: SelfMap, x0, config: SolverConfig) -> Iter
             )
 
     points = [x0]
-    mu_diag = {t: [] for t in grid}
-    nu_diag = {t: [] for t in grid}
     t_min = grid[0]
     stop_reason = "max_iter"
     x = x0
     for _ in range(config.max_iter):
-        x_next = f.apply_checked(domain, x)
-        for t in grid:
-            mu_diag[t].append(space.mu(x, x_next, t))
-            nu_diag[t].append(space.nu(x, x_next, t))
-        points.append(x_next)
-        x = x_next
+        x = f.apply_checked(domain, x)
+        points.append(x)
         window = min(config.cauchy_window, len(points))
         if _all_near(space, combinations(points[-window:], 2), t_min, config.epsilon):
             stop_reason = "converged"
             break
+    mu_diag, nu_diag = (_step_grades(grade, points, grid) for grade in (space.mu, space.nu))
     return IterationTrace(
         space=space, map=f, t_grid=grid, points=points,
         mu_diag=mu_diag, nu_diag=nu_diag, stop_reason=stop_reason,
     )
+
+
+def _step_grades(grade, points, grid) -> dict[float, list[float]]:
+    """``{t: [grade(x_n, x_{n+1}, t) for each n]}`` over the grid."""
+    pts = np.array(points)
+    table = array_form(grade, 3)(pts[:-1, None], pts[1:, None], np.array(grid))
+    return dict(zip(grid, table.T.tolist()))
 
 
 @dataclass(frozen=True)
@@ -409,22 +413,19 @@ def trace_to_csv(trace: IterationTrace) -> str:
     value.  Values use 17 significant digits so reruns diff cleanly; the
     final row has no diagnostic entries (they pair consecutive points).
     """
-    describe = trace.space.domain.describe
     header = ["n", "x_n"]
+    columns = []
     for t in trace.t_grid:
         label = _fixed_decimal(t)
         header += [f"mu@{label}", f"nu@{label}"]
-    lines = [",".join(header)]
-    n_diag = len(trace.points) - 1
-    for n, p in enumerate(trace.points):
-        shown = describe(p)
-        row = [str(n), f"{shown:.17g}" if isinstance(shown, float) else str(shown)]
-        for t in trace.t_grid:
-            if n < n_diag:
-                row += [f"{trace.mu_diag[t][n]:.17g}", f"{trace.nu_diag[t][n]:.17g}"]
-            else:
-                row += ["", ""]
-        lines.append(",".join(row))
+        columns += [trace.mu_diag[t], trace.nu_diag[t]]
+    shown = list(map(trace.space.domain.describe, trace.points))
+    # a domain describes every point as a float (interval) or as a label
+    x_field = "{:.17g}" if isinstance(shown[0], float) else "{}"
+    row = ",".join(["{}", x_field] + ["{:.17g}"] * len(columns))
+    n_diag = len(shown) - 1
+    last = ",".join([str(n_diag), x_field.format(shown[-1])] + [""] * len(columns))
+    lines = [",".join(header), *map(row.format, range(n_diag), shown, *columns), last]
     return "\n".join(lines) + "\n"
 
 

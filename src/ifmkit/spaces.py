@@ -12,8 +12,9 @@ the place where axioms are certified or falsified, and `eval_mu` /
 `eval_nu` validate single queries.
 
 The built-in spaces attach an element-wise form of each grade function as
-``mu.array`` / ``nu.array``, which the auditor evaluates on point and time
-arrays; ``same_point`` of either domain also works element-wise.
+``mu.array`` / ``nu.array``, which the auditor, the contraction scan and
+the Picard diagnostics evaluate on point and time arrays (`array_form`);
+``same_point`` of either domain also works element-wise.
 """
 
 from __future__ import annotations
@@ -150,6 +151,16 @@ class FiniteDomain:
 
 
 PointDomain = IntervalDomain | FiniteDomain
+
+
+def array_form(fn, nargs: int):
+    """The array form attached to ``fn`` as ``fn.array``; without one, fn
+    called element-wise on plain Python scalars, results as a float array."""
+    form = getattr(fn, "array", None)
+    if form is not None:
+        return form
+    scalar = np.frompyfunc(fn, nargs, 1)
+    return lambda *args: scalar(*args).astype(float)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -9,6 +10,7 @@ from ifmkit import (
     FiniteDomain,
     IFSpace,
     IntervalDomain,
+    PreconditionError,
     SamplerConfig,
     TConorm,
     TNorm,
@@ -35,6 +37,12 @@ def clamped_nu_space():
 
     return IFSpace(domain, mu, nu, TNorm.product(), TConorm.probabilistic_sum(),
                    NON_ARCHIMEDEAN, name="clamped-nu")
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+def test_sampler_grid_must_be_positive_and_finite(bad):
+    with pytest.raises(PreconditionError, match="positive and finite"):
+        SamplerConfig(RANDOM, 10, (0.5, bad))
 
 
 class TestStandardAudit:

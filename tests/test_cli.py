@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ifmkit.cli import (
     EXIT_CONFIG,
     EXIT_NO_CONVERGENCE,
@@ -116,6 +118,22 @@ class TestConfigValidation:
                      "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
         assert "metric" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["Infinity", "-Infinity", "NaN", "1e400", "1" + "0" * 400,
+                                     "0", "-1"],
+                             ids=["inf", "-inf", "nan", "1e400", "huge-int", "zero", "negative"])
+    @pytest.mark.parametrize("section,command", [("sampler", "audit"), ("solver", "solve")])
+    def test_t_grid_must_be_positive_and_finite(self, tmp_path, capsys, bad, section, command):
+        cfg = standard_config()
+        cfg[section]["t_grid"] = [0.1, 1.0, 12345.5]
+        # Python's json reads the non-standard tokens Infinity and NaN
+        text = json.dumps(cfg, indent=2).replace("12345.5", bad)
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert f"{section}.t_grid" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestDumpConfig:

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifmkit import (
     EXHAUSTIVE,
@@ -327,6 +329,27 @@ class TestEdelstein:
                 assert report.unique
                 assert report.fixed_point == true_fixed[0]
         assert passers >= 3  # at least the constant maps qualify
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12))
+def test_picard_agrees_with_edelstein_on_table_maps(data, n):
+    # a table orbit on line(n) enters its cycle within n steps; Picard then
+    # needs cauchy_window more steps to see a fixed point's window settle
+    images = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    seeds = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+    space = standard_space(FiniteDomain.line(n), TNorm.product(), TConorm.probabilistic_sum())
+    f = SelfMap.table(images)
+    cfg = _cfg(t_grid=(0.1, 1.0, 10.0), seeds=tuple(seeds), max_iter=2 * n + 10)
+    orbit = edelstein_solve(space, f, cfg)
+    try:
+        picard = solve_fixed_point(space, f, cfg)
+    except NonConvergenceError:
+        assert orbit.fixed_point is None and not orbit.unique
+        return
+    assert picard.limits == orbit.limits
+    assert picard.fixed_point == orbit.fixed_point
+    assert picard.unique == orbit.unique
 
 
 class TestJointContinuity:
