@@ -12,8 +12,9 @@ Subcommands:
 Configs are JSON with a mandatory top-level "schema_version".  Maps are
 restricted to a whitelisted catalogue plus finite tables — configs carry
 no executable code.  Any malformed or out-of-range field exits with code 2
-and a message naming the field.  The IFM_LOG environment variable selects
-log verbosity (debug/info/warning/error).
+and a message naming the field; an error raised while a command computes
+(a map leaving its domain, say) exits with code 6.  The IFM_LOG
+environment variable selects log verbosity (debug/info/warning/error).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +64,7 @@ EXIT_CONFIG = 2
 EXIT_VIOLATIONS = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_NOT_UNIQUE = 5
+EXIT_RUNTIME = 6
 
 _TNORM_KINDS = tuple(TNorm.BUILTINS)
 _TCONORM_KINDS = tuple(TConorm.BUILTINS)
@@ -93,7 +96,10 @@ def _number(cfg: dict, key: str, path: str, lo=None, hi=None, open_lo=False, ope
     v = cfg[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{path}.{key}", f"expected a number, got {type(v).__name__}")
-    v = float(v)
+    try:
+        v = float(v)
+    except OverflowError:
+        raise ConfigError(f"{path}.{key}", "integer too large for a float") from None
     if lo is not None and (v <= lo if open_lo else v < lo):
         bound = f"> {lo}" if open_lo else f">= {lo}"
         raise ConfigError(f"{path}.{key}", f"must be {bound}, got {v}")
@@ -357,7 +363,9 @@ def build_control_pair(cfg: dict) -> PsiPhiPair:
                       ("custom", "cli"))
 
 
-def build_sampler(cfg: dict, seed_override=None) -> SamplerConfig:
+def build_sampler(cfg: dict, domain, seed_override=None) -> SamplerConfig:
+    if cfg["mode"] == EXHAUSTIVE and not isinstance(domain, FiniteDomain):
+        raise ConfigError("sampler.mode", "exhaustive sampling needs a finite domain")
     seed = cfg["seed"] if seed_override is None else seed_override
     return SamplerConfig(
         mode=cfg["mode"],
@@ -399,6 +407,19 @@ def _write_json(data: dict, path: Path) -> None:
         fh.write(json.dumps(data, indent=2) + "\n")
 
 
+class _RuntimeFailure(Exception):
+    """An ifmkit error raised while a command computes, after its inputs
+    were built and validated."""
+
+
+@contextmanager
+def _computing():
+    try:
+        yield
+    except IfmError as exc:
+        raise _RuntimeFailure(exc) from exc
+
+
 def _require(config: RunConfig, section: str):
     value = getattr(config, section)
     if value is None:
@@ -408,8 +429,9 @@ def _require(config: RunConfig, section: str):
 
 def cmd_audit(config: RunConfig, out_dir: Path, seed_override=None) -> int:
     space = build_space(config.space)
-    sampler = build_sampler(_require(config, "sampler"), seed_override)
-    report = audit_space(space, sampler)
+    sampler = build_sampler(_require(config, "sampler"), space.domain, seed_override)
+    with _computing():
+        report = audit_space(space, sampler)
     _write_json(report.to_dict(), out_dir / "audit.json")
     for check in report.checks:
         log.info("axiom %-5s %s (%d violations)", check.axiom, check.status,
@@ -426,11 +448,13 @@ def cmd_contract(config: RunConfig, out_dir: Path, seed_override=None) -> int:
     space = build_space(config.space)
     f = build_selfmap(_require(config, "map"), space.domain)
     contraction = _require(config, "contraction")
-    sampler = build_sampler(_require(config, "sampler"), seed_override)
-    if contraction["check"] == "k":
-        report = check_k_contractive(space, f, contraction["k"], sampler)
-    else:
-        report = check_psi_phi_contractive(space, f, build_control_pair(contraction), sampler)
+    sampler = build_sampler(_require(config, "sampler"), space.domain, seed_override)
+    pair = None if contraction["check"] == "k" else build_control_pair(contraction)
+    with _computing():
+        if pair is None:
+            report = check_k_contractive(space, f, contraction["k"], sampler)
+        else:
+            report = check_psi_phi_contractive(space, f, pair, sampler)
     _write_json(report.to_dict(), out_dir / "contract.json")
     if report.passed:
         print(f"contract: PASS ({report.condition} condition, map {f.name})")
@@ -444,37 +468,38 @@ def cmd_solve(config: RunConfig, out_dir: Path) -> int:
     space = build_space(config.space)
     f = build_selfmap(_require(config, "map"), space.domain)
     solver_cfg = build_solver_config(_require(config, "solver"), space.domain)
-    if isinstance(space.domain, FiniteDomain):
-        report = edelstein_solve(space, f, solver_cfg)
-        _write_json(report.to_dict(), out_dir / "solve.json")
-        if report.fixed_point is None:
-            print("solve: no fixed point; cycle lengths "
-                  f"{report.cycle_lengths}")
-            return EXIT_NO_CONVERGENCE
-    else:
-        try:
-            report = solve_fixed_point(space, f, solver_cfg)
-        except NonConvergenceError as exc:
-            diagnostics = {
-                "converged": False,
-                "stop_reasons": [tr.stop_reason for tr in exc.traces],
-                "iterations_per_seed": [tr.iterations for tr in exc.traces],
-            }
-            _write_json(diagnostics, out_dir / "solve.json")
-            for i, tr in enumerate(exc.traces):
+    with _computing():
+        if isinstance(space.domain, FiniteDomain):
+            report = edelstein_solve(space, f, solver_cfg)
+            _write_json(report.to_dict(), out_dir / "solve.json")
+            if report.fixed_point is None:
+                print("solve: no fixed point; cycle lengths "
+                      f"{report.cycle_lengths}")
+                return EXIT_NO_CONVERGENCE
+        else:
+            try:
+                report = solve_fixed_point(space, f, solver_cfg)
+            except NonConvergenceError as exc:
+                diagnostics = {
+                    "converged": False,
+                    "stop_reasons": [tr.stop_reason for tr in exc.traces],
+                    "iterations_per_seed": [tr.iterations for tr in exc.traces],
+                }
+                _write_json(diagnostics, out_dir / "solve.json")
+                for i, tr in enumerate(exc.traces):
+                    write_trace_csv(tr, out_dir / f"trace_seed{i}.csv")
+                print(f"solve: no seed converged within {solver_cfg.max_iter} iterations")
+                return EXIT_NO_CONVERGENCE
+            _write_json(report.to_dict(), out_dir / "solve.json")
+            for i, tr in enumerate(report.traces):
                 write_trace_csv(tr, out_dir / f"trace_seed{i}.csv")
-            print(f"solve: no seed converged within {solver_cfg.max_iter} iterations")
-            return EXIT_NO_CONVERGENCE
-        _write_json(report.to_dict(), out_dir / "solve.json")
-        for i, tr in enumerate(report.traces):
-            write_trace_csv(tr, out_dir / f"trace_seed{i}.csv")
-    shown = space.domain.describe(report.fixed_point)
-    if not report.unique:
-        print(f"solve: fixed point {shown} but not unique: limits disagree across "
-              "seeds or some seeds did not converge")
-        return EXIT_NOT_UNIQUE
-    print(f"solve: fixed point {shown} (unique across seeds)")
-    return EXIT_OK
+        shown = space.domain.describe(report.fixed_point)
+        if not report.unique:
+            print(f"solve: fixed point {shown} but not unique: limits disagree across "
+                  "seeds or some seeds did not converge")
+            return EXIT_NOT_UNIQUE
+        print(f"solve: fixed point {shown} (unique across seeds)")
+        return EXIT_OK
 
 
 def cmd_demo(out_dir: Path, seed: int) -> int:
@@ -574,7 +599,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "demo":
-            return cmd_demo(Path(args.out), args.seed)
+            with _computing():
+                return cmd_demo(Path(args.out), args.seed)
         config = RunConfig.from_path(args.config)
         if args.dump_config:
             print(json.dumps(config.to_dict(), indent=2))
@@ -591,6 +617,9 @@ def main(argv=None) -> int:
     except IfmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except _RuntimeFailure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 def console_main() -> None:  # pragma: no cover

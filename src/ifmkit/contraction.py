@@ -216,8 +216,12 @@ class SelfMap:
     def apply_checked(self, domain, x):
         y = self(x)
         if not domain.contains(y):
-            raise DomainError(f"map {self.name} sends {x!r} to {y!r}, outside the domain")
+            raise self.domain_error(x, y)
         return y
+
+    def domain_error(self, x, y) -> DomainError:
+        """The error of a step that sends x to y, outside the domain."""
+        return DomainError(f"map {self.name} sends {x!r} to {y!r}, outside the domain")
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,16 @@
 
 `picard_iterate` follows the orbit x0, f(x0), f^2(x0), ... until the
 trailing-window Cauchy detector, the stopping rule, fires at the smallest
-grid t.  It then records, at every grid time t, the consecutive-step grades
-mu(x_n, x_{n+1}, t) and nu(x_n, x_{n+1}, t), tabulated in one pass over the
-orbit through the grade functions' array forms (`spaces.array_form`; a grade
-function without one is called element-wise).  For a psi-phi contractive
+grid t.  It takes its steps in blocks: a plain loop of scalar map calls,
+16 steps at first and doubling up to `_BLOCK_CAP` = 1024, then one array
+op that checks every point of the block against the domain and one that
+grades every pair of the block's trailing windows; the latest failing
+step per lag gives the first step whose whole window is near, and the
+points past it are dropped.  It then records, at every grid time t, the
+consecutive-step grades mu(x_n, x_{n+1}, t) and nu(x_n, x_{n+1}, t),
+tabulated in one pass over the orbit.  Both passes grade through the
+grade functions' array forms (`spaces.array_form`; a grade function
+without one is called element-wise).  For a psi-phi contractive
 map the mu diagnostic is non-decreasing and the nu diagnostic
 non-increasing in n.
 
@@ -20,6 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -29,6 +36,10 @@ from .errors import DomainError, NonConvergenceError, PreconditionError
 from .spaces import FiniteDomain, IFSpace, NON_ARCHIMEDEAN, array_form
 
 _G_CAUCHY_TAIL_PAIRS = 3
+# The Picard loop takes its steps in blocks: the first block has this many
+# steps, and each next one doubles, up to the cap.
+_FIRST_BLOCK = 16
+_BLOCK_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -96,13 +107,17 @@ class IterationTrace:
         return self.points[-1]
 
 
-def _all_near(space: IFSpace, pairs, t: float, epsilon: float) -> bool:
-    """Every pair has mu > 1 - epsilon and nu < epsilon at t."""
-    mu, nu, lo = space.mu, space.nu, 1.0 - epsilon
-    for a, b in pairs:
-        if not (mu(a, b, t) > lo and nu(a, b, t) < epsilon):
-            return False
-    return True
+def _near(mu, nu, epsilon):
+    """Cauchy nearness of grades, on floats and arrays alike: mu > 1 - epsilon
+    and nu < epsilon.  NaN grades are not near."""
+    return (mu > 1.0 - epsilon) & (nu < epsilon)
+
+
+def _near_pairs(space: IFSpace, older, newer, t: float, epsilon: float) -> np.ndarray:
+    """`_near` of every pair (older[i], newer[i]) at t, graded through the
+    grade functions' array forms."""
+    mu, nu = (array_form(grade, 3)(older, newer, t) for grade in (space.mu, space.nu))
+    return _near(mu, nu, epsilon)
 
 
 def detect_m_cauchy(trace: IterationTrace, epsilon: float, t: float, window: int) -> bool:
@@ -117,7 +132,9 @@ def detect_m_cauchy(trace: IterationTrace, epsilon: float, t: float, window: int
         raise PreconditionError(
             f"window must be in [1, {len(trace.points)}], got {window}"
         )
-    return _all_near(trace.space, combinations(trace.points[-window:], 2), t, epsilon)
+    pts = np.asarray(trace.points[-window:])
+    older, newer = np.triu_indices(window, 1)  # the pairs in combinations order
+    return bool(_near_pairs(trace.space, pts[older], pts[newer], t, epsilon).all())
 
 
 def detect_g_cauchy(trace: IterationTrace, m_offset: int, t: float,
@@ -135,9 +152,8 @@ def detect_g_cauchy(trace: IterationTrace, m_offset: int, t: float,
     if t <= 0:
         raise DomainError("t must be positive")
     first = max(0, n_points - m_offset - _G_CAUCHY_TAIL_PAIRS)
-    pts = trace.points
-    pairs = ((pts[n], pts[n + m_offset]) for n in range(first, n_points - m_offset))
-    return _all_near(trace.space, pairs, t, eps_tail)
+    pts = np.asarray(trace.points[first:])
+    return bool(_near_pairs(trace.space, pts[:-m_offset], pts[m_offset:], t, eps_tail).all())
 
 
 def picard_iterate(space: IFSpace, f: SelfMap, x0, config: SolverConfig) -> IterationTrace:
@@ -148,6 +164,18 @@ def picard_iterate(space: IFSpace, f: SelfMap, x0, config: SolverConfig) -> Iter
     on every grid t up front; failure is a distinguished non-error outcome
     (stop_reason = "precondition_failed") so degenerate spaces can still be
     exercised.
+
+    The stopping rule checks the window at the smallest grid t only.  That
+    is enough when mu is non-decreasing and nu non-increasing in t, which
+    the axioms imply (iii and v); on a space that fails the audit the orbit
+    may stop while the window is not yet near at larger t.
+
+    The orbit advances in blocks of up to `_BLOCK_CAP` steps (see the module
+    docstring), so f may run up to `_BLOCK_CAP - 1` steps past the stop, and
+    the grade functions may be called on pairs among those points; they
+    are discarded.  A map error (a point outside the domain, or an
+    exception raised by f) is raised only if the orbit reaches it, with the
+    same type and message as a step-by-step loop.
     """
     domain = space.domain
     if not domain.contains(x0):
@@ -164,22 +192,69 @@ def picard_iterate(space: IFSpace, f: SelfMap, x0, config: SolverConfig) -> Iter
                      f"nu = {space.nu(x0, fx0, t)!r}",
             )
 
+    near = partial(_near_pairs, space, t=grid[0], epsilon=config.epsilon)
+    step = f.fn if f.kind == "closure" else f.images.__getitem__
+    lags = np.arange(1, config.cauchy_window)
+    last_fail = np.full(lags.size, -1)
     points = [x0]
-    t_min = grid[0]
+    x, block = fx0, [fx0]  # the first step ran in the precondition check
+    size = min(_FIRST_BLOCK, _BLOCK_CAP)
     stop_reason = "max_iter"
-    x = x0
-    for _ in range(config.max_iter):
-        x = f.apply_checked(domain, x)
-        points.append(x)
-        window = min(config.cauchy_window, len(points))
-        if _all_near(space, combinations(points[-window:], 2), t_min, config.epsilon):
+    while True:
+        error = None
+        try:
+            for _ in range(min(size, config.max_iter + 1 - len(points)) - len(block)):
+                x = step(x)
+                block.append(x)
+        except Exception as exc:  # noqa: BLE001  raised below only if the orbit gets there
+            error = exc
+        inside = domain.contains_array(block)
+        end = len(block) if inside.all() else int(inside.argmin())
+        if end < len(block):
+            error = f.domain_error(block[end - 1] if end else points[-1], block[end])
+        stop, last_fail = _window_stop(near, points, block[:end], lags, last_fail)
+        if stop is not None:
+            points += block[:stop + 1]
             stop_reason = "converged"
             break
+        if error is not None:
+            raise error
+        points += block
+        if len(points) > config.max_iter:
+            break
+        block, size = [], min(2 * size, _BLOCK_CAP)
     mu_diag, nu_diag = (_step_grades(grade, points, grid) for grade in (space.mu, space.nu))
     return IterationTrace(
         space=space, map=f, t_grid=grid, points=points,
         mu_diag=mu_diag, nu_diag=nu_diag, stop_reason=stop_reason,
     )
+
+
+def _window_stop(near, points: list, block: list, lags: np.ndarray, last_fail: np.ndarray):
+    """The index in `block` of the first step whose trailing window is near,
+    or None, and the latest failing step per lag up to the block's end.
+
+    `block` continues the orbit `points`.  The window at step k holds
+    x_{k-w+1}..x_k with w = min(cauchy_window, k + 1), so its pairs of lag
+    L are (x_{j-L}, x_j) for L <= j, j - L >= k - cauchy_window + 1 and j <= k.
+    The window is near exactly when, for every lag, the latest step j whose
+    pair is not near lies below L + max(0, k - cauchy_window + 1).
+    """
+    if not block:
+        return None, last_fail
+    first = len(points)  # the step index of block[0]
+    pts = np.asarray(points[-lags.size:] + block)
+    newer = np.broadcast_to(np.arange(len(pts) - len(block), len(pts))[:, None],
+                            (len(block), lags.size))
+    older = newer - lags
+    exists = older >= 0  # in the first steps, j - L < 0 for the longer lags
+    fail = np.zeros(older.shape, dtype=bool)
+    fail[exists] = ~near(pts[older[exists]], pts[newer[exists]])
+    steps = np.arange(first, first + len(block))[:, None]
+    last = np.maximum(np.maximum.accumulate(np.where(fail, steps, -1)), last_fail)
+    near_window = (last < lags + np.maximum(steps - lags.size, 0)).all(axis=1)
+    stop = int(near_window.argmax()) if near_window.any() else None
+    return stop, last[-1]
 
 
 def _step_grades(grade, points, grid) -> dict[float, list[float]]:

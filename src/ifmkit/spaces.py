@@ -13,8 +13,9 @@ the place where axioms are certified or falsified, and `eval_mu` /
 
 The built-in spaces attach an element-wise form of each grade function as
 ``mu.array`` / ``nu.array``, which the auditor, the contraction scan and
-the Picard diagnostics evaluate on point and time arrays (`array_form`);
-``same_point`` of either domain also works element-wise.
+the Picard loop evaluate on point and time arrays (`array_form`);
+``same_point`` of either domain also works element-wise, and
+``contains_array`` is ``contains`` over a list of points.
 """
 
 from __future__ import annotations
@@ -52,9 +53,16 @@ class IntervalDomain:
     def contains(self, p) -> bool:
         try:
             v = float(p)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             return False
         return self.lo - POINT_EQ_TOL <= v <= self.hi + POINT_EQ_TOL
+
+    def contains_array(self, points) -> np.ndarray:
+        v = _plain_numbers(points, "biuf")
+        if v is None:
+            return np.array([self.contains(p) for p in points], dtype=bool)
+        v = v.astype(float)
+        return (self.lo - POINT_EQ_TOL <= v) & (v <= self.hi + POINT_EQ_TOL)
 
     def distance(self, x, y) -> float:
         return abs(x - y)
@@ -131,6 +139,13 @@ class FiniteDomain:
     def contains(self, p) -> bool:
         return isinstance(p, (int, np.integer)) and 0 <= int(p) < self.size
 
+    def contains_array(self, points) -> np.ndarray:
+        # bool arrays go the scalar way: a numpy bool is not a point index
+        v = _plain_numbers(points, "iu")
+        if v is None:
+            return np.array([self.contains(p) for p in points], dtype=bool)
+        return (0 <= v) & (v < self.size)
+
     def distance(self, x, y) -> float:
         return self._rows[x][y]
 
@@ -151,6 +166,18 @@ class FiniteDomain:
 
 
 PointDomain = IntervalDomain | FiniteDomain
+
+
+def _plain_numbers(points, kinds: str):
+    """The list of points as a 1-d numpy array when numpy holds them as
+    numbers of the given dtype kinds, else None; a domain's
+    ``contains_array`` then compares the array, and otherwise calls
+    ``contains`` point by point."""
+    try:
+        v = np.asarray(points)
+    except ValueError:  # ragged sequences
+        return None
+    return v if v.ndim == 1 and v.dtype.kind in kinds else None
 
 
 def array_form(fn, nargs: int):

@@ -1,4 +1,7 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from ifmkit import (
     FiniteDomain,
@@ -8,6 +11,10 @@ from ifmkit import (
     crisp_threshold_space,
     standard_space,
 )
+
+# HYPOTHESIS_PROFILE=ci prints the reproduce blob of a failing example.
+settings.register_profile("ci", print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

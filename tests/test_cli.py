@@ -7,6 +7,7 @@ from ifmkit.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_NOT_UNIQUE,
     EXIT_OK,
+    EXIT_RUNTIME,
     EXIT_VIOLATIONS,
     RunConfig,
     main,
@@ -133,6 +134,44 @@ class TestConfigValidation:
         code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert f"{section}.t_grid" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,field", [
+        ("audit", "space.domain.hi"), ("contract", "contraction.k"),
+        ("contract", "map.factor"), ("solve", "solver.epsilon"),
+    ])
+    def test_integer_too_large_for_a_float(self, tmp_path, capsys, command, field):
+        cfg = standard_config()
+        *path, key = field.split(".")
+        section = cfg
+        for name in path:
+            section = section[name]
+        section[key] = 10 ** 400
+        code = main([command, "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert f"{field}: integer too large for a float" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["audit", "contract"])
+    def test_exhaustive_sampler_needs_finite_domain(self, tmp_path, capsys, command):
+        cfg = standard_config()
+        cfg["sampler"]["mode"] = "exhaustive"
+        code = main([command, "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "sampler.mode" in capsys.readouterr().err
+
+
+class TestRuntimeErrors:
+    def test_map_leaving_the_domain_is_not_a_config_error(self, tmp_path, capsys):
+        cfg = standard_config(map={"name": "scale", "factor": 2.0})
+        cfg["solver"]["seeds"] = [0.9]
+        code = main(["solve", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            "error: map scale(2) sends 0.9 to 1.8, outside the domain\n")
         assert not (tmp_path / "out").exists()
 
 

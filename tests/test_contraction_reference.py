@@ -1,18 +1,16 @@
-"""The array contraction scan and the batched Picard diagnostics against the
-scalar loops they replaced, byte for byte.
+"""The array contraction scan against the scalar loop it replaced, byte for
+byte.
 
 `scalar_contraction_check` is the pair-by-pair loop the contraction checks
 used to run, with the scalar side predicates of that time: one grade call
-per (pair, t, side) and one Python comparison each.  `scalar_picard_iterate`
-is the Picard loop that graded every step's diagnostics as it went.  Both
-stay here as the references the array paths must match in every count,
-witness, diagnostic and serialized byte.
+per (pair, t, side) and one Python comparison each.  It stays here as the
+reference the array scan must match in every count, witness and serialized
+byte.  The Picard reference is in `test_picard_reference.py`.
 """
 
 import json
 import math
 from functools import partial
-from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -29,18 +27,15 @@ from ifmkit import (
     PsiPhiPair,
     SamplerConfig,
     SelfMap,
-    SolverConfig,
     TConorm,
     TNorm,
     check_k_contractive,
     check_psi_phi_contractive,
     crisp_threshold_space,
     pair_from_k,
-    picard_iterate,
     phi_from_k,
     psi_from_k,
     standard_space,
-    trace_to_csv,
 )
 from ifmkit import contraction
 from ifmkit.contraction import (
@@ -53,7 +48,6 @@ from ifmkit.contraction import (
     _psi_phi_side,
 )
 from ifmkit.sampling import draw_tuples
-from ifmkit.solver import IterationTrace, _all_near
 
 # ---------------------------------------------------------------------------
 # The scalar references, kept verbatim
@@ -111,44 +105,6 @@ def scalar_contraction_check(space, f, sampler, condition, side_check):
         violation_count=violations,
         witnesses=witnesses,
         domain=space.domain,
-    )
-
-
-def scalar_picard_iterate(space, f, x0, config):
-    """The Picard loop with per-step diagnostics, kept verbatim."""
-    domain = space.domain
-    fx0 = f.apply_checked(domain, x0)
-    grid = config.t_grid
-    for t in grid:
-        if not (space.mu(x0, fx0, t) > 0.0 and space.nu(x0, fx0, t) < 1.0):
-            return IterationTrace(
-                space=space, map=f, t_grid=grid, points=[x0],
-                mu_diag={t: [] for t in grid}, nu_diag={t: [] for t in grid},
-                stop_reason="precondition_failed",
-                note=f"mu(x0, f(x0), {t:g}) = {space.mu(x0, fx0, t)!r}, "
-                     f"nu = {space.nu(x0, fx0, t)!r}",
-            )
-
-    points = [x0]
-    mu_diag = {t: [] for t in grid}
-    nu_diag = {t: [] for t in grid}
-    t_min = grid[0]
-    stop_reason = "max_iter"
-    x = x0
-    for _ in range(config.max_iter):
-        x_next = f.apply_checked(domain, x)
-        for t in grid:
-            mu_diag[t].append(space.mu(x, x_next, t))
-            nu_diag[t].append(space.nu(x, x_next, t))
-        points.append(x_next)
-        x = x_next
-        window = min(config.cauchy_window, len(points))
-        if _all_near(space, combinations(points[-window:], 2), t_min, config.epsilon):
-            stop_reason = "converged"
-            break
-    return IterationTrace(
-        space=space, map=f, t_grid=grid, points=points,
-        mu_diag=mu_diag, nu_diag=nu_diag, stop_reason=stop_reason,
     )
 
 
@@ -345,47 +301,3 @@ def _value(fn, *args):
         return repr(fn(*args))
     except ArithmeticError as exc:  # the Moebius controls at g_f = 1/(1-k)
         return type(exc)
-
-
-# ---------------------------------------------------------------------------
-# Batched Picard diagnostics
-# ---------------------------------------------------------------------------
-
-
-@st.composite
-def orbits(draw):
-    if draw(st.booleans()):
-        n = draw(st.integers(2, 9))
-        domain = FiniteDomain.line(n)
-        images = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-        f = draw(st.sampled_from(finite_maps(n, images, draw(st.integers(0, n - 1)))))
-        x0 = draw(st.integers(0, n - 1))
-    else:
-        domain = IntervalDomain(0.0, 1.0)
-        f = draw(st.sampled_from(interval_maps()))
-        x0 = draw(st.floats(0.0, 1.0))
-    space = SPACES[draw(st.sampled_from(sorted(SPACES)))](domain)
-    grid = sorted(set(draw(st.lists(st.sampled_from((0.1, 0.5, 1.0, 2.0, 10.0))
-                                    | st.floats(0.01, 20.0), min_size=1, max_size=4))))
-    config = SolverConfig(epsilon=draw(st.sampled_from((1e-2, 1e-6, 1e-12))),
-                          t_grid=tuple(grid), max_iter=draw(st.integers(1, 120)),
-                          cauchy_window=draw(st.integers(2, 6)))
-    return space, f, x0, config
-
-
-def _trace_bytes(trace):
-    return (trace.stop_reason, trace.note, repr(trace.points),
-            json.dumps([trace.mu_diag, trace.nu_diag]), trace_to_csv(trace))
-
-
-@settings(max_examples=200, deadline=None)
-@given(orbits())
-def test_batched_diagnostics_match_per_step_loop(case):
-    space, f, x0, config = case
-    trace = picard_iterate(space, f, x0, config)
-    assert _trace_bytes(trace) == _trace_bytes(scalar_picard_iterate(space, f, x0, config))
-    for diag in (trace.mu_diag, trace.nu_diag):
-        assert list(diag) == list(config.t_grid)
-        for values in diag.values():
-            assert len(values) == len(trace.points) - 1 or trace.stop_reason == "precondition_failed"
-            assert all(type(v) is float for v in values)

@@ -1,0 +1,345 @@
+"""The block-batched Picard loop against the step-by-step loop it replaced.
+
+`scalar_picard_iterate` takes one checked step at a time, grades the
+step's diagnostics as it goes and asks `scalar_all_near` after every step
+whether the trailing window is Cauchy at the smallest grid t.  It stays
+here as the reference: `picard_iterate` must give the same points (the
+same objects, of the same types), stop reason, note and diagnostics, and
+raise the same exception type with the same message, whatever the block
+cap.
+"""
+
+import json
+import math
+from dataclasses import replace
+from itertools import combinations
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ifmkit import (
+    NON_ARCHIMEDEAN,
+    DomainError,
+    FiniteDomain,
+    IFSpace,
+    IntervalDomain,
+    SelfMap,
+    SolverConfig,
+    TConorm,
+    TNorm,
+    crisp_threshold_space,
+    detect_g_cauchy,
+    detect_m_cauchy,
+    picard_iterate,
+    standard_space,
+    trace_to_csv,
+)
+from ifmkit import solver
+from ifmkit.solver import IterationTrace
+
+# ---------------------------------------------------------------------------
+# The step-by-step reference, kept verbatim
+# ---------------------------------------------------------------------------
+
+
+def scalar_all_near(space, pairs, t, epsilon):
+    """Every pair has mu > 1 - epsilon and nu < epsilon at t."""
+    mu, nu, lo = space.mu, space.nu, 1.0 - epsilon
+    for a, b in pairs:
+        if not (mu(a, b, t) > lo and nu(a, b, t) < epsilon):
+            return False
+    return True
+
+
+def scalar_picard_iterate(space, f, x0, config):
+    """The Picard loop with per-step checks and diagnostics."""
+    domain = space.domain
+    if not domain.contains(x0):
+        raise DomainError(f"starting point {x0!r} outside domain {domain!r}")
+    fx0 = f.apply_checked(domain, x0)
+    grid = config.t_grid
+    for t in grid:
+        if not (space.mu(x0, fx0, t) > 0.0 and space.nu(x0, fx0, t) < 1.0):
+            return IterationTrace(
+                space=space, map=f, t_grid=grid, points=[x0],
+                mu_diag={t: [] for t in grid}, nu_diag={t: [] for t in grid},
+                stop_reason="precondition_failed",
+                note=f"mu(x0, f(x0), {t:g}) = {space.mu(x0, fx0, t)!r}, "
+                     f"nu = {space.nu(x0, fx0, t)!r}",
+            )
+
+    points = [x0]
+    mu_diag = {t: [] for t in grid}
+    nu_diag = {t: [] for t in grid}
+    t_min = grid[0]
+    stop_reason = "max_iter"
+    x = x0
+    for _ in range(config.max_iter):
+        x_next = f.apply_checked(domain, x)
+        for t in grid:
+            mu_diag[t].append(space.mu(x, x_next, t))
+            nu_diag[t].append(space.nu(x, x_next, t))
+        points.append(x_next)
+        x = x_next
+        window = min(config.cauchy_window, len(points))
+        if scalar_all_near(space, combinations(points[-window:], 2), t_min, config.epsilon):
+            stop_reason = "converged"
+            break
+    return IterationTrace(
+        space=space, map=f, t_grid=grid, points=points,
+        mu_diag=mu_diag, nu_diag=nu_diag, stop_reason=stop_reason,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Spaces and maps
+# ---------------------------------------------------------------------------
+
+NORMS = (TNorm.product(), TConorm.probabilistic_sum())
+
+
+def nan_space(domain):
+    """Standard grades, except a NaN mu on pairs further apart than 0.3; no
+    array forms, so every grade is a scalar call."""
+    dist = domain.distance
+
+    def mu(x, y, t):
+        d = dist(x, y)
+        return math.nan if d > 0.3 else t / (t + d)
+
+    def nu(x, y, t):
+        d = dist(x, y)
+        return d / (t + d)
+
+    return IFSpace(domain, mu, nu, *NORMS, triangle_mode=NON_ARCHIMEDEAN, name="nan")
+
+
+def squared_space(domain):
+    """A custom space without array forms: grades of the squared distance."""
+    dist = domain.distance
+
+    def mu(x, y, t):
+        return t / (t + dist(x, y) ** 2)
+
+    def nu(x, y, t):
+        return dist(x, y) ** 2 / (t + dist(x, y) ** 2)
+
+    return IFSpace(domain, mu, nu, *NORMS, triangle_mode=NON_ARCHIMEDEAN, name="squared")
+
+
+SPACES = {
+    "standard": lambda d: standard_space(d, *NORMS),
+    "crisp": lambda d: crisp_threshold_space(d, *NORMS),
+    "nan": nan_space,
+    "squared": squared_space,
+}
+
+
+def below(threshold, then, f):
+    """A closure that is f, except that it returns then(x) for x < threshold;
+    `then` may raise."""
+    def g(x):
+        return then(x) if x < threshold else f(x)
+    return SelfMap.closure(g, name=f"below({threshold:g})")
+
+
+def boom(x):
+    raise ValueError(f"map failed at {x!r}")
+
+
+def interval_maps(draw):
+    c = draw(st.sampled_from((0.5, 0.9, 0.97, 0.995)))
+    threshold = draw(st.floats(1e-9, 0.9))
+    return draw(st.sampled_from((
+        SelfMap.scale(c),
+        SelfMap.identity(),
+        SelfMap.constant(0.25),
+        SelfMap.affine_clamped(0.99, 0.005, 0.0, 1.0),
+        SelfMap.affine_clamped(-0.8, 0.9, 0.0, 1.0),
+        SelfMap.affine_clamped(3.0, -1.0, 0.0, 1.0),  # clamps at both ends
+        SelfMap.closure(lambda x: x * x, name="square"),
+        SelfMap.closure(lambda x: np.float64(c) * x, name="numpy-scale"),
+        SelfMap.scale(2.0),  # leaves [0, 1] from above 0.5
+        below(threshold, lambda x: -1.0, lambda x: c * x),
+        below(threshold, lambda x: 1.0 + threshold, lambda x: c * x),  # out and back in
+        below(threshold, lambda x: math.nan, lambda x: c * x),
+        below(threshold, boom, lambda x: c * x),
+        below(threshold, lambda x: "half", lambda x: c * x),
+    )))
+
+
+def finite_maps(draw, n):
+    images = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    r = draw(st.integers(0, n - 1))
+
+    def except_at(then):
+        # i % n: an index past the end maps back into the domain
+        return SelfMap.closure(lambda i: then(i) if i == r else images[i % n], name="except-at")
+
+    return draw(st.sampled_from((
+        SelfMap.table(images),
+        SelfMap.identity(),
+        SelfMap.constant(r),
+        SelfMap.closure(lambda i: (3 * i + 1) % n, name="affine-mod"),
+        SelfMap.closure(lambda i: i // 2, name="halve"),
+        except_at(lambda i: n),           # an index past the end
+        except_at(float),                 # a float is not a point index
+        except_at(boom),
+    )))
+
+
+@st.composite
+def orbits(draw):
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 40))
+        domain = FiniteDomain.line(n)
+        f = finite_maps(draw, n)
+        x0 = draw(st.integers(0, n - 1))
+    else:
+        domain = IntervalDomain(0.0, 1.0)
+        f = interval_maps(draw)
+        x0 = draw(st.sampled_from((1.0, 0.7)) | st.floats(0.0, 1.0))
+    space = SPACES[draw(st.sampled_from(sorted(SPACES)))](domain)
+    grid = sorted(set(draw(st.lists(st.sampled_from((0.1, 0.5, 1.0, 2.0, 10.0))
+                                    | st.floats(0.01, 20.0), min_size=1, max_size=3))))
+    config = SolverConfig(epsilon=draw(st.sampled_from((1e-2, 1e-6, 1e-12))),
+                          t_grid=tuple(grid),
+                          max_iter=draw(st.sampled_from((1, 2, 16, 17, 3000))
+                                        | st.integers(1, 3000)),
+                          cauchy_window=draw(st.integers(2, 7)))
+    cap = draw(st.sampled_from((1, 3, 16, 1024)))
+    return space, f, x0, config, cap
+
+
+@st.composite
+def long_orbits(draw):
+    """Slow contractions on [0, 1] that run for hundreds or thousands of
+    steps, so the orbit spans many blocks, with faults placed late."""
+    domain = IntervalDomain(0.0, 1.0)
+    c = draw(st.sampled_from((0.9, 0.97, 0.995)))
+    threshold = draw(st.floats(1e-12, 1e-3))
+    then = draw(st.sampled_from((lambda x: -1.0, lambda x: math.nan, boom)))
+    f = draw(st.sampled_from((
+        SelfMap.scale(c),
+        SelfMap.affine_clamped(c, 0.005, 0.0, 1.0),
+        SelfMap.closure(lambda x: np.float64(c) * x, name="numpy-scale"),
+        below(threshold, then, lambda x: c * x),
+    )))
+    space = SPACES[draw(st.sampled_from(("standard", "nan", "squared")))](domain)
+    config = SolverConfig(epsilon=draw(st.sampled_from((1e-6, 1e-9, 1e-12))),
+                          t_grid=(draw(st.sampled_from((0.01, 0.1, 1.0))), 10.0),
+                          max_iter=draw(st.sampled_from((17, 1000, 4000))
+                                        | st.integers(1, 4000)),
+                          cauchy_window=draw(st.integers(2, 7)))
+    cap = draw(st.sampled_from((1, 3, 16, 1024)))
+    return space, f, draw(st.floats(0.5, 1.0)), config, cap
+
+
+def _outcome(run):
+    """Everything a trace shows, or the type and message of the exception."""
+    try:
+        trace = run()
+    except Exception as exc:  # noqa: BLE001  compared across both loops
+        return type(exc), str(exc)
+    return (trace.stop_reason, trace.note,
+            [(type(p), repr(p)) for p in trace.points],
+            json.dumps([trace.mu_diag, trace.nu_diag]), trace_to_csv(trace))
+
+
+# ---------------------------------------------------------------------------
+# Properties
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(orbits())
+def test_block_orbit_matches_per_step_loop(case):
+    space, f, x0, config, cap = case
+    with mock.patch.object(solver, "_BLOCK_CAP", cap):
+        block = _outcome(lambda: picard_iterate(space, f, x0, config))
+    assert block == _outcome(lambda: scalar_picard_iterate(space, f, x0, config))
+
+
+@settings(max_examples=100, deadline=None)
+@given(long_orbits())
+def test_long_block_orbit_matches_per_step_loop(case):
+    space, f, x0, config, cap = case
+    with mock.patch.object(solver, "_BLOCK_CAP", cap):
+        block = _outcome(lambda: picard_iterate(space, f, x0, config))
+    assert block == _outcome(lambda: scalar_picard_iterate(space, f, x0, config))
+
+
+@pytest.mark.parametrize("cap", [1, 3, 16, 1024])
+@pytest.mark.parametrize("factor,max_iter", [(0.5, 10_000), (0.9, 10_000), (0.99, 10_000),
+                                             (0.999, 700), (0.5, 1), (0.5, 2)])
+def test_map_runs_at_most_a_block_past_the_stop(cap, factor, max_iter, monkeypatch):
+    monkeypatch.setattr(solver, "_BLOCK_CAP", cap)
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return factor * x
+
+    space = standard_space(IntervalDomain(0.0, 1.0), *NORMS)
+    config = SolverConfig(epsilon=1e-8, t_grid=(0.1, 1.0), max_iter=max_iter)
+    trace = picard_iterate(space, SelfMap.closure(fn), 1.0, config)
+    assert trace.stop_reason == ("converged" if max_iter == 10_000 else "max_iter")
+    assert len(calls) <= min(max_iter, trace.iterations + cap)
+    assert trace.points == [1.0] + [factor * x for x in calls[:trace.iterations]]
+
+
+def test_error_past_the_stop_is_not_raised():
+    # 0.5x from 1 stops at step 11 at eps 1e-2 (window 5, t = 1); the first
+    # block runs on to step 15, where x < 1e-4 and the map fails
+    space = standard_space(IntervalDomain(0.0, 1.0), *NORMS)
+    config = SolverConfig(epsilon=1e-2, t_grid=(1.0,), max_iter=100)
+    for then in (boom, lambda x: -1.0):
+        reached = []
+
+        def fault(x, then=then):
+            reached.append(x)
+            return then(x)
+
+        f = below(1e-4, fault, lambda x: 0.5 * x)
+        trace = picard_iterate(space, f, 1.0, config)
+        assert reached
+        assert trace.stop_reason == "converged" and trace.iterations == 11
+        assert trace.points == scalar_picard_iterate(space, f, 1.0, config).points
+        with pytest.raises((ValueError, DomainError)):
+            picard_iterate(space, f, 1.0, replace(config, epsilon=1e-12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(orbits(), st.integers(1, 7), st.integers(1, 4), st.sampled_from((1e-2, 1e-6)))
+def test_cauchy_detectors_match_scalar_pairs(case, window, m_offset, epsilon):
+    space, f, x0, config, _ = case
+    try:
+        trace = picard_iterate(space, f, x0, config)
+    except Exception:  # noqa: BLE001  the orbit property covers failing maps
+        return
+    pts, t = trace.points, config.t_grid[0]
+    if window <= len(pts):
+        expected = scalar_all_near(space, combinations(pts[-window:], 2), t, epsilon)
+        assert detect_m_cauchy(trace, epsilon, t, window) is expected
+    if len(pts) > m_offset + 2:
+        first = max(0, len(pts) - m_offset - 3)
+        pairs = [(pts[n], pts[n + m_offset]) for n in range(first, len(pts) - m_offset)]
+        assert detect_g_cauchy(trace, m_offset, t, epsilon) is scalar_all_near(
+            space, pairs, t, epsilon)
+
+
+@pytest.mark.parametrize("points", [[0.5, 0.25, float("nan")], [0.5, 2, True, 1e400],
+                                    [10**400, 0.0], ["0.5", 0.5], [(0.5, 0.5)], [1j]])
+def test_interval_contains_array_matches_contains(points):
+    domain = IntervalDomain(0.0, 1.0)
+    assert domain.contains_array(points).tolist() == [domain.contains(p) for p in points]
+
+
+@pytest.mark.parametrize("points", [[0, 4, 5, -1], [1, True, np.int64(3)], [1, 2.0],
+                                    [np.True_, np.False_], [10**30, 1], [(1, 2)], ["1"]])
+def test_finite_contains_array_matches_contains(points):
+    domain = FiniteDomain.line(5)
+    assert domain.contains_array(points).tolist() == [domain.contains(p) for p in points]
