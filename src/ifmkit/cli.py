@@ -11,17 +11,22 @@ Subcommands:
 
 Configs are JSON with a mandatory top-level "schema_version".  Maps are
 restricted to a whitelisted catalogue plus finite tables — configs carry
-no executable code.  Any malformed or out-of-range field exits with code 2
-and a message naming the field; an error raised while a command computes
-(a map leaving its domain, say) exits with code 6.  The IFM_LOG
-environment variable selects log verbosity (debug/info/warning/error).
+no executable code.  `RunConfig` reads the whole config in one pass before
+any command runs: every section present is checked against the space,
+whatever the command.  Any malformed or out-of-range field, a non-finite
+number or a negative seed exits with code 2 and a message naming the field;
+an error raised while a command computes (a map leaving its domain, say)
+exits with code 6.  The IFM_LOG environment variable selects log verbosity
+(debug/info/warning/error).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -53,6 +58,7 @@ from .spaces import (
     IntervalDomain,
     crisp_threshold_space,
     standard_space,
+    time_grid,
 )
 
 log = logging.getLogger("ifmkit")
@@ -70,8 +76,18 @@ _TNORM_KINDS = tuple(TNorm.BUILTINS)
 _TCONORM_KINDS = tuple(TConorm.BUILTINS)
 _MAP_NAMES = ("scale", "affine_clamped", "constant", "identity", "table")
 _CONTROL_NAMES = ("from_k", "identity", "power")
-# Optional config sections, validated in this order after "space".
-_SECTIONS = ("map", "contraction", "sampler", "solver")
+
+
+@contextmanager
+def _field(name: str):
+    """Report an ifmkit error raised inside, by a library constructor, as a
+    ConfigError naming the config field or flag `name`."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except IfmError as exc:
+        raise ConfigError(name, str(exc)) from exc
 
 
 def _expect(cfg: dict, key: str, path: str, types, choices=None):
@@ -87,8 +103,17 @@ def _expect(cfg: dict, key: str, path: str, types, choices=None):
     return value
 
 
+def _integer(cfg: dict, key: str, path: str, lo: int, default=None) -> int:
+    if key not in cfg and default is not None:
+        return default
+    v = _expect(cfg, key, path, int)
+    if v < lo:
+        raise ConfigError(f"{path}.{key}", f"must be >= {lo}, got {v}")
+    return v
+
+
 def _number(cfg: dict, key: str, path: str, lo=None, hi=None, open_lo=False, open_hi=False,
-            default=None):
+            default=None) -> float:
     if key not in cfg:
         if default is not None:
             return default
@@ -100,6 +125,9 @@ def _number(cfg: dict, key: str, path: str, lo=None, hi=None, open_lo=False, ope
         v = float(v)
     except OverflowError:
         raise ConfigError(f"{path}.{key}", "integer too large for a float") from None
+    # Python's json reads Infinity and NaN; NaN would pass every range check
+    if not math.isfinite(v):
+        raise ConfigError(f"{path}.{key}", f"must be finite, got {v}")
     if lo is not None and (v <= lo if open_lo else v < lo):
         bound = f"> {lo}" if open_lo else f">= {lo}"
         raise ConfigError(f"{path}.{key}", f"must be {bound}, got {v}")
@@ -109,27 +137,167 @@ def _number(cfg: dict, key: str, path: str, lo=None, hi=None, open_lo=False, ope
     return v
 
 
-def _t_grid(cfg: dict, path: str, increasing=False) -> list[float]:
+def _unit_open(cfg: dict, key: str, path: str) -> float:
+    return _number(cfg, key, path, lo=0.0, hi=1.0, open_lo=True, open_hi=True)
+
+
+def _t_grid(cfg: dict, path: str, increasing=False) -> tuple[float, ...]:
     t_grid = _expect(cfg, "t_grid", path, list)
-    # the upper bound rejects inf, and integers too large for a float;
-    # NaN fails every comparison
-    if not t_grid or any(
-        isinstance(t, bool) or not isinstance(t, (int, float))
-        or not 0 < t <= sys.float_info.max
-        for t in t_grid
-    ):
-        raise ConfigError(f"{path}.t_grid", "must be a nonempty list of positive finite numbers")
-    if increasing and (sorted(t_grid) != t_grid or len(set(t_grid)) != len(t_grid)):
-        raise ConfigError(f"{path}.t_grid", "must be strictly increasing")
-    return [float(t) for t in t_grid]
+    with _field(f"{path}.t_grid"):
+        return time_grid(t_grid, increasing)
+
+
+# ---------------------------------------------------------------------------
+# Config sections: each is read once, checked against the domain and built.
+# A reader returns the normalized section (for --dump-config) and its object.
+# ---------------------------------------------------------------------------
+
+
+def _read_space(cfg: dict) -> tuple[dict, IFSpace]:
+    construction = _expect(cfg, "construction", "space", str, ("standard", "crisp"))
+    spec = _expect(cfg, "domain", "space", dict)
+    kind = _expect(spec, "kind", "space.domain", str, ("interval", "finite", "line"))
+    if kind == "interval":
+        lo = _number(spec, "lo", "space.domain")
+        hi = _number(spec, "hi", "space.domain")
+        normalized = {"kind": kind, "lo": lo, "hi": hi}
+        with _field("space.domain"):
+            domain = IntervalDomain(lo, hi)
+    elif kind == "line":
+        n = _integer(spec, "n", "space.domain", lo=1)
+        diameter = _number(spec, "diameter", "space.domain", lo=0.0, open_lo=True,
+                           default=1.0)
+        normalized = {"kind": kind, "n": n, "diameter": diameter}
+        domain = FiniteDomain.line(n, diameter)
+    else:
+        labels = _expect(spec, "labels", "space.domain", list)
+        metric = _expect(spec, "metric", "space.domain", list)
+        normalized = {"kind": kind, "labels": labels, "metric": metric}
+        with _field("space.domain.metric"):
+            domain = FiniteDomain(labels, metric)
+    tnorm = _expect(cfg, "tnorm", "space", str, _TNORM_KINDS)
+    tconorm = _expect(cfg, "tconorm", "space", str, _TCONORM_KINDS)
+    make = standard_space if construction == "standard" else crisp_threshold_space
+    with _field("space.domain"):
+        space = make(domain, TNorm(tnorm), TConorm(tconorm))
+    return {"construction": construction, "domain": normalized,
+            "tnorm": tnorm, "tconorm": tconorm}, space
+
+
+def _read_map(cfg: dict, domain) -> tuple[dict, SelfMap]:
+    name = _expect(cfg, "name", "map", str, _MAP_NAMES)
+    finite = isinstance(domain, FiniteDomain)
+    if name == "identity":
+        return {"name": name}, SelfMap.identity()
+    if name == "table":
+        images = _expect(cfg, "images", "map", list)
+        if not finite:
+            raise ConfigError("map.images", "table maps need a finite domain")
+        if len(images) != domain.size or not all(
+            isinstance(i, int) and not isinstance(i, bool) and domain.contains(i)
+            for i in images
+        ):
+            raise ConfigError("map.images", "must list one in-range point index per point "
+                                            f"({domain.size} points)")
+        return {"name": name, "images": images}, SelfMap.table(images)
+    if name == "constant":
+        value = _integer(cfg, "value", "map", lo=0) if finite else _number(cfg, "value", "map")
+        if not domain.contains(value):
+            raise ConfigError("map.value", f"point {value!r} outside the domain")
+        return {"name": name, "value": value}, SelfMap.constant(value)
+    if finite:
+        raise ConfigError("map.name", f"map {name!r} needs an interval domain")
+    if name == "scale":
+        factor = _number(cfg, "factor", "map")
+        return {"name": name, "factor": factor}, SelfMap.scale(factor)
+    a, b = _number(cfg, "a", "map"), _number(cfg, "b", "map")
+    return ({"name": name, "a": a, "b": b},
+            SelfMap.affine_clamped(a, b, domain.lo, domain.hi))
+
+
+def _read_control(cfg: dict, side: str):
+    path = f"contraction.{side}"
+    spec = _expect(cfg, side, "contraction", dict)
+    name = _expect(spec, "name", path, str, _CONTROL_NAMES)
+    if name == "from_k":
+        k = _unit_open(spec, "k", path)
+        return {"name": name, "k": k}, (psi_from_k if side == "psi" else phi_from_k)(k)
+    if name == "power":
+        exponent = _number(spec, "exponent", path, lo=0.0, open_lo=True)
+        return {"name": name, "exponent": exponent}, lambda t: t ** exponent
+    return {"name": name}, lambda t: t
+
+
+def _read_contraction(cfg: dict, _domain) -> tuple[dict, float | PsiPhiPair]:
+    """The constant k for the k check, else the psi-phi control pair: given
+    by its k or by explicit psi and phi controls."""
+    check = _expect(cfg, "check", "contraction", str, ("psi-phi", "k"))
+    if check == "k" or ("k" in cfg and "psi" not in cfg):
+        k = _unit_open(cfg, "k", "contraction")
+        return {"check": check, "k": k}, (k if check == "k" else PsiPhiPair.from_k(k))
+    (psi_spec, psi), (phi_spec, phi) = (_read_control(cfg, side) for side in ("psi", "phi"))
+    return ({"check": check, "psi": psi_spec, "phi": phi_spec},
+            PsiPhiPair(psi, phi, ("custom", "cli")))
+
+
+def _read_sampler(cfg: dict, domain) -> tuple[dict, SamplerConfig]:
+    mode = _expect(cfg, "mode", "sampler", str, (RANDOM, EXHAUSTIVE))
+    if mode == EXHAUSTIVE and not isinstance(domain, FiniteDomain):
+        raise ConfigError("sampler.mode", "exhaustive sampling needs a finite domain")
+    sampler = SamplerConfig(
+        mode=mode,
+        sample_count=_integer(cfg, "sample_count", "sampler", lo=1),
+        t_grid=_t_grid(cfg, "sampler"),
+        seed=_integer(cfg, "seed", "sampler", lo=0, default=0),
+    )
+    return sampler.to_dict(), sampler
+
+
+def _read_solver(cfg: dict, domain) -> tuple[dict, SolverConfig]:
+    epsilon = _unit_open(cfg, "epsilon", "solver")
+    t_grid = _t_grid(cfg, "solver", increasing=True)
+    max_iter = _integer(cfg, "max_iter", "solver", lo=1, default=10**6)
+    point_tol = _number(cfg, "point_tol", "solver", lo=0.0, default=1e-8)
+    seeds = _expect(cfg, "seeds", "solver", list)
+    if not seeds:
+        raise ConfigError("solver.seeds", "must list at least one starting point")
+    for s in seeds:
+        if isinstance(s, bool) or not domain.contains(s):
+            raise ConfigError("solver.seeds", f"seed {s!r} outside the domain")
+    if isinstance(domain, IntervalDomain):
+        seeds = [float(s) for s in seeds]
+    solver = SolverConfig(
+        epsilon=epsilon,
+        t_grid=t_grid,
+        max_iter=max_iter,
+        point_tol=point_tol,
+        seeds=tuple(seeds),
+        cauchy_window=_integer(cfg, "cauchy_window", "solver", lo=2, default=5),
+    )
+    return solver.to_dict(), solver
+
+
+# Optional config sections, read in this order after "space".
+_SECTIONS = {
+    "map": _read_map,
+    "contraction": _read_contraction,
+    "sampler": _read_sampler,
+    "solver": _read_solver,
+}
 
 
 class RunConfig:
-    """A validated, normalized run configuration.
+    """A run configuration, checked and built in one pass.
 
-    Sections beyond ``space`` are optional at parse time; each subcommand
-    demands the sections it needs.  All present sections are validated up
-    front so a bad field fails fast regardless of which command runs.
+    ``space`` is read first and built into an `IFSpace`.  Every other
+    section present is read once, checked against ``space.domain`` and
+    built, whatever the command: ``map`` into a `SelfMap`, ``contraction``
+    into the constant k (a float, for the k check) or a `PsiPhiPair`,
+    ``sampler`` into a `SamplerConfig` and ``solver`` into a
+    `SolverConfig`.  An absent section is None; each subcommand demands
+    the sections it needs.  A bad field therefore fails fast, with a
+    ConfigError naming it, regardless of which command runs, and
+    `to_dict` (what --dump-config prints) is only ever a config that runs.
     """
 
     def __init__(self, data: dict):
@@ -138,138 +306,22 @@ class RunConfig:
         version = _expect(data, "schema_version", "<root>", int)
         if version != SCHEMA_VERSION:
             raise ConfigError("schema_version", f"expected {SCHEMA_VERSION}, got {version}")
-        self.schema_version = version
-        self.space = self._validate_space(_expect(data, "space", "<root>", dict))
-        for section in _SECTIONS:
+        with _field("space"):
+            space_dict, self.space = _read_space(_expect(data, "space", "<root>", dict))
+        self._normalized = {"schema_version": version, "space": space_dict}
+        for section, read in _SECTIONS.items():
             cfg = data.get(section)
-            if cfg is not None and not isinstance(cfg, dict):
-                raise ConfigError(section, "must be an object")
-            validate = getattr(self, f"_validate_{section}")
-            setattr(self, section, None if cfg is None else validate(cfg))
-
-    @staticmethod
-    def _validate_space(cfg: dict) -> dict:
-        construction = _expect(cfg, "construction", "space", str, ("standard", "crisp"))
-        domain = _expect(cfg, "domain", "space", dict)
-        kind = _expect(domain, "kind", "space.domain", str, ("interval", "finite", "line"))
-        if kind == "interval":
-            lo = _number(domain, "lo", "space.domain")
-            hi = _number(domain, "hi", "space.domain")
-            if lo >= hi:
-                raise ConfigError("space.domain", f"requires lo < hi, got [{lo}, {hi}]")
-            norm_domain = {"kind": "interval", "lo": lo, "hi": hi}
-        elif kind == "line":
-            n = _expect(domain, "n", "space.domain", int)
-            if n < 1:
-                raise ConfigError("space.domain.n", f"must be >= 1, got {n}")
-            diameter = _number(domain, "diameter", "space.domain", lo=0.0, open_lo=True,
-                               default=1.0)
-            norm_domain = {"kind": "line", "n": n, "diameter": diameter}
-        else:
-            labels = _expect(domain, "labels", "space.domain", list)
-            metric = _expect(domain, "metric", "space.domain", list)
-            norm_domain = {"kind": "finite", "labels": list(labels), "metric": metric}
-        tnorm = _expect(cfg, "tnorm", "space", str, _TNORM_KINDS)
-        tconorm = _expect(cfg, "tconorm", "space", str, _TCONORM_KINDS)
-        return {
-            "construction": construction,
-            "domain": norm_domain,
-            "tnorm": tnorm,
-            "tconorm": tconorm,
-        }
-
-    @staticmethod
-    def _validate_map(cfg: dict) -> dict:
-        name = _expect(cfg, "name", "map", str, _MAP_NAMES)
-        out = {"name": name}
-        if name == "scale":
-            out["factor"] = _number(cfg, "factor", "map")
-        elif name == "affine_clamped":
-            out["a"] = _number(cfg, "a", "map")
-            out["b"] = _number(cfg, "b", "map")
-        elif name == "constant":
-            if "value" not in cfg:
-                raise ConfigError("map.value", "missing required field")
-            out["value"] = cfg["value"]
-        elif name == "table":
-            images = _expect(cfg, "images", "map", list)
-            if not all(isinstance(i, int) and not isinstance(i, bool) for i in images):
-                raise ConfigError("map.images", "must be a list of integers")
-            out["images"] = list(images)
-        return out
-
-    @staticmethod
-    def _validate_contraction(cfg: dict) -> dict:
-        check = _expect(cfg, "check", "contraction", str, ("psi-phi", "k"))
-        out = {"check": check}
-        if check == "k" or ("k" in cfg and "psi" not in cfg):
-            out["k"] = _number(cfg, "k", "contraction", lo=0.0, hi=1.0,
-                               open_lo=True, open_hi=True)
-        else:
-            out["psi"] = RunConfig._validate_control(cfg, "psi")
-            out["phi"] = RunConfig._validate_control(cfg, "phi")
-        return out
-
-    @staticmethod
-    def _validate_control(cfg: dict, which: str) -> dict:
-        spec = _expect(cfg, which, "contraction", dict)
-        name = _expect(spec, "name", f"contraction.{which}", str, _CONTROL_NAMES)
-        out = {"name": name}
-        if name == "from_k":
-            out["k"] = _number(spec, "k", f"contraction.{which}", lo=0.0, hi=1.0,
-                               open_lo=True, open_hi=True)
-        elif name == "power":
-            out["exponent"] = _number(spec, "exponent", f"contraction.{which}",
-                                      lo=0.0, open_lo=True)
-        return out
-
-    @staticmethod
-    def _validate_sampler(cfg: dict) -> dict:
-        mode = _expect(cfg, "mode", "sampler", str, (RANDOM, EXHAUSTIVE))
-        count = _expect(cfg, "sample_count", "sampler", int)
-        if count < 1:
-            raise ConfigError("sampler.sample_count", f"must be >= 1, got {count}")
-        t_grid = _t_grid(cfg, "sampler")
-        seed = cfg.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigError("sampler.seed", "must be an integer")
-        return {
-            "mode": mode,
-            "sample_count": count,
-            "t_grid": t_grid,
-            "seed": seed,
-        }
-
-    @staticmethod
-    def _validate_solver(cfg: dict) -> dict:
-        epsilon = _number(cfg, "epsilon", "solver", lo=0.0, hi=1.0, open_lo=True, open_hi=True)
-        t_grid = _t_grid(cfg, "solver", increasing=True)
-        max_iter = cfg.get("max_iter", 10**6)
-        if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 1:
-            raise ConfigError("solver.max_iter", "must be a positive integer")
-        point_tol = _number(cfg, "point_tol", "solver", lo=0.0, default=1e-8)
-        seeds = _expect(cfg, "seeds", "solver", list)
-        if not seeds:
-            raise ConfigError("solver.seeds", "must list at least one starting point")
-        window = cfg.get("cauchy_window", 5)
-        if isinstance(window, bool) or not isinstance(window, int) or window < 2:
-            raise ConfigError("solver.cauchy_window", "must be an integer >= 2")
-        return {
-            "epsilon": epsilon,
-            "t_grid": t_grid,
-            "max_iter": max_iter,
-            "point_tol": point_tol,
-            "seeds": list(seeds),
-            "cauchy_window": window,
-        }
+            built = None
+            if cfg is not None:
+                if not isinstance(cfg, dict):
+                    raise ConfigError(section, "must be an object")
+                with _field(section):
+                    self._normalized[section], built = read(cfg, self.space.domain)
+            setattr(self, section, built)
 
     def to_dict(self) -> dict:
-        out = {"schema_version": self.schema_version, "space": self.space}
-        for key in _SECTIONS:
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
+        """The normalized config."""
+        return self._normalized
 
     @classmethod
     def from_path(cls, path) -> "RunConfig":
@@ -287,116 +339,6 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# Builders from validated config sections
-# ---------------------------------------------------------------------------
-
-
-def build_domain(cfg: dict):
-    if cfg["kind"] == "interval":
-        return IntervalDomain(cfg["lo"], cfg["hi"])
-    if cfg["kind"] == "line":
-        return FiniteDomain.line(cfg["n"], cfg["diameter"])
-    try:
-        return FiniteDomain(cfg["labels"], cfg["metric"])
-    except IfmError as exc:
-        raise ConfigError("space.domain.metric", str(exc)) from exc
-
-
-def build_space(cfg: dict) -> IFSpace:
-    domain = build_domain(cfg["domain"])
-    tnorm = TNorm(cfg["tnorm"])
-    tconorm = TConorm(cfg["tconorm"])
-    if cfg["construction"] == "standard":
-        return standard_space(domain, tnorm, tconorm)
-    try:
-        return crisp_threshold_space(domain, tnorm, tconorm)
-    except IfmError as exc:
-        raise ConfigError("space.domain", str(exc)) from exc
-
-
-def build_selfmap(cfg: dict, domain) -> SelfMap:
-    name = cfg["name"]
-    if name == "identity":
-        return SelfMap.identity()
-    if name == "table":
-        if not isinstance(domain, FiniteDomain):
-            raise ConfigError("map.images", "table maps need a finite domain")
-        images = cfg["images"]
-        if len(images) != domain.size or any(not 0 <= i < domain.size for i in images):
-            raise ConfigError(
-                "map.images",
-                f"must list one in-range index per point ({domain.size} points)",
-            )
-        return SelfMap.table(images)
-    if isinstance(domain, FiniteDomain):
-        if name == "constant":
-            value = cfg["value"]
-            if not isinstance(value, int) or not 0 <= value < domain.size:
-                raise ConfigError("map.value", "must be an in-range point index")
-            return SelfMap.constant(value)
-        raise ConfigError("map.name", f"map {name!r} needs an interval domain")
-    if name == "scale":
-        return SelfMap.scale(cfg["factor"])
-    if name == "constant":
-        value = cfg["value"]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError("map.value", "must be a number for interval domains")
-        if not domain.contains(float(value)):
-            raise ConfigError("map.value", f"point {value!r} outside the domain")
-        return SelfMap.constant(float(value))
-    return SelfMap.affine_clamped(cfg["a"], cfg["b"], domain.lo, domain.hi)
-
-
-def build_control_pair(cfg: dict) -> PsiPhiPair:
-    if "k" in cfg and "psi" not in cfg:
-        return PsiPhiPair.from_k(cfg["k"])
-
-    def control(spec, side):
-        if spec["name"] == "from_k":
-            return psi_from_k(spec["k"]) if side == "psi" else phi_from_k(spec["k"])
-        if spec["name"] == "identity":
-            return lambda t: t
-        exponent = spec["exponent"]
-        return lambda t: t ** exponent
-
-    return PsiPhiPair(control(cfg["psi"], "psi"), control(cfg["phi"], "phi"),
-                      ("custom", "cli"))
-
-
-def build_sampler(cfg: dict, domain, seed_override=None) -> SamplerConfig:
-    if cfg["mode"] == EXHAUSTIVE and not isinstance(domain, FiniteDomain):
-        raise ConfigError("sampler.mode", "exhaustive sampling needs a finite domain")
-    seed = cfg["seed"] if seed_override is None else seed_override
-    return SamplerConfig(
-        mode=cfg["mode"],
-        sample_count=cfg["sample_count"],
-        t_grid=tuple(cfg["t_grid"]),
-        seed=seed,
-    )
-
-
-def build_solver_config(cfg: dict, domain) -> SolverConfig:
-    seeds = cfg["seeds"]
-    if isinstance(domain, FiniteDomain):
-        for s in seeds:
-            if isinstance(s, bool) or not isinstance(s, int) or not 0 <= s < domain.size:
-                raise ConfigError("solver.seeds", f"seed {s!r} is not an in-range index")
-    else:
-        for s in seeds:
-            if isinstance(s, bool) or not isinstance(s, (int, float)) or not domain.contains(s):
-                raise ConfigError("solver.seeds", f"seed {s!r} outside the domain")
-        seeds = [float(s) for s in seeds]
-    return SolverConfig(
-        epsilon=cfg["epsilon"],
-        t_grid=tuple(cfg["t_grid"]),
-        max_iter=cfg["max_iter"],
-        point_tol=cfg["point_tol"],
-        seeds=tuple(seeds),
-        cauchy_window=cfg["cauchy_window"],
-    )
-
-
-# ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
@@ -407,19 +349,6 @@ def _write_json(data: dict, path: Path) -> None:
         fh.write(json.dumps(data, indent=2) + "\n")
 
 
-class _RuntimeFailure(Exception):
-    """An ifmkit error raised while a command computes, after its inputs
-    were built and validated."""
-
-
-@contextmanager
-def _computing():
-    try:
-        yield
-    except IfmError as exc:
-        raise _RuntimeFailure(exc) from exc
-
-
 def _require(config: RunConfig, section: str):
     value = getattr(config, section)
     if value is None:
@@ -427,11 +356,17 @@ def _require(config: RunConfig, section: str):
     return value
 
 
+def _sampler(config: RunConfig, seed_override=None) -> SamplerConfig:
+    sampler = _require(config, "sampler")
+    if seed_override is None:
+        return sampler
+    with _field("--seed"):
+        return dataclasses.replace(sampler, seed=seed_override)
+
+
 def cmd_audit(config: RunConfig, out_dir: Path, seed_override=None) -> int:
-    space = build_space(config.space)
-    sampler = build_sampler(_require(config, "sampler"), space.domain, seed_override)
-    with _computing():
-        report = audit_space(space, sampler)
+    space = config.space
+    report = audit_space(space, _sampler(config, seed_override))
     _write_json(report.to_dict(), out_dir / "audit.json")
     for check in report.checks:
         log.info("axiom %-5s %s (%d violations)", check.axiom, check.status,
@@ -445,16 +380,14 @@ def cmd_audit(config: RunConfig, out_dir: Path, seed_override=None) -> int:
 
 
 def cmd_contract(config: RunConfig, out_dir: Path, seed_override=None) -> int:
-    space = build_space(config.space)
-    f = build_selfmap(_require(config, "map"), space.domain)
+    space = config.space
+    f = _require(config, "map")
     contraction = _require(config, "contraction")
-    sampler = build_sampler(_require(config, "sampler"), space.domain, seed_override)
-    pair = None if contraction["check"] == "k" else build_control_pair(contraction)
-    with _computing():
-        if pair is None:
-            report = check_k_contractive(space, f, contraction["k"], sampler)
-        else:
-            report = check_psi_phi_contractive(space, f, pair, sampler)
+    sampler = _sampler(config, seed_override)
+    if isinstance(contraction, PsiPhiPair):
+        report = check_psi_phi_contractive(space, f, contraction, sampler)
+    else:
+        report = check_k_contractive(space, f, contraction, sampler)
     _write_json(report.to_dict(), out_dir / "contract.json")
     if report.passed:
         print(f"contract: PASS ({report.condition} condition, map {f.name})")
@@ -465,41 +398,40 @@ def cmd_contract(config: RunConfig, out_dir: Path, seed_override=None) -> int:
 
 
 def cmd_solve(config: RunConfig, out_dir: Path) -> int:
-    space = build_space(config.space)
-    f = build_selfmap(_require(config, "map"), space.domain)
-    solver_cfg = build_solver_config(_require(config, "solver"), space.domain)
-    with _computing():
-        if isinstance(space.domain, FiniteDomain):
-            report = edelstein_solve(space, f, solver_cfg)
-            _write_json(report.to_dict(), out_dir / "solve.json")
-            if report.fixed_point is None:
-                print("solve: no fixed point; cycle lengths "
-                      f"{report.cycle_lengths}")
-                return EXIT_NO_CONVERGENCE
-        else:
-            try:
-                report = solve_fixed_point(space, f, solver_cfg)
-            except NonConvergenceError as exc:
-                diagnostics = {
-                    "converged": False,
-                    "stop_reasons": [tr.stop_reason for tr in exc.traces],
-                    "iterations_per_seed": [tr.iterations for tr in exc.traces],
-                }
-                _write_json(diagnostics, out_dir / "solve.json")
-                for i, tr in enumerate(exc.traces):
-                    write_trace_csv(tr, out_dir / f"trace_seed{i}.csv")
-                print(f"solve: no seed converged within {solver_cfg.max_iter} iterations")
-                return EXIT_NO_CONVERGENCE
-            _write_json(report.to_dict(), out_dir / "solve.json")
-            for i, tr in enumerate(report.traces):
+    space = config.space
+    f = _require(config, "map")
+    solver_cfg = _require(config, "solver")
+    if isinstance(space.domain, FiniteDomain):
+        report = edelstein_solve(space, f, solver_cfg)
+        _write_json(report.to_dict(), out_dir / "solve.json")
+        if report.fixed_point is None:
+            print("solve: no fixed point; cycle lengths "
+                  f"{report.cycle_lengths}")
+            return EXIT_NO_CONVERGENCE
+    else:
+        try:
+            report = solve_fixed_point(space, f, solver_cfg)
+        except NonConvergenceError as exc:
+            diagnostics = {
+                "converged": False,
+                "stop_reasons": [tr.stop_reason for tr in exc.traces],
+                "iterations_per_seed": [tr.iterations for tr in exc.traces],
+            }
+            _write_json(diagnostics, out_dir / "solve.json")
+            for i, tr in enumerate(exc.traces):
                 write_trace_csv(tr, out_dir / f"trace_seed{i}.csv")
-        shown = space.domain.describe(report.fixed_point)
-        if not report.unique:
-            print(f"solve: fixed point {shown} but not unique: limits disagree across "
-                  "seeds or some seeds did not converge")
-            return EXIT_NOT_UNIQUE
-        print(f"solve: fixed point {shown} (unique across seeds)")
-        return EXIT_OK
+            print(f"solve: no seed converged within {solver_cfg.max_iter} iterations")
+            return EXIT_NO_CONVERGENCE
+        _write_json(report.to_dict(), out_dir / "solve.json")
+        for i, tr in enumerate(report.traces):
+            write_trace_csv(tr, out_dir / f"trace_seed{i}.csv")
+    shown = space.domain.describe(report.fixed_point)
+    if not report.unique:
+        print(f"solve: fixed point {shown} but not unique: limits disagree across "
+              "seeds or some seeds did not converge")
+        return EXIT_NOT_UNIQUE
+    print(f"solve: fixed point {shown} (unique across seeds)")
+    return EXIT_OK
 
 
 def cmd_demo(out_dir: Path, seed: int) -> int:
@@ -508,12 +440,13 @@ def cmd_demo(out_dir: Path, seed: int) -> int:
     Deterministic: a rerun with the same seed produces byte-identical
     files.
     """
+    with _field("--seed"):
+        sampler = SamplerConfig(RANDOM, 2000, (0.1, 1.0, 10.0), seed=seed)
     rng = np.random.default_rng(seed)
 
     # Scenario 1: halving map on the standard space over [0, 1].
     domain = IntervalDomain(0.0, 1.0)
     space = standard_space(domain, TNorm.product(), TConorm.probabilistic_sum())
-    sampler = SamplerConfig(RANDOM, 2000, (0.1, 1.0, 10.0), seed=seed)
     scen = out_dir / "standard_halving"
     _write_json(audit_space(space, sampler).to_dict(), scen / "audit.json")
     halving = SelfMap.scale(0.5)
@@ -599,8 +532,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "demo":
-            with _computing():
-                return cmd_demo(Path(args.out), args.seed)
+            return cmd_demo(Path(args.out), args.seed)
         config = RunConfig.from_path(args.config)
         if args.dump_config:
             print(json.dumps(config.to_dict(), indent=2))
@@ -614,10 +546,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except IfmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _RuntimeFailure as exc:
+    except IfmError as exc:  # raised while a command computes
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

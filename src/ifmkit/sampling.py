@@ -10,13 +10,12 @@ witnesses' coordinates through it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .spaces import FiniteDomain, IntervalDomain, PointDomain
+from .spaces import FiniteDomain, IntervalDomain, PointDomain, time_grid
 
 EXHAUSTIVE = "exhaustive"
 RANDOM = "random"
@@ -37,12 +36,9 @@ class SamplerConfig:
             raise DomainError(f"unknown sampler mode {self.mode!r}")
         if self.sample_count < 1:
             raise PreconditionError("sample_count must be >= 1")
-        grid = tuple(float(t) for t in self.t_grid)
-        if not grid:
-            raise PreconditionError("t_grid must be nonempty")
-        if any(t <= 0 or not math.isfinite(t) for t in grid):
-            raise PreconditionError("t_grid values must be positive and finite")
-        object.__setattr__(self, "t_grid", grid)
+        if self.seed < 0:
+            raise PreconditionError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "t_grid", time_grid(self.t_grid))
 
     def to_dict(self) -> dict:
         return {

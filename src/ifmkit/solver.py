@@ -23,7 +23,6 @@ reported, not raised — they certify that the contraction hypothesis fails.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
@@ -33,7 +32,7 @@ import numpy as np
 
 from .contraction import SelfMap
 from .errors import DomainError, NonConvergenceError, PreconditionError
-from .spaces import FiniteDomain, IFSpace, NON_ARCHIMEDEAN, array_form
+from .spaces import FiniteDomain, IFSpace, NON_ARCHIMEDEAN, array_form, time_grid
 
 _G_CAUCHY_TAIL_PAIRS = 3
 # The Picard loop takes its steps in blocks: the first block has this many
@@ -54,20 +53,13 @@ class SolverConfig:
     def __post_init__(self):
         if not (isinstance(self.epsilon, float) and 0.0 < self.epsilon < 1.0):
             raise DomainError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
-        grid = tuple(float(t) for t in self.t_grid)
-        if not grid:
-            raise PreconditionError("t_grid must be nonempty")
-        if any(t <= 0 or not math.isfinite(t) for t in grid):
-            raise PreconditionError("t_grid values must be positive and finite")
-        if any(a >= b for a, b in zip(grid, grid[1:])):
-            raise PreconditionError("t_grid must be strictly increasing")
         if self.max_iter < 1:
             raise PreconditionError("max_iter must be >= 1")
         if self.point_tol < 0:
             raise PreconditionError("point_tol must be nonnegative")
         if self.cauchy_window < 2:
             raise PreconditionError("cauchy_window must be >= 2")
-        object.__setattr__(self, "t_grid", grid)
+        object.__setattr__(self, "t_grid", time_grid(self.t_grid, increasing=True))
         object.__setattr__(self, "seeds", tuple(self.seeds))
 
     def to_dict(self) -> dict:

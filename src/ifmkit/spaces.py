@@ -21,6 +21,8 @@ the Picard loop evaluate on point and time arrays (`array_form`);
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -51,9 +53,12 @@ class IntervalDomain:
     kind = "interval"
 
     def contains(self, p) -> bool:
+        # real numbers only, numpy's bools included: a numeric string is not a point
+        if not isinstance(p, (numbers.Real, np.bool_)):
+            return False
         try:
             v = float(p)
-        except (TypeError, ValueError, OverflowError):
+        except OverflowError:
             return False
         return self.lo - POINT_EQ_TOL <= v <= self.hi + POINT_EQ_TOL
 
@@ -92,7 +97,10 @@ class FiniteDomain:
 
     def __init__(self, labels, metric):
         labels = tuple(str(lab) for lab in labels)
-        m = np.array(metric, dtype=float)
+        try:
+            m = np.array(metric, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"metric must be a matrix of numbers: {exc}") from None
         n = len(labels)
         if m.shape != (n, n):
             raise DomainError(f"metric must be {n}x{n} to match {n} labels, got {m.shape}")
@@ -178,6 +186,27 @@ def _plain_numbers(points, kinds: str):
     except ValueError:  # ragged sequences
         return None
     return v if v.ndim == 1 and v.dtype.kind in kinds else None
+
+
+def time_grid(values, increasing: bool = False) -> tuple[float, ...]:
+    """A grid of time parameters as a tuple of floats.
+
+    The grid must be nonempty and hold positive, finite real numbers (not
+    booleans), strictly increasing when ``increasing``; PreconditionError
+    otherwise.
+    """
+    grid = tuple(values)
+    if not grid:
+        raise PreconditionError("t_grid must be nonempty")
+    # the upper bound rejects inf, and integers too large for a float;
+    # NaN fails every comparison
+    if any(isinstance(t, bool) or not isinstance(t, numbers.Real)
+           or not 0 < t <= sys.float_info.max for t in grid):
+        raise PreconditionError("t_grid values must be positive and finite numbers")
+    grid = tuple(float(t) for t in grid)
+    if increasing and any(a >= b for a, b in zip(grid, grid[1:])):
+        raise PreconditionError("t_grid must be strictly increasing")
+    return grid
 
 
 def array_form(fn, nargs: int):

@@ -45,6 +45,11 @@ def test_sampler_grid_must_be_positive_and_finite(bad):
         SamplerConfig(RANDOM, 10, (0.5, bad))
 
 
+def test_sampler_seed_must_be_nonnegative():
+    with pytest.raises(PreconditionError, match="seed must be >= 0"):
+        SamplerConfig(RANDOM, 10, (0.5,), seed=-1)
+
+
 class TestStandardAudit:
     def test_all_axioms_clean(self, unit_space):
         report = audit_space(unit_space, SamplerConfig(RANDOM, 3000, (0.1, 1.0, 10.0), seed=42))

@@ -1,4 +1,6 @@
 import json
+import math
+from pathlib import Path
 
 import pytest
 
@@ -136,21 +138,41 @@ class TestConfigValidation:
         assert f"{section}.t_grid" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command,field", [
-        ("audit", "space.domain.hi"), ("contract", "contraction.k"),
-        ("contract", "map.factor"), ("solve", "solver.epsilon"),
+    @pytest.mark.parametrize("command,field,value,overrides", [
+        pytest.param(command, field, 10 ** 400, {}, id=f"{command}-{field}")
+        for command, field in [("audit", "space.domain.hi"), ("contract", "contraction.k"),
+                               ("contract", "map.factor"), ("solve", "solver.epsilon")]
+    ] + [
+        pytest.param(command, field, value, overrides, id=f"{command}-{field}{case}-{label}")
+        for command, field, case, overrides in [
+            ("contract", "map.factor", "", {}),
+            ("contract", "contraction.k", "", {}),
+            ("contract", "contraction.k", "-check-k", {"contraction": {"check": "k", "k": 0.5}}),
+            ("contract", "contraction.psi.exponent", "", {"contraction": {
+                "check": "psi-phi", "psi": {"name": "power", "exponent": 2.0},
+                "phi": {"name": "identity"}}}),
+            ("solve", "solver.epsilon", "", {}),
+            ("solve", "solver.point_tol", "", {}),
+            ("audit", "space.domain.diameter", "", {"space": {
+                "construction": "standard", "domain": {"kind": "line", "n": 4, "diameter": 1.0},
+                "tnorm": "product", "tconorm": "probabilistic_sum"}}),
+        ]
+        for label, value in [("inf", math.inf), ("-inf", -math.inf), ("nan", math.nan)]
     ])
-    def test_integer_too_large_for_a_float(self, tmp_path, capsys, command, field):
-        cfg = standard_config()
+    def test_integer_too_large_for_a_float(self, tmp_path, capsys, command, field, value,
+                                           overrides):
+        cfg = standard_config(**overrides)
         *path, key = field.split(".")
         section = cfg
         for name in path:
             section = section[name]
-        section[key] = 10 ** 400
+        section[key] = value  # json writes Infinity and NaN, and reads them back
         code = main([command, "--config", write_config(tmp_path, cfg),
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
-        assert f"{field}: integer too large for a float" in capsys.readouterr().err
+        message = ("integer too large for a float" if isinstance(value, int)
+                   else f"must be finite, got {value}")
+        assert f"{field}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["audit", "contract"])
@@ -161,6 +183,40 @@ class TestConfigValidation:
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert "sampler.mode" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("field,section,spec", [
+        ("map.images", "map", {"name": "table", "images": [0, 0]}),
+        ("solver.seeds", "solver", {"seeds": [5.0]}),
+        ("sampler.mode", "sampler", {"mode": "exhaustive"}),
+        ("map.value", "map", {"name": "constant", "value": 1.5}),
+        ("sampler.seed", "sampler", {"seed": -1}),
+    ], ids=["table-on-interval", "seed-outside", "exhaustive-on-interval", "constant-outside",
+            "negative-sampler-seed"])
+    @pytest.mark.parametrize("command", ["audit", "contract", "solve", "dump-config"])
+    def test_every_section_checked_against_the_space(self, tmp_path, capsys, command,
+                                                      field, section, spec):
+        cfg = standard_config()
+        cfg[section].update(spec)
+        out = tmp_path / "out"
+        argv = ["audit" if command == "dump-config" else command,
+                "--config", write_config(tmp_path, cfg), "--out", str(out)]
+        code = main(argv + (["--dump-config"] if command == "dump-config" else []))
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {field}: ")
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["audit", "contract", "demo"])
+    def test_negative_seed_flag(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = [command, "--seed", "-1", "--out", str(out)]
+        if command != "demo":
+            argv += ["--config", write_config(tmp_path, standard_config())]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: --seed: seed must be >= 0, got -1\n"
+        assert not out.exists()
 
 
 class TestRuntimeErrors:
@@ -183,6 +239,21 @@ class TestDumpConfig:
         assert code == EXIT_OK
         dumped = json.loads(capsys.readouterr().out)
         assert RunConfig(dumped).to_dict() == dumped
+
+    def test_readme_full_example(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("A full example:", 1)[1]
+        example = json.loads(block.split("```json\n", 1)[1].split("```", 1)[0])
+        code = main(["solve", "--config", write_config(tmp_path, example),
+                     "--out", str(tmp_path / "out"), "--dump-config"])
+        assert code == EXIT_OK
+        dumped = json.loads(capsys.readouterr().out)
+        # normalizing adds only the defaults the example leaves out
+        assert dumped == {**example, "solver": {**example["solver"], "cauchy_window": 5}}
+        main(["solve", "--config", write_config(tmp_path, dumped, "dumped.json"),
+              "--out", str(tmp_path / "out"), "--dump-config"])
+        assert json.loads(capsys.readouterr().out) == dumped
+        assert not (tmp_path / "out").exists()
 
 
 class TestAuditCommand:

@@ -332,7 +332,8 @@ def test_cauchy_detectors_match_scalar_pairs(case, window, m_offset, epsilon):
 
 
 @pytest.mark.parametrize("points", [[0.5, 0.25, float("nan")], [0.5, 2, True, 1e400],
-                                    [10**400, 0.0], ["0.5", 0.5], [(0.5, 0.5)], [1j]])
+                                    [10**400, 0.0], ["0.5", 0.5], [(0.5, 0.5)], [1j],
+                                    ["0.5"], [np.True_, 0.25], ["0.5", np.float32(0.5), np.True_]])
 def test_interval_contains_array_matches_contains(points):
     domain = IntervalDomain(0.0, 1.0)
     assert domain.contains_array(points).tolist() == [domain.contains(p) for p in points]

@@ -109,6 +109,14 @@ class TestPicard:
         with pytest.raises(DomainError, match="outside the domain"):
             picard_iterate(unit_space, SelfMap.scale(2.0), 0.9, _cfg())
 
+    @pytest.mark.parametrize("x0,last", [(0.9, 0.9), (0.8, 0.1)])
+    def test_numeric_string_image_is_outside_the_domain(self, unit_space, x0, last):
+        # the string comes at the first step from 0.9, and mid-orbit from 0.8
+        f = SelfMap.closure(lambda x: "0.05" if x == last else x / 2, name="text")
+        with pytest.raises(DomainError) as info:
+            picard_iterate(unit_space, f, x0, _cfg())
+        assert str(info.value) == str(f.domain_error(last, "0.05"))
+
     def test_max_iter_reached(self, unit_space):
         trace = picard_iterate(unit_space, FLIP, 0.2, _cfg(max_iter=17))
         assert trace.stop_reason == "max_iter"

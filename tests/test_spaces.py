@@ -45,6 +45,7 @@ class TestDomains:
     def test_interval_membership_and_distance(self, unit_interval):
         assert unit_interval.contains(0.5)
         assert not unit_interval.contains(1.5)
+        assert not unit_interval.contains("0.5")
         assert unit_interval.distance(0.2, 0.9) == pytest.approx(0.7)
 
     def test_finite_metric_validation(self):
@@ -57,6 +58,13 @@ class TestDomains:
                          [[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
         with pytest.raises(DomainError, match="nonnegative"):
             FiniteDomain(["a", "b"], [[0.0, -1.0], [-1.0, 0.0]])
+
+    @pytest.mark.parametrize("metric", [
+        [[0, "x"], ["x", 0]], [[0, 1], [1]], [[0, 10**400], [10**400, 0]],
+    ], ids=["string", "ragged", "huge-int"])
+    def test_finite_metric_must_be_numbers(self, metric):
+        with pytest.raises(DomainError, match="matrix of numbers"):
+            FiniteDomain(["a", "b"], metric)
 
     @settings(deadline=None)
     @given(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6), st.data())
