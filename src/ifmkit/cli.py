@@ -515,8 +515,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON run config")
         p.add_argument("--out", default=".", help="output directory for reports")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the sampler seed from the config")
+        if name != "solve":  # the solver draws no samples
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the sampler seed from the config")
         p.add_argument("--dump-config", action="store_true",
                        help="print the normalized config and exit")
     demo = sub.add_parser("demo")

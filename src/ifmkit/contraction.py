@@ -33,10 +33,11 @@ and nu of (x, y) and of (f(x), f(y)) over the grid, and applies the side
 predicates as masks; it keeps the exact violation count and the first ten
 witnesses in the order of a pair-by-pair scan: pair, then t, then mu
 before nu.  Array forms travel with the functions, as in the auditor:
-grade functions and the `from_k` controls carry one as ``fn.array``, the
-built-in self-maps have one, and any other callable (a custom control, a
-user closure) is evaluated element-wise on plain Python scalars.  A control
-function is only called where its antecedent holds.
+grade functions and the `from_k` controls carry one as ``fn.array``, and
+so does the closure ``fn`` of every built-in `SelfMap` (an image table's
+indexes its images as one numpy array); any other callable (a custom
+control, a user closure) is evaluated element-wise on plain Python
+scalars.  A control function is only called where its antecedent holds.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import DomainError, PreconditionError
+from .norms import _closest_witness
 from .sampling import MAX_WITNESSES, SamplerConfig, chunks, draw_array, shrink
 from .sampling import draw_tuples  # noqa: F401  perfbench/tracer.py patches this name
 from .spaces import IFSpace, IntervalDomain, array_form
@@ -132,28 +134,35 @@ def pair_from_k(k: float) -> PsiPhiPair:
 
 @dataclass(frozen=True)
 class SelfMap:
-    """A self-map of a point domain: a finite image table or a closure.
+    """A self-map of a point domain, applied through the closure ``fn``:
+    calling the map, `array` and the Picard loop all step with ``fn``.
 
-    `array` maps a whole array of points.  The built-in closures carry an
-    array form as ``fn.array``; a closure without one is called element-wise
-    on plain Python scalars.
+    `array` maps a whole array of points.  The built-in maps carry an array
+    form as ``fn.array``; a closure without one is called element-wise on
+    plain Python scalars.  A finite image table (`table`) is a closure that
+    looks points up in its ``images``, which it keeps, so maps compare and
+    hash by name and images, never by ``fn``.
     """
 
-    kind: str  # "table" | "closure"
-    images: tuple[int, ...] | None = None
-    fn: Callable = field(default=None, repr=False, compare=False)
+    fn: Callable = field(repr=False, compare=False)
     name: str = "closure"
+    images: tuple[int, ...] | None = None
 
     @classmethod
     def table(cls, images) -> "SelfMap":
         images = tuple(int(i) for i in images)
         if any(not 0 <= i < len(images) for i in images):
             raise DomainError(f"table images {images} must index into the point set")
-        return cls("table", images=images, name="table")
+
+        def fn(i):
+            return images[i]
+
+        fn.array = np.array(images).__getitem__
+        return cls(fn, "table", images)
 
     @classmethod
     def closure(cls, fn: Callable, name: str = "closure") -> "SelfMap":
-        return cls("closure", fn=fn, name=name)
+        return cls(fn, name)
 
     @classmethod
     def scale(cls, factor: float) -> "SelfMap":
@@ -199,14 +208,10 @@ class SelfMap:
         return cls.closure(fn, name=f"affine_clamped({a:g},{b:g})")
 
     def __call__(self, x):
-        if self.kind == "table":
-            return self.images[int(x)]
         return self.fn(x)
 
     def array(self, xs: np.ndarray) -> np.ndarray:
         """The images of a 1-d array of points, element by element."""
-        if self.kind == "table":
-            return np.array(self.images)[xs]
         form = getattr(self.fn, "array", None)
         if form is not None:
             return form(xs)
@@ -291,13 +296,11 @@ def _probe_function(label: str, fn, grid_size: int, strict_below: bool) -> Funct
     grid = [i / (grid_size - 1) for i in range(grid_size)]
     values = [fn(t) for t in grid]
 
-    range_viol = [
-        (t, v) for t, v in zip(grid, values) if math.isnan(v) or v < 0.0 or v > 1.0
-    ]
-    if strict_below:
-        strict_viol = [(t, v) for t, v in zip(grid[1:-1], values[1:-1]) if v >= t]
-    else:
-        strict_viol = [(t, v) for t, v in zip(grid[1:-1], values[1:-1]) if v <= t]
+    # violations as (operands, results) for `_closest_witness`
+    range_viol = [((t,), (v,)) for t, v in zip(grid, values)
+                  if math.isnan(v) or v < 0.0 or v > 1.0]
+    strict_viol = [((t,), (v,)) for t, v in zip(grid[1:-1], values[1:-1])
+                   if (v >= t if strict_below else v <= t)]
 
     deltas = [values[i + 1] - values[i] for i in range(len(values) - 1)]
     nondec = all(d >= -CHECK_TOL for d in deltas)
@@ -318,15 +321,12 @@ def _probe_function(label: str, fn, grid_size: int, strict_below: bool) -> Funct
             continuity_ok = False
             break
 
-    def closest(viol):
-        return min(viol, key=lambda w: abs(w[0] - 0.5)) if viol else None
-
     return FunctionAdmissibility(
         label=label,
         range_ok=not range_viol,
-        range_witness=closest(range_viol),
+        range_witness=_closest_witness(range_viol),
         strict_ok=not strict_viol,
-        strict_witness=closest(strict_viol),
+        strict_witness=_closest_witness(strict_viol),
         monotone_direction=direction,
         continuity_ok=continuity_ok,
         max_grid_jump=max_jump,

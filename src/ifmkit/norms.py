@@ -276,13 +276,13 @@ def _unit_samples(sample_count: int, seed: int, width: int) -> list[tuple[float,
     return anchored[: max(1, sample_count)] + [tuple(row) for row in randoms]
 
 
-def _closest_witness(violations: list[tuple], anchor: float = 0.5) -> tuple:
-    """Pick the violating tuple whose operand coordinates are nearest 0.5."""
-
-    def dist(v):
-        return sum((c - anchor) ** 2 for c in v[0])
-
-    best = min(violations, key=dist)
+def _closest_witness(violations: list[tuple]) -> tuple | None:
+    """The violation (operands, results) whose operands lie nearest (0.5,
+    ...) in squared distance, as one tuple operands + results; the first
+    such on a tie, and None without violations."""
+    if not violations:
+        return None
+    best = min(violations, key=lambda v: sum((c - 0.5) ** 2 for c in v[0]))
     return best[0] + best[1]
 
 
@@ -304,60 +304,44 @@ def check_norm_axioms(op, sample_count: int, seed: int) -> NormAxiomReport:
     fn = op.fn
     tol = ALGEBRA_TOL
 
-    singles = [s[0] for s in _unit_samples(sample_count, seed, 1)]
-    pairs = _unit_samples(sample_count, seed + 1, 2)
-    triples = _unit_samples(sample_count, seed + 2, 3)
-    quads = _unit_samples(sample_count, seed + 3, 4)
+    def range_row(a, b):
+        # raw fn on purpose: custom functions are accepted unverified
+        r = fn(a, b)
+        return (a, b), (r,), math.isnan(r) or r < -tol or r > 1.0 + tol
 
+    def identity_row(a):
+        r = fn(a, e)
+        return (a, e), (r,), math.isnan(r) or abs(r - a) > tol
+
+    def agree(operands, *results):
+        # two results that must be equal, within tol
+        return operands, results, abs(results[0] - results[1]) > tol
+
+    def monotonicity_row(u1, u2, u3, u4):
+        # a <= c and b <= d must give f(a, b) <= f(c, d)
+        (a, c), (b, d) = sorted((u1, u3)), sorted((u2, u4))
+        r = fn(a, b), fn(c, d)
+        return (a, b, c, d), r, r[0] > r[1] + tol
+
+    pairs = _unit_samples(sample_count, seed + 1, 2)
+    # axiom -> (one sample's row (operands, results, violated), samples)
+    table = {
+        "range": (range_row, pairs),
+        "identity": (identity_row, _unit_samples(sample_count, seed, 1)),
+        "commutativity": (lambda a, b: agree((a, b), fn(a, b), fn(b, a)), pairs),
+        "associativity": (lambda a, b, c: agree((a, b, c), fn(fn(a, b), c), fn(a, fn(b, c))),
+                          _unit_samples(sample_count, seed + 2, 3)),
+        "monotonicity": (monotonicity_row, _unit_samples(sample_count, seed + 3, 4)),
+    }
     checks = []
 
     def finish(axiom, violations, detail=None):
-        if violations:
-            checks.append(
-                NormCheck(axiom, "FAIL", len(violations), _closest_witness(violations), detail)
-            )
-        else:
-            checks.append(NormCheck(axiom, "PASS", 0, None, detail))
+        checks.append(NormCheck(axiom, "FAIL" if violations else "PASS", len(violations),
+                                _closest_witness(violations), detail))
 
-    # Range: results must stay inside [0,1].  Raw fn access on purpose —
-    # custom functions are accepted unverified at construction.
-    violations = []
-    for a, b in pairs:
-        r = fn(a, b)
-        if math.isnan(r) or r < -tol or r > 1.0 + tol:
-            violations.append(((a, b), (r,)))
-    finish("range", violations)
-
-    # Identity element: f(a, e) = a.
-    violations = []
-    for a in singles:
-        r = fn(a, e)
-        if math.isnan(r) or abs(r - a) > tol:
-            violations.append(((a, e), (r,)))
-    finish("identity", violations)
-
-    violations = []
-    for a, b in pairs:
-        if abs(fn(a, b) - fn(b, a)) > tol:
-            violations.append(((a, b), (fn(a, b), fn(b, a))))
-    finish("commutativity", violations)
-
-    violations = []
-    for a, b, c in triples:
-        left = fn(fn(a, b), c)
-        right = fn(a, fn(b, c))
-        if abs(left - right) > tol:
-            violations.append(((a, b, c), (left, right)))
-    finish("associativity", violations)
-
-    # Monotonicity: a <= c, b <= d implies f(a,b) <= f(c,d).
-    violations = []
-    for u1, u2, u3, u4 in quads:
-        a, c = (u1, u3) if u1 <= u3 else (u3, u1)
-        b, d = (u2, u4) if u2 <= u4 else (u4, u2)
-        if fn(a, b) > fn(c, d) + tol:
-            violations.append(((a, b, c, d), (fn(a, b), fn(c, d))))
-    finish("monotonicity", violations)
+    for axiom, (row, samples) in table.items():
+        rows = (row(*sample) for sample in samples)
+        finish(axiom, [(operands, results) for operands, results, bad in rows if bad])
 
     # Continuity probe: 1-Lipschitz bound at shrinking perturbation scales.
     violations = []

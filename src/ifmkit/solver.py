@@ -185,7 +185,7 @@ def picard_iterate(space: IFSpace, f: SelfMap, x0, config: SolverConfig) -> Iter
             )
 
     near = partial(_near_pairs, space, t=grid[0], epsilon=config.epsilon)
-    step = f.fn if f.kind == "closure" else f.images.__getitem__
+    step = f.fn
     lags = np.arange(1, config.cauchy_window)
     last_fail = np.full(lags.size, -1)
     points = [x0]

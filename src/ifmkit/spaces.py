@@ -14,8 +14,10 @@ the place where axioms are certified or falsified, and `eval_mu` /
 The built-in spaces attach an element-wise form of each grade function as
 ``mu.array`` / ``nu.array``, which the auditor, the contraction scan and
 the Picard loop evaluate on point and time arrays (`array_form`);
-``same_point`` of either domain also works element-wise, and
-``contains_array`` is ``contains`` over a list of points.
+``same_point`` of either domain also works element-wise.  ``contains_array``
+is ``contains`` over a list of points: one array comparison when every
+point is exactly a ``float`` (interval) or an ``int`` (finite), where the
+two agree by construction, else ``contains`` per point.
 """
 
 from __future__ import annotations
@@ -63,10 +65,9 @@ class IntervalDomain:
         return self.lo - POINT_EQ_TOL <= v <= self.hi + POINT_EQ_TOL
 
     def contains_array(self, points) -> np.ndarray:
-        v = _plain_numbers(points, "biuf")
-        if v is None:
+        if not {float}.issuperset(map(type, points)):  # a type other than exactly float
             return np.array([self.contains(p) for p in points], dtype=bool)
-        v = v.astype(float)
+        v = np.array(points, dtype=float)
         return (self.lo - POINT_EQ_TOL <= v) & (v <= self.hi + POINT_EQ_TOL)
 
     def distance(self, x, y) -> float:
@@ -148,10 +149,10 @@ class FiniteDomain:
         return isinstance(p, (int, np.integer)) and 0 <= int(p) < self.size
 
     def contains_array(self, points) -> np.ndarray:
-        # bool arrays go the scalar way: a numpy bool is not a point index
-        v = _plain_numbers(points, "iu")
-        if v is None:
+        if not {int}.issuperset(map(type, points)):  # a type other than exactly int
             return np.array([self.contains(p) for p in points], dtype=bool)
+        # ints past int64 make a float or an object array; both compare right
+        v = np.array(points)
         return (0 <= v) & (v < self.size)
 
     def distance(self, x, y) -> float:
@@ -174,18 +175,6 @@ class FiniteDomain:
 
 
 PointDomain = IntervalDomain | FiniteDomain
-
-
-def _plain_numbers(points, kinds: str):
-    """The list of points as a 1-d numpy array when numpy holds them as
-    numbers of the given dtype kinds, else None; a domain's
-    ``contains_array`` then compares the array, and otherwise calls
-    ``contains`` point by point."""
-    try:
-        v = np.asarray(points)
-    except ValueError:  # ragged sequences
-        return None
-    return v if v.ndim == 1 and v.dtype.kind in kinds else None
 
 
 def time_grid(values, increasing: bool = False) -> tuple[float, ...]:

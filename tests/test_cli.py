@@ -218,6 +218,16 @@ class TestConfigValidation:
         assert capsys.readouterr().err == "config error: --seed: seed must be >= 0, got -1\n"
         assert not out.exists()
 
+    def test_solve_has_no_seed_flag(self, tmp_path, capsys):
+        # the solver draws no samples, so there is no seed to override
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", write_config(tmp_path, standard_config()),
+                  "--out", str(out), "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRuntimeErrors:
     def test_map_leaving_the_domain_is_not_a_config_error(self, tmp_path, capsys):

@@ -323,6 +323,17 @@ class TestSelfMap:
         f = SelfMap.table([2, 0, 1])
         assert f.apply_checked(domain, 0) == 2
 
+    def test_tables_compare_and_hash_by_images(self):
+        assert SelfMap.table([1, 0]) == SelfMap.table((1, 0))
+        assert hash(SelfMap.table([1, 0])) == hash(SelfMap.table((1, 0)))
+        assert SelfMap.table([1, 0]) != SelfMap.table([0, 1])
+
+    def test_table_images_keep_their_types(self):
+        f = SelfMap.table([1, 0, 2])
+        assert f(np.int64(1)) == 0 and type(f(np.int64(1))) is int
+        images = f.array(np.array([0, 1]))
+        assert images.tolist() == [1, 0] and images.dtype == np.int64
+
 
 # ---------------------------------------------------------------------------
 # Properties of reported witnesses: each re-checks as violated under the

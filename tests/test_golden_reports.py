@@ -2,18 +2,25 @@
 checked-in copy under ``tests/golden/<case>/expected/`` byte for byte.
 
 Each case directory holds the run's ``config.json`` (the demo needs none)
-and the files the run is expected to write.  The expected files are
-regenerated only on purpose, when a report format changes:
+and the files the run is expected to write.  ``tests/golden/norm_reports.json``
+pins the norm-axiom and control-pair probes the same way: the JSON of
+`check_norm_axioms` for the built-in norms and failing custom ones at
+several sample counts, and of `check_admissible` for k-derived and custom
+pairs at several grid sizes.  The expected files are regenerated only on
+purpose, when a report format changes:
 
     PYTHONPATH=src python tests/test_golden_reports.py
 """
 
 import filecmp
+import json
+import math
 import shutil
 from pathlib import Path
 
 import pytest
 
+from ifmkit import PsiPhiPair, TConorm, TNorm, check_admissible, check_norm_axioms, pair_from_k
 from ifmkit.cli import EXIT_OK, EXIT_VIOLATIONS, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -51,11 +58,53 @@ def test_reports_match_golden(case, tmp_path, capsys):
         assert filecmp.cmp(tmp_path / name, expected / name, shallow=False), name
 
 
+# Custom operations, each failing the axioms noted beside it
+CUSTOM_OPS = {
+    "sum": TConorm.custom(lambda a, b: a + b),                            # range
+    "nan": TNorm.custom(lambda a, b: math.nan),                           # NaN results
+    "mean": TNorm.custom(lambda a, b: (a + b) / 2),                       # identity
+    "skewed": TNorm.custom(lambda a, b: a * b * b),                       # commutativity
+    "anti": TNorm.custom(lambda a, b: 1.0 - a * b),                       # monotonicity
+    "step": TConorm.custom(lambda a, b: 1.0 if a + b > 1.0 else 0.0),    # continuity
+}
+
+CUSTOM_PAIRS = {
+    # psi is the identity outside a notch around 0.5, so its nearest
+    # failing points lie on both sides of 0.5; phi is not strict up to 0.4
+    # and jumps there
+    "notch-jump": PsiPhiPair(lambda s: s / 2 if abs(s - 0.5) < 0.05 else s,
+                             lambda s: 0.5 + s / 2 if s > 0.4 else s),
+    # out of range at both ends, NaN at the midpoint
+    "shifted-nan": PsiPhiPair(lambda s: math.nan if s == 0.5 else s - 0.2,
+                              lambda s: s + 0.5),
+}
+
+
+def probe_reports() -> str:
+    """The JSON of the norm-axiom and admissibility probes pinned in
+    ``norm_reports.json``."""
+    ops = {op.kind: op for op in (*map(TNorm, TNorm.BUILTINS), *map(TConorm, TConorm.BUILTINS))}
+    ops.update(CUSTOM_OPS)
+    norms = [{"op": name, "sample_count": n, "seed": seed,
+              "report": check_norm_axioms(op, n, seed).to_dict()}
+             for name, op in ops.items()
+             for seed, n in enumerate((1, 5, 9, 200, 2000))]
+    pairs = {"from_k(0.01)": pair_from_k(0.01), "from_k(0.5)": pair_from_k(0.5), **CUSTOM_PAIRS}
+    admissibility = [{"pair": name, "grid_size": g, "report": check_admissible(pair, g).to_dict()}
+                     for name, pair in pairs.items() for g in (2, 11, 101)]
+    return json.dumps({"norms": norms, "admissibility": admissibility}, indent=1) + "\n"
+
+
+def test_probe_reports_match_golden():
+    assert probe_reports() == (GOLDEN / "norm_reports.json").read_text()
+
+
 def regenerate() -> None:
     for case in CASES:
         expected = GOLDEN / case / "expected"
         shutil.rmtree(expected, ignore_errors=True)
         print(case, _run(case, expected))
+    (GOLDEN / "norm_reports.json").write_text(probe_reports())
 
 
 if __name__ == "__main__":

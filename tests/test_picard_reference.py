@@ -12,6 +12,7 @@ cap.
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations
 from unittest import mock
 
@@ -168,6 +169,7 @@ def interval_maps(draw):
         below(threshold, lambda x: math.nan, lambda x: c * x),
         below(threshold, boom, lambda x: c * x),
         below(threshold, lambda x: "half", lambda x: c * x),
+        below(threshold, lambda x: np.array(c * x), lambda x: c * x),  # 0-d arrays
     )))
 
 
@@ -331,16 +333,33 @@ def test_cauchy_detectors_match_scalar_pairs(case, window, m_offset, epsilon):
             space, pairs, t, epsilon)
 
 
+def test_zero_dim_array_orbit_matches_per_step_loop():
+    # 0-d arrays are not points: both loops raise at the step that makes one
+    space = standard_space(IntervalDomain(0.0, 1.0), *NORMS)
+    f = below(0.3, lambda x: np.array(x / 2), lambda x: x / 2)
+    config = SolverConfig(epsilon=1e-8, t_grid=(0.1, 1.0), max_iter=1000)
+    outcome = _outcome(lambda: picard_iterate(space, f, 1.0, config))
+    assert outcome == _outcome(lambda: scalar_picard_iterate(space, f, 1.0, config))
+    assert outcome[0] is DomainError and "array(0.125)" in outcome[1]
+
+
+# odd points that a numpy conversion would unwrap or reinterpret
+ODD_POINTS = ([np.array(0.5)], [np.array(3)], [np.True_, 1], [np.float32(0.5)],
+              [Fraction(1, 2)], [True])
+
+
 @pytest.mark.parametrize("points", [[0.5, 0.25, float("nan")], [0.5, 2, True, 1e400],
                                     [10**400, 0.0], ["0.5", 0.5], [(0.5, 0.5)], [1j],
-                                    ["0.5"], [np.True_, 0.25], ["0.5", np.float32(0.5), np.True_]])
+                                    ["0.5"], [np.True_, 0.25], ["0.5", np.float32(0.5), np.True_],
+                                    [], *ODD_POINTS])
 def test_interval_contains_array_matches_contains(points):
     domain = IntervalDomain(0.0, 1.0)
     assert domain.contains_array(points).tolist() == [domain.contains(p) for p in points]
 
 
 @pytest.mark.parametrize("points", [[0, 4, 5, -1], [1, True, np.int64(3)], [1, 2.0],
-                                    [np.True_, np.False_], [10**30, 1], [(1, 2)], ["1"]])
+                                    [np.True_, np.False_], [10**30, 1], [(1, 2)], ["1"],
+                                    [2**63, -10**400, 4], [], *ODD_POINTS])
 def test_finite_contains_array_matches_contains(points):
     domain = FiniteDomain.line(5)
     assert domain.contains_array(points).tolist() == [domain.contains(p) for p in points]
