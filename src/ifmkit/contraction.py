@@ -132,7 +132,7 @@ def pair_from_k(k: float) -> PsiPhiPair:
     return PsiPhiPair.from_k(k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelfMap:
     """A self-map of a point domain, applied through the closure ``fn``:
     calling the map, `array` and the Picard loop all step with ``fn``.
@@ -140,11 +140,12 @@ class SelfMap:
     `array` maps a whole array of points.  The built-in maps carry an array
     form as ``fn.array``; a closure without one is called element-wise on
     plain Python scalars.  A finite image table (`table`) is a closure that
-    looks points up in its ``images``, which it keeps, so maps compare and
-    hash by name and images, never by ``fn``.
+    looks points up in its ``images``, which it keeps, so tables compare and
+    hash by name and images; any other map compares and hashes by name and
+    ``fn``.
     """
 
-    fn: Callable = field(repr=False, compare=False)
+    fn: Callable = field(repr=False)
     name: str = "closure"
     images: tuple[int, ...] | None = None
 
@@ -207,6 +208,15 @@ class SelfMap:
         fn.array = fn_array
         return cls.closure(fn, name=f"affine_clamped({a:g},{b:g})")
 
+    def _key(self) -> tuple:
+        return self.name, self.fn if self.images is None else self.images
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, SelfMap) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
     def __call__(self, x):
         return self.fn(x)
 
@@ -236,6 +246,10 @@ class SelfMap:
 
 @dataclass(frozen=True)
 class FunctionAdmissibility:
+    """The grid probe of one control function.  `max_grid_jump` is the
+    largest |f(s') - f(s)| over neighbouring grid points that is not NaN;
+    a NaN difference counts as a jump for `continuity_ok` instead."""
+
     label: str
     range_ok: bool
     range_witness: tuple | None
@@ -283,8 +297,7 @@ class AdmissibilityReport:
 def _persistent_jump(fn, a: float, b: float, depth: int = 40) -> bool:
     """True when a gap larger than the jump threshold survives bisection
     down to negligible width — the sampled signature of a discontinuity."""
-    gap = abs(fn(b) - fn(a))
-    if gap <= _JUMP_THRESHOLD:
+    if abs(fn(b) - fn(a)) <= _JUMP_THRESHOLD:  # a NaN gap is a jump
         return False
     if depth == 0 or b - a <= 1e-9:
         return True
@@ -314,10 +327,10 @@ def _probe_function(label: str, fn, grid_size: int, strict_below: bool) -> Funct
     else:
         direction = "mixed"
 
-    max_jump = max((abs(d) for d in deltas), default=0.0)
+    max_jump = max((abs(d) for d in deltas if not math.isnan(d)), default=0.0)
     continuity_ok = True
     for i, d in enumerate(deltas):
-        if abs(d) > _JUMP_THRESHOLD and _persistent_jump(fn, grid[i], grid[i + 1]):
+        if not abs(d) <= _JUMP_THRESHOLD and _persistent_jump(fn, grid[i], grid[i + 1]):
             continuity_ok = False
             break
 

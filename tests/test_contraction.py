@@ -1,3 +1,4 @@
+import math
 from functools import partial
 from unittest import mock
 
@@ -166,6 +167,14 @@ class TestAdmissibility:
         with pytest.raises(PreconditionError):
             check_admissible(pair_from_k(0.5), 1)
 
+    @pytest.mark.parametrize("at", [0.0, 0.5])
+    def test_nan_value_flagged_discontinuous(self, at):
+        pair = PsiPhiPair(psi=lambda s: math.nan if s == at else s / 2, phi=phi_from_k(0.5))
+        report = check_admissible(pair, 11)
+        assert not report.psi.continuity_ok and not report.admissible
+        # the largest jump that is not NaN: 0.05 between neighbours 0.1 apart
+        assert report.psi.max_grid_jump == pytest.approx(0.05)
+
 
 class TestPsiPhiCheck:
     def test_halving_map_clean(self, unit_space):
@@ -327,6 +336,17 @@ class TestSelfMap:
         assert SelfMap.table([1, 0]) == SelfMap.table((1, 0))
         assert hash(SelfMap.table([1, 0])) == hash(SelfMap.table((1, 0)))
         assert SelfMap.table([1, 0]) != SelfMap.table([0, 1])
+
+    def test_closures_compare_and_hash_by_function(self):
+        def fn(x):
+            return x
+
+        assert SelfMap.closure(lambda x: x) != SelfMap.closure(lambda x: 0.5)
+        assert hash(SelfMap.closure(lambda x: x)) != hash(SelfMap.closure(lambda x: 0.5))
+        assert SelfMap.closure(fn) == SelfMap.closure(fn)
+        assert hash(SelfMap.closure(fn)) == hash(SelfMap.closure(fn))
+        assert SelfMap.closure(fn, "a") != SelfMap.closure(fn, "b")
+        assert len({SelfMap.scale(0.5), SelfMap.scale(0.5), SelfMap.table([0])}) == 3
 
     def test_table_images_keep_their_types(self):
         f = SelfMap.table([1, 0, 2])

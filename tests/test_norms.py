@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -121,6 +123,13 @@ def test_step_function_fails_continuity_probe():
     step = TNorm.custom(lambda a, b: 1.0 if a + b > 1.0 else 0.0)
     report = check_norm_axioms(step, 2000, seed=11)
     assert report.check("continuity").status == "FAIL"
+
+
+def test_nan_op_fails_every_axiom():
+    report = check_norm_axioms(TNorm.custom(lambda a, b: math.nan), 200, seed=11)
+    assert [c.status for c in report.checks] == ["FAIL"] * 6
+    assert all(c.violation_count > 0 for c in report.checks)
+    assert report.check("continuity").detail == "max observed modulus ratio nan"
 
 
 def test_report_deterministic():

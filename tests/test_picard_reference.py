@@ -7,6 +7,11 @@ here as the reference: `picard_iterate` must give the same points (the
 same objects, of the same types), stop reason, note and diagnostics, and
 raise the same exception type with the same message, whatever the block
 cap.
+
+`scalar_trace_to_csv` is the trace CSV writer with one format() call per
+value.  It stays here as the reference for `trace_to_csv`, whose numbers
+are laid out as byte arrays: the two must give the same text on every
+trace, and `_g17_fields` must spell each float as format(x, ".17g").
 """
 
 import json
@@ -39,7 +44,7 @@ from ifmkit import (
     trace_to_csv,
 )
 from ifmkit import solver
-from ifmkit.solver import IterationTrace
+from ifmkit.solver import _CSV_CHUNK_ROWS, IterationTrace, _fixed_decimal, _g17_fields
 
 # ---------------------------------------------------------------------------
 # The step-by-step reference, kept verbatim
@@ -93,6 +98,27 @@ def scalar_picard_iterate(space, f, x0, config):
         space=space, map=f, t_grid=grid, points=points,
         mu_diag=mu_diag, nu_diag=nu_diag, stop_reason=stop_reason,
     )
+
+
+def scalar_trace_to_csv(trace: IterationTrace) -> str:
+    """Render a trace as CSV: columns n, x_n, then mu@t and nu@t per grid
+    value.  Values use 17 significant digits so reruns diff cleanly; the
+    final row has no diagnostic entries (they pair consecutive points).
+    """
+    header = ["n", "x_n"]
+    columns = []
+    for t in trace.t_grid:
+        label = _fixed_decimal(t)
+        header += [f"mu@{label}", f"nu@{label}"]
+        columns += [trace.mu_diag[t], trace.nu_diag[t]]
+    shown = list(map(trace.space.domain.describe, trace.points))
+    # a domain describes every point as a float (interval) or as a label
+    x_field = "{:.17g}" if isinstance(shown[0], float) else "{}"
+    row = ",".join(["{}", x_field] + ["{:.17g}"] * len(columns))
+    n_diag = len(shown) - 1
+    last = ",".join([str(n_diag), x_field.format(shown[-1])] + [""] * len(columns))
+    lines = [",".join(header), *map(row.format, range(n_diag), shown, *columns), last]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +272,11 @@ def _outcome(run):
         trace = run()
     except Exception as exc:  # noqa: BLE001  compared across both loops
         return type(exc), str(exc)
+    csv = trace_to_csv(trace)
+    assert csv == scalar_trace_to_csv(trace)
     return (trace.stop_reason, trace.note,
             [(type(p), repr(p)) for p in trace.points],
-            json.dumps([trace.mu_diag, trace.nu_diag]), trace_to_csv(trace))
+            json.dumps([trace.mu_diag, trace.nu_diag]), csv)
 
 
 # ---------------------------------------------------------------------------
@@ -363,3 +391,129 @@ def test_interval_contains_array_matches_contains(points):
 def test_finite_contains_array_matches_contains(points):
     domain = FiniteDomain.line(5)
     assert domain.contains_array(points).tolist() == [domain.contains(p) for p in points]
+
+
+# ---------------------------------------------------------------------------
+# The trace CSV against the per-value formatter
+# ---------------------------------------------------------------------------
+
+
+def g17(values) -> list[str]:
+    """`_g17_fields` of the values, one string per value."""
+    chars, keep = _g17_fields(np.array(values, dtype=np.float64))
+    fields = [bytes(c[k]).decode() for c, k in zip(chars, keep)]
+    assert all(f.endswith(",") for f in fields)
+    return [f[:-1] for f in fields]
+
+
+def near_powers_of_ten() -> list[float]:
+    tens = [float(f"1e{k}") for k in range(-324, 309)]
+    return [y for x in tens for y in (x, np.nextafter(x, 0.0), np.nextafter(x, math.inf))]
+
+
+# exact halfway cases at 17 digits: a + 0.25 on [1e15, 2**51) and a + k/8,
+# k odd, on [1e14, 1e15) have 18 digits, the last a 5
+halfway = (st.integers(10**15, 2**51 - 1).flatmap(
+               lambda a: st.sampled_from((a + 0.25, a + 0.75)))
+           | st.integers(10**14, 10**15 - 1).flatmap(
+               lambda a: st.sampled_from([a + k / 8 for k in (1, 3, 5, 7)])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats() | halfway | st.sampled_from(near_powers_of_ten()),
+                min_size=1, max_size=64),
+       st.lists(st.booleans(), min_size=64, max_size=64))
+def test_g17_matches_format(values, negate):
+    values = [-v if flip else v for v, flip in zip(values, negate)]
+    assert g17(values) == [format(v, ".17g") for v in values]
+
+
+def test_g17_matches_format_on_wide_samples():
+    rng = np.random.default_rng(8)
+    values = np.concatenate([
+        rng.random(5000),
+        1.0 - rng.random(1000) * 1e-12,
+        10.0 ** rng.uniform(-12, 17, 5000) * rng.choice([-1.0, 1.0], 5000),
+        rng.integers(0, 2**64, 5000, dtype=np.uint64).view(np.float64),
+        near_powers_of_ten(),
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-11,
+         np.nextafter(1e-11, 1.0), 1e17, np.nextafter(1e17, 0.0), math.inf, -math.inf, math.nan],
+    ])
+    assert g17(values) == [format(v, ".17g") for v in values.tolist()]
+
+
+@pytest.mark.parametrize("skew", [-0.5, 0.5])
+def test_g17_corrects_its_exponent_estimate(skew, monkeypatch):
+    # log10 one off on about half the values: each is redone at E -/+ 1
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda x: log10(x) + skew)
+    values = np.concatenate([10.0 ** np.random.default_rng(3).uniform(-11, 17, 2000),
+                             near_powers_of_ten()])
+    assert g17(values) == [format(v, ".17g") for v in values.tolist()]
+
+
+def _trace(space, points, columns, t_grid=(0.1, 1.0)):
+    """A trace with the given points and one (mu, nu) column pair per t."""
+    return IterationTrace(space=space, map=SelfMap.identity(), t_grid=t_grid, points=points,
+                          mu_diag={t: mu for t, (mu, _) in zip(t_grid, columns)},
+                          nu_diag={t: nu for t, (_, nu) in zip(t_grid, columns)},
+                          stop_reason="max_iter")
+
+
+SYMMETRIC = standard_space(IntervalDomain(-1.0, 1.0), *NORMS)
+ODD_VALUES = [0.0, -0.0, 1e-12, -1e-12, 5e-324, -2.2250738585072014e-308, 1e-11,
+              np.nextafter(1e-11, 1.0), 0.5, -1.0, 1e-5, 1e-4, math.nan, math.inf]
+
+
+@pytest.mark.parametrize("seed", [1.0, -0.7, 0.3])
+@pytest.mark.parametrize("t_grid", [(0.1, 1.0, 10.0), (1e-9, 1e20)])
+def test_csv_matches_scalar_on_alternating_orbits(seed, t_grid):
+    config = SolverConfig(epsilon=1e-12, t_grid=t_grid, max_iter=500)
+    trace = picard_iterate(SYMMETRIC, SelfMap.scale(-0.5), seed, config)
+    assert min(trace.points) < 0.0 < max(trace.points)
+    assert trace_to_csv(trace) == scalar_trace_to_csv(trace)
+
+
+def test_csv_matches_scalar_on_zeros_tiny_and_subnormal_values():
+    points = ODD_VALUES[:-2] + [0.25, -0.0]
+    rows = len(points) - 1
+    trace = _trace(SYMMETRIC, points, [(ODD_VALUES[:rows], ODD_VALUES[::-1][:rows]),
+                                       (ODD_VALUES[1:rows + 1], [-v for v in ODD_VALUES[:rows]])])
+    assert trace_to_csv(trace) == scalar_trace_to_csv(trace)
+
+
+@pytest.mark.parametrize("labels", [[str(i) for i in range(6)], ["", "β", "a b", "x", "", "ü"]])
+def test_csv_matches_scalar_on_label_domains(labels):
+    metric = [[abs(i - j) / 5 for j in range(6)] for i in range(6)]
+    space = standard_space(FiniteDomain(labels, metric), *NORMS)
+    config = SolverConfig(epsilon=1e-6, t_grid=(0.5, 1.0), max_iter=50)
+    trace = picard_iterate(space, SelfMap.table([1, 2, 3, 4, 5, 5]), 0, config)
+    assert trace.iterations >= 5
+    assert trace_to_csv(trace) == scalar_trace_to_csv(trace)
+    trace = _trace(space, [5, 1, 0, 1, 4, 3, 2], [(ODD_VALUES[:6], ODD_VALUES[6:12])] * 2)
+    assert trace_to_csv(trace) == scalar_trace_to_csv(trace)
+
+
+@pytest.mark.parametrize("domain", [IntervalDomain(0.0, 1.0), FiniteDomain.line(4)])
+def test_csv_matches_scalar_on_a_zero_step_trace(domain):
+    space = crisp_threshold_space(domain, *NORMS)
+    config = SolverConfig(epsilon=1e-6, t_grid=(0.5, 2.0), max_iter=50)
+    seed = 1.0 if isinstance(domain, IntervalDomain) else 3
+    trace = picard_iterate(space, SelfMap.constant(domain.anchor()), seed, config)
+    assert trace.stop_reason == "precondition_failed" and trace.iterations == 0
+    assert trace_to_csv(trace) == scalar_trace_to_csv(trace)
+
+
+@pytest.mark.parametrize("rows", [_CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1,
+                                  3 * _CSV_CHUNK_ROWS])
+def test_csv_matches_scalar_across_chunks(rows):
+    rng = np.random.default_rng(rows)
+
+    def column():
+        return (10.0 ** rng.uniform(-14, 18, rows) * rng.choice([-1.0, 1.0], rows)).tolist()
+
+    trace = _trace(SYMMETRIC, rng.uniform(-1.0, 1.0, rows + 1).tolist(),
+                   [(column(), column()) for _ in range(3)], t_grid=(0.1, 1.0, 10.0))
+    text = trace_to_csv(trace)
+    assert text == scalar_trace_to_csv(trace)
+    assert text.count("\n") == rows + 2
