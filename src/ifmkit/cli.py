@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -34,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._jsonout import dumps
 from .auditor import audit_space
 from .contraction import (
     PsiPhiPair,
@@ -346,7 +348,7 @@ class RunConfig:
 def _write_json(data: dict, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        fh.write(json.dumps(data, indent=2) + "\n")
+        fh.write(dumps(data) + "\n")
 
 
 def _require(config: RunConfig, section: str):
@@ -504,6 +506,7 @@ def cmd_demo(out_dir: Path, seed: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # prog is fixed, and parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ifmkit",
@@ -536,7 +539,7 @@ def main(argv=None) -> int:
             return cmd_demo(Path(args.out), args.seed)
         config = RunConfig.from_path(args.config)
         if args.dump_config:
-            print(json.dumps(config.to_dict(), indent=2))
+            print(dumps(config.to_dict()))
             return EXIT_OK
         out_dir = Path(args.out)
         if args.command == "audit":

@@ -313,7 +313,7 @@ def _probe_function(label: str, fn, grid_size: int, strict_below: bool) -> Funct
     range_viol = [((t,), (v,)) for t, v in zip(grid, values)
                   if math.isnan(v) or v < 0.0 or v > 1.0]
     strict_viol = [((t,), (v,)) for t, v in zip(grid[1:-1], values[1:-1])
-                   if (v >= t if strict_below else v <= t)]
+                   if not (v < t if strict_below else v > t)]
 
     deltas = [values[i + 1] - values[i] for i in range(len(values) - 1)]
     nondec = all(d >= -CHECK_TOL for d in deltas)

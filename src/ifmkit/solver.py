@@ -439,8 +439,9 @@ def check_joint_continuity(space: IFSpace, xs, ys, x, y, t: float, tol: float) -
     find the first index past which both sequences are within tol of their
     limits (mu >= 1 - tol and nu <= tol against the limit point) and check
     that from there on |mu(x_n, y_n, t) - mu(x, y, t)| <= tol, and the same
-    for nu.  On spaces without the strong triangle bound the result carries
-    a hypothesis warning rather than failing.
+    for nu.  A NaN gap fails the check and is reported as the max gap.  On
+    spaces without the strong triangle bound the result carries a
+    hypothesis warning rather than failing.
     """
     if t <= 0:
         raise DomainError("t must be positive")
@@ -462,11 +463,10 @@ def check_joint_continuity(space: IFSpace, xs, ys, x, y, t: float, tol: float) -
         return JointContinuityResult(False, None, None, None, warning)
     mu_target = mu(x, y, t)
     nu_target = nu(x, y, t)
-    max_mu_gap = 0.0
-    max_nu_gap = 0.0
-    for n in range(threshold, len(xs)):
-        max_mu_gap = max(max_mu_gap, abs(mu(xs[n], ys[n], t) - mu_target))
-        max_nu_gap = max(max_nu_gap, abs(nu(xs[n], ys[n], t) - nu_target))
+    # np.max keeps a NaN gap, which fails the check below; max() would drop it
+    gaps = np.array([(abs(mu(xs[n], ys[n], t) - mu_target), abs(nu(xs[n], ys[n], t) - nu_target))
+                     for n in range(threshold, len(xs))])
+    max_mu_gap, max_nu_gap = map(float, gaps.max(axis=0))
     ok = max_mu_gap <= tol and max_nu_gap <= tol
     return JointContinuityResult(ok, threshold, max_mu_gap, max_nu_gap, warning)
 

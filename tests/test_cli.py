@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from ifmkit import cli
 from ifmkit.cli import (
     EXIT_CONFIG,
     EXIT_NO_CONVERGENCE,
@@ -286,6 +287,15 @@ class TestAuditCommand:
         a = json.loads((tmp_path / "a" / "audit.json").read_text())
         b = json.loads((tmp_path / "b" / "audit.json").read_text())
         assert a["sampler"]["seed"] == 1 and b["sampler"]["seed"] == 2
+
+    def test_calls_share_one_parser_and_parse_independently(self, tmp_path):
+        path = write_config(tmp_path, crisp_config())
+        main(["audit", "--config", path, "--out", str(tmp_path / "a"), "--seed", "3"])
+        main(["audit", "--config", path, "--out", str(tmp_path / "b")])
+        a = json.loads((tmp_path / "a" / "audit.json").read_text())
+        b = json.loads((tmp_path / "b" / "audit.json").read_text())
+        assert a["sampler"]["seed"] == 3 and b["sampler"]["seed"] == 0
+        assert cli._build_parser() is cli._build_parser()
 
 
 class TestContractCommand:

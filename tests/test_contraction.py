@@ -175,6 +175,16 @@ class TestAdmissibility:
         # the largest jump that is not NaN: 0.05 between neighbours 0.1 apart
         assert report.psi.max_grid_jump == pytest.approx(0.05)
 
+    @pytest.mark.parametrize("side", ["psi", "phi"])
+    def test_nan_value_fails_strictness(self, side):
+        k_pair = pair_from_k(0.5)
+        fn = getattr(k_pair, side)
+        controls = {"psi": k_pair.psi, "phi": k_pair.phi,
+                    side: lambda s: math.nan if s == 0.5 else fn(s)}
+        report = getattr(check_admissible(PsiPhiPair(**controls), 11), side)
+        assert not report.strict_ok
+        assert report.strict_witness[0] == 0.5 and math.isnan(report.strict_witness[1])
+
 
 class TestPsiPhiCheck:
     def test_halving_map_clean(self, unit_space):

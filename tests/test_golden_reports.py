@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from ifmkit import PsiPhiPair, TConorm, TNorm, check_admissible, check_norm_axioms, pair_from_k
-from ifmkit.cli import EXIT_OK, EXIT_VIOLATIONS, main
+from ifmkit.cli import EXIT_NOT_UNIQUE, EXIT_OK, EXIT_VIOLATIONS, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -33,6 +33,9 @@ CASES = {
     "contract_k_halving": (["contract", "--config"], EXIT_VIOLATIONS),
     "contract_line12_table": (["contract", "--config"], EXIT_VIOLATIONS),
     "solve_halving": (["solve", "--config"], EXIT_OK),
+    # table map with fixed points 0, 5 and 11, solved from every point:
+    # 66 witness rows, written as one table
+    "solve_line12_all_seeds": (["solve", "--config"], EXIT_NOT_UNIQUE),
     "demo": (["demo", "--seed", "0"], EXIT_OK),
 }
 

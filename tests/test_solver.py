@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -394,6 +396,17 @@ class TestJointContinuity:
         xs = [0.5, 0.9, 0.5, 0.9]
         result = check_joint_continuity(unit_space, xs, [1.0] * 4, 0.0, 1.0, 1.0, 1e-3)
         assert not result and result.threshold_index is None
+
+
+    @pytest.mark.parametrize("side", ["mu", "nu"])
+    def test_nan_grade_at_limit_pair_fails(self, unit_space, side):
+        grade = getattr(unit_space, side)
+        nan_grade = lambda x, y, t: math.nan if (x, y) == (0.5, 0.6) else grade(x, y, t)  # noqa: E731
+        space = dataclasses.replace(unit_space, **{side: nan_grade})
+        result = check_joint_continuity(space, [0.5] * 5, [0.6] * 5, 0.5, 0.6, 1.0, 1e-3)
+        assert not result and result.threshold_index == 0
+        gaps = {"mu": result.max_mu_gap, "nu": result.max_nu_gap}
+        assert math.isnan(gaps.pop(side)) and gaps.popitem()[1] == 0.0
 
 
 class TestTraceCsv:
