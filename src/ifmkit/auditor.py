@@ -22,15 +22,16 @@ strong-triangle inequalities on spaces that claim them:
           checked only on spaces tagged non-Archimedean, SKIPPED otherwise.
 
 A violation must exceed 1e-12 on the violating side, so rounding noise
-cannot fail a sound space.  Reports are deterministic given the sampler
-seed, and byte-identical when serialized twice.
+cannot fail a sound space; a NaN grade fails every condition, so it always
+violates.  Reports are deterministic given the sampler seed, and
+byte-identical when serialized twice.
 
 The rows are array comparisons over grade tables, built one chunk of drawn
 tuples at a time.  Per chunk, mu and nu are tabulated once over the t-grid
 for (x, y), (y, x), (y, z) and the singles (x, x), and once over the grid
 plus every t+s and max(t, s) for (x, z); v, x and na-* index into those
-tables instead of grading again.  A chunk covers at most 2^14
-(tuple, t, s) cells, so no array grows with the sample count.
+tables instead of grading again.  A chunk covers at most 2^14 (tuple, t,
+s) cells (`sampling.chunks`), so no array grows with the sample count.
 
 Array forms travel with the functions: a grade function or t-(co)norm
 function may carry one as its ``array`` attribute, and the built-ins of
@@ -39,18 +40,20 @@ without one (a custom space, or any wrapper around a built-in) fills the
 same tables by element-wise calls on plain Python floats and ints, so a
 replaced mu or nu is never audited through a stale array form.
 
-Each row's comparison is one predicate over grade values, written so that
-it works on Python floats and numpy arrays alike: `_ArrayScan` applies it
-to grade tables and `violation_margin` to the grades of one witness, so a
-reported witness re-checks by the very comparison that found it.
+Each row's comparison is one predicate over grade values, the negation of
+the condition that must hold, written so that it works on Python floats
+and numpy arrays alike: `_ArrayScan` applies it to grade tables and
+`violation_margin` to the grades of one witness, so a reported witness
+re-checks by the very comparison that found it.
 `minimize_witness` shrinks witnesses through `sampling.shrink`.
 
-Each row keeps its exact violation count and its first ten witnesses in
-the order of a tuple-by-tuple scan: (pair, t) for the pair rows; singles,
-then distinct pairs, for iii/viii; (triple, t, s) with t outer for v/x;
-per triple the single-t entries, then the (t, s) entries, for na-*.  The
-all-grid iii/viii witness is the min((mu, t)) / max((nu, t)) over the
-grid.  Witness points, times and sides are plain Python scalars, so the
+Each row keeps (`sampling.Recorder`) its exact violation count and its
+first ten witnesses in the order of a tuple-by-tuple scan: (pair, t) for
+the pair rows; singles, then distinct pairs, for iii/viii; (triple, t, s)
+with t outer for v/x; per triple the single-t entries, then the (t, s)
+entries, for na-*.  The all-grid iii/viii witness is the min((mu, t)) /
+max((nu, t)) over the grid, or a NaN grade at the least t that has one.
+Witness points, times and sides are plain Python scalars, so the
 serialized report is byte-identical to that of the scalar loop.
 """
 
@@ -63,16 +66,13 @@ import numpy as np
 
 from ._jsonout import dumps
 from .errors import PreconditionError, WitnessIntegrityError
-from .sampling import EXHAUSTIVE, MAX_WITNESSES, SamplerConfig, chunks, draw_array, shrink
+from .sampling import EXHAUSTIVE, Recorder, SamplerConfig, chunks, draw_array, shrink, violated
 from .sampling import draw_tuples  # noqa: F401  perfbench/tracer.py patches this name
-from .spaces import IFSpace, NON_ARCHIMEDEAN, array_form
+from .spaces import IFSpace, NON_ARCHIMEDEAN, array_form, grade_tables
 
 AUDIT_TOL = 1e-12
 _CONTINUITY_GRID_POINTS = 64
 _CONTINUITY_PROBE_PAIRS = 8
-# Grade tables are built per chunk of tuples; a chunk holds at most this
-# many (tuple, t, s) cells, so memory stays bounded for any grid size.
-_CHUNK_CELLS = 1 << 14
 
 AXIOM_ORDER = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x", "xi",
                "na-mu", "na-nu")
@@ -159,28 +159,12 @@ class AuditReport:
         return dumps(self.to_dict()) + "\n"
 
 
-class _Collector:
-    """Accumulates violations for one axiom, keeping the first few."""
-
-    __slots__ = ("axiom", "count", "witnesses")
+class _Collector(Recorder):
+    """The violations of one axiom, recorded as `Witness` objects."""
 
     def __init__(self, axiom: str):
+        super().__init__()
         self.axiom = axiom
-        self.count = 0
-        self.witnesses = []
-
-    def add(self, x, y, t, z=None, s=None, lhs=0.0, rhs=0.0):
-        self.witnesses.append(Witness(self.axiom, x, y, t, z=z, s=s, lhs=lhs, rhs=rhs))
-
-    def take(self, mask) -> list[int]:
-        """Count the hits of a boolean mask; return the flat indices, in
-        row-major order, of those that still fit among the witnesses."""
-        hits = int(np.count_nonzero(mask))
-        self.count += hits
-        room = MAX_WITNESSES - len(self.witnesses)
-        if not hits or room <= 0:
-            return []
-        return np.flatnonzero(mask)[:room].tolist()
 
     def scan(self, mask, lhs, rhs, points, times):
         """Record the hits of a (tuples, len(times)) mask.
@@ -189,21 +173,14 @@ class _Collector:
         None) and column c the ``times[c] = (t, s)`` pair; lhs and rhs
         broadcast to the mask's shape.
         """
-        cells = self.take(mask)
-        if not cells:
-            return
-        lhs = np.broadcast_to(lhs, mask.shape)
-        rhs = np.broadcast_to(rhs, mask.shape)
-        for cell in cells:
-            r, c = divmod(cell, mask.shape[1])
+        def witness(r, c):
             x, y, z = (None if p is None else p[r].tolist() for p in points)
             t, s = times[c]
-            self.add(x, y, t, z=z, s=s, lhs=lhs[r, c].tolist(), rhs=rhs[r, c].tolist())
+            return Witness(self.axiom, x, y, t, z=z, s=s,
+                           lhs=np.broadcast_to(lhs, mask.shape)[r, c].tolist(),
+                           rhs=np.broadcast_to(rhs, mask.shape)[r, c].tolist())
 
-    def merge(self, later: "_Collector"):
-        """Append the violations of a later scan of the same axiom."""
-        self.count += later.count
-        self.witnesses += later.witnesses[:MAX_WITNESSES - len(self.witnesses)]
+        self.record(mask, witness)
 
     def finish(self, detail=None) -> AxiomCheck:
         status = "FAIL" if self.count else "PASS"
@@ -212,38 +189,39 @@ class _Collector:
 
 # Row predicates: grade values -> (violated, lhs, rhs).  Each works on Python
 # floats and on numpy arrays alike, so `_ArrayScan` applies it to grade
-# tables and `violation_margin` to the grades of one witness.  A comparison
-# with NaN is false, so NaN grades never count as violations here.
+# tables and `violation_margin` to the grades of one witness.  Each is the
+# negation of the condition that must hold: a comparison with NaN is false,
+# so a NaN grade counts as a violation.
 
 
 def _sum_at_most_one(m, n):  # i
     total = m + n
-    return total > 1.0 + AUDIT_TOL, total, 1.0
+    return violated(total <= 1.0 + AUDIT_TOL), total, 1.0
 
 
 def _positive(g):  # ii; vii and viii on distinct pairs
-    return g <= 0.0, g, 0.0
+    return violated(g > 0.0), g, 0.0
 
 
 def _below_one(m):  # iii on distinct pairs, at each sampled t
     # strict, so a grade genuinely below 1 is never a false positive
-    return m >= 1.0, m, 1.0
+    return violated(m < 1.0), m, 1.0
 
 
 def _equal(left, right):  # iv, ix; iii and viii on the diagonal (right = 1, 0)
-    return abs(left - right) > AUDIT_TOL, left, right
+    return violated(abs(left - right) <= AUDIT_TOL), left, right
 
 
 def _mu_triangle(lhs, bound):  # v, na-mu
-    return lhs < bound - AUDIT_TOL, lhs, bound
+    return violated(lhs >= bound - AUDIT_TOL), lhs, bound
 
 
 def _nu_triangle(lhs, bound):  # x, na-nu
-    return lhs > bound + AUDIT_TOL, lhs, bound
+    return violated(lhs <= bound + AUDIT_TOL), lhs, bound
 
 
 def _nu_positive_unless_near(distinct, m, n):  # vii
-    return distinct & (m < 1.0 - AUDIT_TOL) & (n <= 0.0), n, 0.0
+    return distinct & violated((m >= 1.0 - AUDIT_TOL) | (n > 0.0)), n, 0.0
 
 
 def violation_margin(space: IFSpace, w: Witness):
@@ -298,14 +276,12 @@ class _ArrayScan:
     """
 
     def __init__(self, space: IFSpace, grid: tuple[float, ...]):
-        self.mu = array_form(space.mu, 3)
-        self.nu = array_form(space.nu, 3)
+        self.space = space
         self.tnorm = array_form(space.tnorm.fn, 2)
         self.tconorm = array_form(space.tconorm.fn, 2)
         self.same = space.domain.same_point
         self.non_archimedean = space.triangle_mode == NON_ARCHIMEDEAN
         g = len(grid)
-        self.chunk = max(1, _CHUNK_CELLS // (g * g))
         self.t_grid = grid
         self.grid = np.array(grid)
         t, s = self.grid[:, None], self.grid[None, :]
@@ -325,8 +301,7 @@ class _ArrayScan:
     def grades(self, a, b, times=None):
         """(mu, nu) tables of shape (len(a), len(times)); the grid by default."""
         times = self.grid if times is None else times
-        a, b = a[:, None], b[:, None]
-        return self.mu(a, b, times), self.nu(a, b, times)
+        return grade_tables(self.space, a[:, None], b[:, None], times)
 
     def pairs(self, x, y, mxy, nxy):
         col, times, pts = self.col, self.single_times, (x, y, None)
@@ -337,15 +312,22 @@ class _ArrayScan:
         col["ix"].scan(*_equal(nxy, nyx), pts, times)
         distinct = np.logical_not(self.same(x, y))
         col["vii"].scan(*_nu_positive_unless_near(distinct[:, None], mxy, nxy), pts, times)
-        # sampled identity of indiscernibles: distinct pairs fully near /
-        # fully non-far at every grid t; the witness is the worst t
-        near, far = self.indiscernible["iii"], self.indiscernible["viii"]
-        for r in near.take(distinct & _below_one(mxy)[0].all(axis=1)):
-            m, t = min(zip(mxy[r].tolist(), self.t_grid))
-            near.add(x[r].tolist(), y[r].tolist(), t, lhs=m, rhs=1.0)
-        for r in far.take(distinct & _positive(nxy)[0].all(axis=1)):
-            n, t = max(zip(nxy[r].tolist(), self.t_grid))
-            far.add(x[r].tolist(), y[r].tolist(), t, lhs=n, rhs=0.0)
+        # sampled identity of indiscernibles: distinct pairs fully near / non-far
+        self._indiscernible("iii", _below_one, min, mxy, x, y, distinct)
+        self._indiscernible("viii", _positive, max, nxy, x, y, distinct)
+
+    def _indiscernible(self, axiom, row, worst, grades, x, y, distinct):
+        """Record the distinct pairs that violate ``row`` at every grid t; the
+        witness is the worst (grade, t), or a NaN grade at its least t."""
+        bad, _, rhs = row(grades)
+
+        def witness(r):
+            cells = list(zip(grades[r].tolist(), self.t_grid))
+            nan_times = [t for g, t in cells if g != g]
+            g, t = (math.nan, min(nan_times)) if nan_times else worst(cells)
+            return Witness(axiom, x[r].tolist(), y[r].tolist(), t, lhs=g, rhs=rhs)
+
+        self.indiscernible[axiom].record(distinct & bad.all(axis=1), witness)
 
     def singles(self, x):
         col, times, pts = self.col, self.single_times, (x, x, None)
@@ -383,24 +365,25 @@ def audit_space(space: IFSpace, sampler: SamplerConfig) -> AuditReport:
     domain = space.domain
     grid = sampler.t_grid
     scan = _ArrayScan(space, grid)
+    cells = len(grid) ** 2  # the (t, s) cells of one tuple
 
     triples = draw_array(domain, sampler, 3)
     if sampler.mode == EXHAUSTIVE:
         # enumerate each tuple exactly once so violation counts are exact
         pairs = draw_array(domain, sampler, 2)
-        for chunk in chunks(pairs, scan.chunk):
+        for chunk in chunks(pairs, cells):
             x, y = chunk.T
             scan.pairs(x, y, *scan.grades(x, y))
-        for chunk in chunks(draw_array(domain, sampler, 1), scan.chunk):
+        for chunk in chunks(draw_array(domain, sampler, 1), cells):
             scan.singles(chunk[:, 0])
-        for chunk in chunks(triples, scan.chunk):
+        for chunk in chunks(triples, cells):
             x, y, z = chunk.T
             scan.triples(x, y, z, *scan.grades(x, y))
     else:
         # pairs and singles are the prefixes of the triples, so one set of
         # (x, y) tables serves all three scans
         pairs = triples[:, :2]
-        for chunk in chunks(triples, scan.chunk):
+        for chunk in chunks(triples, cells):
             x, y, z = chunk.T
             mxy, nxy = scan.grades(x, y)
             scan.pairs(x, y, mxy, nxy)
@@ -439,11 +422,9 @@ def _continuity_probe(axiom: str, grade_fn, pairs, grid) -> AxiomCheck:
         for i in range(_CONTINUITY_GRID_POINTS)
     ]
     pairs = pairs[:_CONTINUITY_PROBE_PAIRS]
-    max_delta = 0.0
-    for x, y in pairs:
-        values = [grade_fn(x, y, t) for t in tgrid]
-        for a, b in zip(values, values[1:]):
-            max_delta = max(max_delta, abs(b - a))
+    values = np.array([[grade_fn(x, y, t) for t in tgrid] for x, y in pairs], dtype=float)
+    # np.max keeps a NaN delta, which max() would drop
+    max_delta = np.max(np.abs(np.diff(values, axis=-1)), initial=0.0)
     return AxiomCheck(
         axiom,
         "PROBED",

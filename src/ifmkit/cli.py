@@ -250,7 +250,7 @@ def _read_sampler(cfg: dict, domain) -> tuple[dict, SamplerConfig]:
         mode=mode,
         sample_count=_integer(cfg, "sample_count", "sampler", lo=1),
         t_grid=_t_grid(cfg, "sampler"),
-        seed=_integer(cfg, "seed", "sampler", lo=0, default=0),
+        seed=_integer(cfg, "seed", "sampler", lo=0, default=SamplerConfig.seed),
     )
     return sampler.to_dict(), sampler
 
@@ -258,8 +258,8 @@ def _read_sampler(cfg: dict, domain) -> tuple[dict, SamplerConfig]:
 def _read_solver(cfg: dict, domain) -> tuple[dict, SolverConfig]:
     epsilon = _unit_open(cfg, "epsilon", "solver")
     t_grid = _t_grid(cfg, "solver", increasing=True)
-    max_iter = _integer(cfg, "max_iter", "solver", lo=1, default=10**6)
-    point_tol = _number(cfg, "point_tol", "solver", lo=0.0, default=1e-8)
+    max_iter = _integer(cfg, "max_iter", "solver", lo=1, default=SolverConfig.max_iter)
+    point_tol = _number(cfg, "point_tol", "solver", lo=0.0, default=SolverConfig.point_tol)
     seeds = _expect(cfg, "seeds", "solver", list)
     if not seeds:
         raise ConfigError("solver.seeds", "must list at least one starting point")
@@ -274,7 +274,8 @@ def _read_solver(cfg: dict, domain) -> tuple[dict, SolverConfig]:
         max_iter=max_iter,
         point_tol=point_tol,
         seeds=tuple(seeds),
-        cauchy_window=_integer(cfg, "cauchy_window", "solver", lo=2, default=5),
+        cauchy_window=_integer(cfg, "cauchy_window", "solver", lo=2,
+                               default=SolverConfig.cauchy_window),
     )
     return solver.to_dict(), solver
 
@@ -351,6 +352,13 @@ def _write_json(data: dict, path: Path) -> None:
         fh.write(dumps(data) + "\n")
 
 
+def _write_solve(data: dict, traces, out_dir: Path) -> None:
+    """solve.json, and one trace_seed{i}.csv per Picard trace."""
+    _write_json(data, out_dir / "solve.json")
+    for i, tr in enumerate(traces):
+        write_trace_csv(tr, out_dir / f"trace_seed{i}.csv")
+
+
 def _require(config: RunConfig, section: str):
     value = getattr(config, section)
     if value is None:
@@ -403,30 +411,21 @@ def cmd_solve(config: RunConfig, out_dir: Path) -> int:
     space = config.space
     f = _require(config, "map")
     solver_cfg = _require(config, "solver")
-    if isinstance(space.domain, FiniteDomain):
-        report = edelstein_solve(space, f, solver_cfg)
-        _write_json(report.to_dict(), out_dir / "solve.json")
-        if report.fixed_point is None:
-            print("solve: no fixed point; cycle lengths "
-                  f"{report.cycle_lengths}")
-            return EXIT_NO_CONVERGENCE
-    else:
-        try:
-            report = solve_fixed_point(space, f, solver_cfg)
-        except NonConvergenceError as exc:
-            diagnostics = {
-                "converged": False,
-                "stop_reasons": [tr.stop_reason for tr in exc.traces],
-                "iterations_per_seed": [tr.iterations for tr in exc.traces],
-            }
-            _write_json(diagnostics, out_dir / "solve.json")
-            for i, tr in enumerate(exc.traces):
-                write_trace_csv(tr, out_dir / f"trace_seed{i}.csv")
-            print(f"solve: no seed converged within {solver_cfg.max_iter} iterations")
-            return EXIT_NO_CONVERGENCE
-        _write_json(report.to_dict(), out_dir / "solve.json")
-        for i, tr in enumerate(report.traces):
-            write_trace_csv(tr, out_dir / f"trace_seed{i}.csv")
+    solve = edelstein_solve if isinstance(space.domain, FiniteDomain) else solve_fixed_point
+    try:
+        report = solve(space, f, solver_cfg)
+    except NonConvergenceError as exc:  # raised by the Picard engine only
+        diagnostics = {"converged": False,
+                       "stop_reasons": [tr.stop_reason for tr in exc.traces],
+                       "iterations_per_seed": [tr.iterations for tr in exc.traces]}
+        _write_solve(diagnostics, exc.traces, out_dir)
+        print(f"solve: no seed converged within {solver_cfg.max_iter} iterations")
+        return EXIT_NO_CONVERGENCE
+    # an orbit engine's traces are point lists, not Picard traces
+    _write_solve(report.to_dict(), report.traces if report.method == "picard" else (), out_dir)
+    if report.fixed_point is None:  # the orbit engine found only cycles
+        print(f"solve: no fixed point; cycle lengths {report.cycle_lengths}")
+        return EXIT_NO_CONVERGENCE
     shown = space.domain.describe(report.fixed_point)
     if not report.unique:
         print(f"solve: fixed point {shown} but not unique: limits disagree across "
@@ -461,9 +460,7 @@ def cmd_demo(out_dir: Path, seed: int) -> int:
         point_tol=1e-8, seeds=(1.0, 0.7, 0.3),
     )
     report = solve_fixed_point(space, halving, solver_cfg)
-    _write_json(report.to_dict(), scen / "solve.json")
-    for i, tr in enumerate(report.traces):
-        write_trace_csv(tr, scen / f"trace_seed{i}.csv")
+    _write_solve(report.to_dict(), report.traces, scen)
     print(f"demo standard_halving: fixed point {report.fixed_point:.3g}, "
           f"unique={report.unique}")
 

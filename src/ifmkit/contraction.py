@@ -21,16 +21,19 @@ grid oracle in the test suite, which pins this down numerically).
 
 Each condition is written once, as a side predicate over the grade values
 g = grade(x, y, t) and g_f = grade(f(x), f(y), t): `_psi_phi_side` and
-`_k_side`, which work on floats and numpy arrays alike.  The pairwise scan
-applies them to grade tables, its witness shrinker (`sampling.shrink`) to
-the grades of one witness, and the sequence predicates over iteration
-traces to consecutive diagnostic values.
+`_k_side`, which work on floats and numpy arrays alike.  Each is the
+negation of the condition that must hold, so a NaN grade violates; so does
+a NaN at the other end of a vacuous antecedent.  The pairwise scan applies
+them to grade tables, its witness shrinker (`sampling.shrink`) to the
+grades of one witness, and the sequence predicates over iteration traces
+to consecutive diagnostic values.
 
 The scan draws its pairs as one array and works through them in chunks of
-at most 2^14 (pair, t) cells, so memory does not grow with the sample
-count.  Per chunk it maps the points once (`SelfMap.array`), tabulates mu
-and nu of (x, y) and of (f(x), f(y)) over the grid, and applies the side
-predicates as masks; it keeps the exact violation count and the first ten
+at most 2^14 (pair, t) cells (`sampling.chunks`), so memory does not grow
+with the sample count.  Per chunk it maps the points once (`SelfMap.array`),
+tabulates mu and nu of (x, y) and of (f(x), f(y)) over the grid
+(`grade_tables`), and applies the side predicates as masks; a
+`sampling.Recorder` keeps the exact violation count and the first ten
 witnesses in the order of a pair-by-pair scan: pair, then t, then mu
 before nu.  Array forms travel with the functions, as in the auditor:
 grade functions and the `from_k` controls carry one as ``fn.array``, and
@@ -51,18 +54,16 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .norms import _closest_witness
-from .sampling import MAX_WITNESSES, SamplerConfig, chunks, draw_array, shrink
+from .sampling import Recorder, SamplerConfig, chunks, draw_array, shrink, violated
 from .sampling import draw_tuples  # noqa: F401  perfbench/tracer.py patches this name
-from .spaces import IFSpace, IntervalDomain, array_form
+from .spaces import IFSpace, IntervalDomain, array_form, grade_tables
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import IterationTrace
 
 CHECK_TOL = 1e-12
 _JUMP_THRESHOLD = 0.1
-# The scan grades its pairs per chunk; a chunk holds at most this many
-# (pair, t) cells, so memory stays bounded for any sample count.
-_CHUNK_CELLS = 1 << 14
+_SIDES = ("mu", "nu")
 
 
 def psi_from_k(k: float) -> Callable[[float], float]:
@@ -423,9 +424,10 @@ class ContractionReport:
 # as (violated, lhs, rhs) of g = grade(x, y, t) and g_f = grade(f(x), f(y), t).
 # Each works on floats and on numpy arrays alike: the pairwise scan applies
 # it to grade tables, its shrinker and the sequence checks to single values.
-# Where an antecedent fails ("dead"), lhs and rhs take values that make the
-# comparison false.  A comparison with NaN is false, so a NaN grade is never
-# dead and never violates.
+# Each returns the negation of the condition that must hold.  Where an
+# antecedent fails ("dead"), lhs and rhs take values that satisfy it.  A
+# comparison with NaN is false, so a NaN grade is never dead and violates;
+# a NaN at the other end of a dead entry violates too.
 
 
 def _unless(dead, fn, arg, fallback):
@@ -458,27 +460,29 @@ def _psi_phi_side(pair: PsiPhiPair, side: str, g, g_f):
     vacuous antecedents (mu <= 0, nu >= 1) satisfy the implication."""
     if side == "mu":
         lhs = _unless(g <= 0.0, pair.psi, g_f, 0.0)
-        return lhs < g - CHECK_TOL, lhs, g
-    lhs = _unless(g >= 1.0, pair.phi, g_f, 1.0)
-    return lhs > g + CHECK_TOL, lhs, g
+        ok = lhs >= g - CHECK_TOL
+    else:
+        lhs = _unless(g >= 1.0, pair.phi, g_f, 1.0)
+        ok = lhs <= g + CHECK_TOL
+    return violated(ok & (g_f == g_f)), lhs, g
 
 
 def _k_side(k: float, side: str, g, g_f):
     """1/g_f - 1 <= c * (1/g - 1) with c = k on the mu side and 1/k on the
     nu side.  A zero grade on either end skips the comparison (the
-    reciprocal gap is undefined there)."""
+    reciprocal gap is undefined there), unless the other end is NaN."""
     dead = (g <= 0.0) | (g_f <= 0.0)
     lhs = _unless(dead, _gap, g_f, 0.0)
     rhs = (k if side == "mu" else 1.0 / k) * _unless(dead, _gap, g, 0.0)
     # Reciprocal gaps are unbounded, so the tolerance scales with the
     # comparison magnitude; a flat 1e-12 would sit below one ulp for large
-    # gaps and turn rounding noise into violations.  lhs > rhs + tol *
+    # gaps and turn rounding noise into violations.  lhs <= rhs + tol *
     # max(1, |lhs|, |rhs|) is written as one comparison per term of the max
     # (the largest term gives the largest bound), which floats and arrays
     # both evaluate.
-    violated = ((lhs > rhs + CHECK_TOL) & (lhs > rhs + CHECK_TOL * abs(lhs))
-                & (lhs > rhs + CHECK_TOL * abs(rhs)))
-    return violated, lhs, rhs
+    ok = ((lhs <= rhs + CHECK_TOL) | (lhs <= rhs + CHECK_TOL * abs(lhs))
+          | (lhs <= rhs + CHECK_TOL * abs(rhs)))
+    return violated(ok & (g == g) & (g_f == g_f)), lhs, rhs
 
 
 def _minimize_contraction_witness(space, f, side_check, witness: ContractionWitness,
@@ -507,32 +511,24 @@ def _run_contraction_check(space, f, sampler, condition, side_check) -> Contract
     t_grid = sampler.t_grid
     t_target = t_grid[len(t_grid) // 2]
     grid = np.array(t_grid)
-    sides = (("mu", array_form(space.mu, 3)), ("nu", array_form(space.nu, 3)))
-    violations = 0
-    raw_witnesses: list[ContractionWitness] = []
-    for chunk in chunks(pairs, max(1, _CHUNK_CELLS // len(t_grid))):
+    found = Recorder()
+    for chunk in chunks(pairs, len(t_grid)):
         x, y = chunk.T
-        fx, fy = f.array(x)[:, None], f.array(y)[:, None]
-        checked = [side_check(side, grade(x[:, None], y[:, None], grid), grade(fx, fy, grid))
-                   for side, grade in sides]
-        # (pair, t, side): flat order is the pair-by-pair scan order
-        bad = np.stack([violated for violated, _, _ in checked], axis=2)
-        hits = int(np.count_nonzero(bad))
-        violations += hits
-        room = MAX_WITNESSES - len(raw_witnesses)
-        if not hits or room <= 0:
-            continue
-        for cell in np.flatnonzero(bad)[:room].tolist():
-            rc, s = divmod(cell, 2)
-            r, c = divmod(rc, len(t_grid))
+        grades = grade_tables(space, x[:, None], y[:, None], grid)
+        mapped = grade_tables(space, f.array(x)[:, None], f.array(y)[:, None], grid)
+        checked = [side_check(*args) for args in zip(_SIDES, grades, mapped)]
+
+        def witness(r, c, s):
             _, lhs, rhs = checked[s]
-            raw_witnesses.append(ContractionWitness(
-                sides[s][0], x[r].tolist(), y[r].tolist(), t_grid[c],
-                lhs[r, c].tolist(), rhs[r, c].tolist()))
+            return ContractionWitness(_SIDES[s], x[r].tolist(), y[r].tolist(), t_grid[c],
+                                      lhs[r, c].tolist(), rhs[r, c].tolist())
+
+        # (pair, t, side): row-major order is the pair-by-pair scan order
+        found.record(np.stack([bad for bad, _, _ in checked], axis=2), witness)
 
     witnesses = [
         _minimize_contraction_witness(space, f, side_check, w, t_target)
-        for w in raw_witnesses
+        for w in found.witnesses
     ]
     return ContractionReport(
         condition=condition,
@@ -540,7 +536,7 @@ def _run_contraction_check(space, f, sampler, condition, side_check) -> Contract
         map_name=f.name,
         t_grid=t_grid,
         samples_checked=len(pairs),
-        violation_count=violations,
+        violation_count=found.count,
         witnesses=witnesses,
         domain=space.domain,
     )
@@ -591,17 +587,12 @@ def is_k_contractive_sequence(trace: "IterationTrace", k):
 def _first_failing_step(trace, side_check):
     """The pairwise side predicates on consecutive diagnostics: the step
     n -> n+1 maps (x_n, x_{n+1}) to (x_{n+1}, x_{n+2})."""
-    _require_three_points(trace)
+    if len(trace.points) < 3:
+        raise PreconditionError(
+            f"sequence predicates need at least 3 trace points, got {len(trace.points)}")
     for n in range(len(trace.points) - 2):
         for t in trace.t_grid:
             for side, diag in (("mu", trace.mu_diag[t]), ("nu", trace.nu_diag[t])):
                 if side_check(side, diag[n], diag[n + 1])[0]:
                     return False, n
     return True, None
-
-
-def _require_three_points(trace):
-    if len(trace.points) < 3:
-        raise PreconditionError(
-            f"sequence predicates need at least 3 trace points, got {len(trace.points)}"
-        )

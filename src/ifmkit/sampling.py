@@ -1,11 +1,13 @@
-"""Deterministic sample generation and witness shrinking for axiom and
-contraction checks.
+"""Deterministic sample generation, chunking, violation recording and
+witness shrinking for axiom and contraction checks.
 
 All sampling is derived from a single integer seed so that identical
 (space, sampler) inputs yield byte-identical reports.  Exhaustive mode
-enumerates the whole finite domain instead of drawing.  `shrink` is the one
-witness shrinker: both the auditor and the contraction checks halve their
-witnesses' coordinates through it.
+enumerates the whole finite domain instead of drawing.  The auditor and the
+contraction scan share what is defined once here: the chunk budget of their
+grade tables (`chunks`), the recorder of each check's violation count and
+first witnesses (`Recorder`), the negation of a predicate's condition that
+makes a NaN grade violate (`violated`) and the witness shrinker (`shrink`).
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ RANDOM = "random"
 
 MAX_WITNESSES = 10
 _MAX_SHRINK_ROUNDS = 64
+# Grade tables are built per chunk of rows; a chunk holds at most this many
+# cells, so memory stays bounded for any sample count and grid size.
+_CHUNK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -68,10 +73,43 @@ def draw_tuples(domain: PointDomain, cfg: SamplerConfig, arity: int) -> list[tup
     return [tuple(row) for row in draw_array(domain, cfg, arity).tolist()]
 
 
-def chunks(rows, size: int):
-    """Consecutive slices of at most ``size`` rows."""
+def chunks(rows, cells_per_row: int):
+    """Consecutive slices of the rows, each of at most `_CHUNK_CELLS` cells
+    (and at least one row) when every row holds ``cells_per_row`` cells."""
+    size = max(1, _CHUNK_CELLS // cells_per_row)
     for start in range(0, len(rows), size):
         yield rows[start:start + size]
+
+
+def violated(ok):
+    """``not ok`` on a bool, element-wise on a boolean array."""
+    return np.logical_not(ok) if isinstance(ok, np.ndarray) else not ok
+
+
+class Recorder:
+    """The violations of one check: their exact count and the first
+    `MAX_WITNESSES` witnesses."""
+
+    def __init__(self):
+        self.count = 0
+        self.witnesses = []
+
+    def record(self, mask, witness):
+        """Count the hits of a boolean mask of any rank, and keep
+        ``witness(*index)`` for each hit, in row-major order, that still
+        fits among the witnesses."""
+        hits = int(np.count_nonzero(mask))
+        self.count += hits
+        room = MAX_WITNESSES - len(self.witnesses)
+        if hits and room > 0:
+            flat = np.flatnonzero(mask)[:room]
+            for index in zip(*(i.tolist() for i in np.unravel_index(flat, mask.shape))):
+                self.witnesses.append(witness(*index))
+
+    def merge(self, later: "Recorder"):
+        """Append the violations of a later scan of the same check."""
+        self.count += later.count
+        self.witnesses += later.witnesses[:MAX_WITNESSES - len(self.witnesses)]
 
 
 def shrink(domain: PointDomain, coords: dict, targets, violated_at, lhs, rhs):

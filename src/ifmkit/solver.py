@@ -5,13 +5,13 @@ trailing-window Cauchy detector, the stopping rule, fires at the smallest
 grid t.  It takes its steps in blocks: a plain loop of scalar map calls,
 16 steps at first and doubling up to `_BLOCK_CAP` = 1024, then one array
 op that checks every point of the block against the domain and one that
-grades every pair of the block's trailing windows; the latest failing
-step per lag gives the first step whose whole window is near, and the
-points past it are dropped.  It then records, at every grid time t, the
-consecutive-step grades mu(x_n, x_{n+1}, t) and nu(x_n, x_{n+1}, t),
-tabulated in one pass over the orbit.  Both passes grade through the
-grade functions' array forms (`spaces.array_form`; a grade function
-without one is called element-wise).  For a psi-phi contractive
+grades every pair of the block's trailing windows; the newest older point
+of a pair that is not near gives the first step whose whole window is
+near, and the points past it are dropped.  It then records, at every grid
+time t, the consecutive-step grades mu(x_n, x_{n+1}, t) and
+nu(x_n, x_{n+1}, t), tabulated in one pass over the orbit.  Both passes
+grade through `spaces.grade_tables` (a grade function without an array
+form is called element-wise).  For a psi-phi contractive
 map the mu diagnostic is non-decreasing and the nu diagnostic
 non-increasing in n.
 
@@ -32,7 +32,7 @@ import numpy as np
 
 from .contraction import SelfMap
 from .errors import DomainError, NonConvergenceError, PreconditionError
-from .spaces import FiniteDomain, IFSpace, NON_ARCHIMEDEAN, array_form, time_grid
+from .spaces import FiniteDomain, IFSpace, NON_ARCHIMEDEAN, grade_tables, time_grid
 
 _G_CAUCHY_TAIL_PAIRS = 3
 # The Picard loop takes its steps in blocks: the first block has this many
@@ -99,17 +99,11 @@ class IterationTrace:
         return self.points[-1]
 
 
-def _near(mu, nu, epsilon):
-    """Cauchy nearness of grades, on floats and arrays alike: mu > 1 - epsilon
-    and nu < epsilon.  NaN grades are not near."""
-    return (mu > 1.0 - epsilon) & (nu < epsilon)
-
-
 def _near_pairs(space: IFSpace, older, newer, t: float, epsilon: float) -> np.ndarray:
-    """`_near` of every pair (older[i], newer[i]) at t, graded through the
-    grade functions' array forms."""
-    mu, nu = (array_form(grade, 3)(older, newer, t) for grade in (space.mu, space.nu))
-    return _near(mu, nu, epsilon)
+    """Cauchy nearness of every pair (older[i], newer[i]) at t: mu > 1 - epsilon
+    and nu < epsilon.  NaN grades are not near."""
+    mu, nu = grade_tables(space, older, newer, t)
+    return (mu > 1.0 - epsilon) & (nu < epsilon)
 
 
 def detect_m_cauchy(trace: IterationTrace, epsilon: float, t: float, window: int) -> bool:
@@ -187,7 +181,7 @@ def picard_iterate(space: IFSpace, f: SelfMap, x0, config: SolverConfig) -> Iter
     near = partial(_near_pairs, space, t=grid[0], epsilon=config.epsilon)
     step = f.fn
     lags = np.arange(1, config.cauchy_window)
-    last_fail = np.full(lags.size, -1)
+    last_fail = -1
     points = [x0]
     x, block = fx0, [fx0]  # the first step ran in the precondition check
     size = min(_FIRST_BLOCK, _BLOCK_CAP)
@@ -215,22 +209,24 @@ def picard_iterate(space: IFSpace, f: SelfMap, x0, config: SolverConfig) -> Iter
         if len(points) > config.max_iter:
             break
         block, size = [], min(2 * size, _BLOCK_CAP)
-    mu_diag, nu_diag = (_step_grades(grade, points, grid) for grade in (space.mu, space.nu))
+    pts = np.array(points)
+    mu_diag, nu_diag = (dict(zip(grid, table.T.tolist())) for table in grade_tables(
+        space, pts[:-1, None], pts[1:, None], np.array(grid)))
     return IterationTrace(
         space=space, map=f, t_grid=grid, points=points,
         mu_diag=mu_diag, nu_diag=nu_diag, stop_reason=stop_reason,
     )
 
 
-def _window_stop(near, points: list, block: list, lags: np.ndarray, last_fail: np.ndarray):
+def _window_stop(near, points: list, block: list, lags: np.ndarray, last_fail: int):
     """The index in `block` of the first step whose trailing window is near,
-    or None, and the latest failing step per lag up to the block's end.
+    or None, and the newest older step of a pair that is not near, up to
+    the block's end (-1 if none).
 
-    `block` continues the orbit `points`.  The window at step k holds
-    x_{k-w+1}..x_k with w = min(cauchy_window, k + 1), so its pairs of lag
-    L are (x_{j-L}, x_j) for L <= j, j - L >= k - cauchy_window + 1 and j <= k.
-    The window is near exactly when, for every lag, the latest step j whose
-    pair is not near lies below L + max(0, k - cauchy_window + 1).
+    `block` continues the orbit `points`.  The window at step k holds x_i
+    for lo(k) <= i <= k, lo(k) = max(0, k - cauchy_window + 1), so it is
+    near exactly when every pair (x_i, x_j) with i < j <= k and
+    j - i < cauchy_window that is not near has i < lo(k).
     """
     if not block:
         return None, last_fail
@@ -242,18 +238,12 @@ def _window_stop(near, points: list, block: list, lags: np.ndarray, last_fail: n
     exists = older >= 0  # in the first steps, j - L < 0 for the longer lags
     fail = np.zeros(older.shape, dtype=bool)
     fail[exists] = ~near(pts[older[exists]], pts[newer[exists]])
-    steps = np.arange(first, first + len(block))[:, None]
-    last = np.maximum(np.maximum.accumulate(np.where(fail, steps, -1)), last_fail)
-    near_window = (last < lags + np.maximum(steps - lags.size, 0)).all(axis=1)
+    steps = np.arange(first, first + len(block))
+    older_fail = np.where(fail, steps[:, None] - lags, -1).max(axis=1)
+    last = np.maximum(np.maximum.accumulate(older_fail), last_fail)
+    near_window = last < np.maximum(steps - lags.size, 0)
     stop = int(near_window.argmax()) if near_window.any() else None
-    return stop, last[-1]
-
-
-def _step_grades(grade, points, grid) -> dict[float, list[float]]:
-    """``{t: [grade(x_n, x_{n+1}, t) for each n]}`` over the grid."""
-    pts = np.array(points)
-    table = array_form(grade, 3)(pts[:-1, None], pts[1:, None], np.array(grid))
-    return dict(zip(grid, table.T.tolist()))
+    return stop, int(last[-1])
 
 
 @dataclass(frozen=True)

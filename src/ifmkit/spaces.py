@@ -12,9 +12,10 @@ the place where axioms are certified or falsified, and `eval_mu` /
 `eval_nu` validate single queries.
 
 The built-in spaces attach an element-wise form of each grade function as
-``mu.array`` / ``nu.array``, which the auditor, the contraction scan and
-the Picard loop evaluate on point and time arrays (`array_form`);
-``same_point`` of either domain also works element-wise.  ``contains_array``
+``mu.array`` / ``nu.array``.  The auditor, the contraction scan and the
+Picard loop grade point and time arrays through one call, `grade_tables`,
+which uses these forms (`array_form`); ``same_point`` of either domain
+also works element-wise.  ``contains_array``
 is ``contains`` over a list of points: one array comparison when every
 point is exactly a ``float`` (interval) or an ``int`` (finite), where the
 two agree by construction, else ``contains`` per point.
@@ -51,8 +52,6 @@ class IntervalDomain:
             raise DomainError("interval bounds must be finite")
         if not self.lo < self.hi:
             raise DomainError(f"interval requires lo < hi, got [{self.lo}, {self.hi}]")
-
-    kind = "interval"
 
     def contains(self, p) -> bool:
         # real numbers only, numpy's bools included: a numeric string is not a point
@@ -93,8 +92,6 @@ class FiniteDomain:
     construction: square, nonnegative, zero diagonal, symmetric, and the
     triangle inequality must hold (all within 1e-12).
     """
-
-    kind = "finite"
 
     def __init__(self, labels, metric):
         labels = tuple(str(lab) for lab in labels)
@@ -206,6 +203,12 @@ def array_form(fn, nargs: int):
         return form
     scalar = np.frompyfunc(fn, nargs, 1)
     return lambda *args: scalar(*args).astype(float)
+
+
+def grade_tables(space: "IFSpace", x, y, t):
+    """(mu, nu) of the space at the broadcast arrays of points x, y and
+    times t, through the grade functions' array forms (`array_form`)."""
+    return array_form(space.mu, 3)(x, y, t), array_form(space.nu, 3)(x, y, t)
 
 
 @dataclass(frozen=True, eq=False)

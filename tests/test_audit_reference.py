@@ -3,7 +3,8 @@
 `scalar_audit_space` is the per-tuple loop `audit_space` used to run: one
 scalar grade call per (tuple, t) or (tuple, t, s) and one Python comparison
 per predicate.  It stays here as the reference the array path must match in
-every count, witness and serialized byte.
+every count, witness and serialized byte.  Each comparison is written as
+"not (the condition that must hold)", so a NaN grade violates.
 """
 
 import dataclasses
@@ -28,11 +29,10 @@ from ifmkit import (
     crisp_threshold_space,
     standard_space,
 )
-from ifmkit import auditor
+from ifmkit import sampling
 from ifmkit.auditor import (
     AUDIT_TOL,
     AXIOM_ORDER,
-    MAX_WITNESSES,
     AuditReport,
     AxiomCheck,
     Witness,
@@ -40,7 +40,7 @@ from ifmkit.auditor import (
     minimize_witness,
     violation_margin,
 )
-from ifmkit.sampling import draw_tuples
+from ifmkit.sampling import MAX_WITNESSES, draw_tuples
 
 
 class _ScalarCollector:
@@ -84,48 +84,50 @@ def scalar_audit_space(space, sampler):
         for t in grid:
             m = mu(x, y, t)
             n = nu(x, y, t)
-            if m + n > 1.0 + tol:
+            if not (m + n <= 1.0 + tol):
                 col["i"].add(x, y, t, lhs=m + n, rhs=1.0)
-            if m <= 0.0:
+            if not (m > 0.0):
                 col["ii"].add(x, y, t, lhs=m, rhs=0.0)
             msym = mu(y, x, t)
-            if abs(m - msym) > tol:
+            if not (abs(m - msym) <= tol):
                 col["iv"].add(x, y, t, lhs=m, rhs=msym)
             nsym = nu(y, x, t)
-            if abs(n - nsym) > tol:
+            if not (abs(n - nsym) <= tol):
                 col["ix"].add(x, y, t, lhs=n, rhs=nsym)
-            if not same(x, y) and m < 1.0 - tol and n <= 0.0:
+            if not same(x, y) and not (m >= 1.0 - tol or n > 0.0):
                 col["vii"].add(x, y, t, lhs=n, rhs=0.0)
 
     for x in singles:
         for t in grid:
             m = mu(x, x, t)
-            if abs(m - 1.0) > tol:
+            if not (abs(m - 1.0) <= tol):
                 col["iii"].add(x, x, t, lhs=m, rhs=1.0)
             n = nu(x, x, t)
-            if abs(n) > tol:
+            if not (abs(n) <= tol):
                 col["viii"].add(x, x, t, lhs=n, rhs=0.0)
     for x, y in pairs:
         if same(x, y):
             continue
         mus = [(mu(x, y, t), t) for t in grid]
-        if all(m >= 1.0 for m, _ in mus):
-            worst = min(mus)
+        if all(not (m < 1.0) for m, _ in mus):
+            nan_times = [t for m, t in mus if math.isnan(m)]
+            worst = (math.nan, min(nan_times)) if nan_times else min(mus)
             col["iii"].add(x, y, worst[1], lhs=worst[0], rhs=1.0)
         nus = [(nu(x, y, t), t) for t in grid]
-        if all(n <= 0.0 for n, _ in nus):
-            worst = max(nus)
+        if all(not (n > 0.0) for n, _ in nus):
+            nan_times = [t for n, t in nus if math.isnan(n)]
+            worst = (math.nan, min(nan_times)) if nan_times else max(nus)
             col["viii"].add(x, y, worst[1], lhs=worst[0], rhs=0.0)
 
     for x, y, z in triples:
         for t, s in ts_pairs:
             bound = tnorm_fn(mu(x, y, t), mu(y, z, s))
             lhs = mu(x, z, t + s)
-            if lhs < bound - tol:
+            if not (lhs >= bound - tol):
                 col["v"].add(x, y, t, z=z, s=s, lhs=lhs, rhs=bound)
             nbound = tconorm_fn(nu(x, y, t), nu(y, z, s))
             nlhs = nu(x, z, t + s)
-            if nlhs > nbound + tol:
+            if not (nlhs <= nbound + tol):
                 col["x"].add(x, y, t, z=z, s=s, lhs=nlhs, rhs=nbound)
 
     checks = [
@@ -147,21 +149,21 @@ def scalar_audit_space(space, sampler):
             for t in grid:
                 bound = tnorm_fn(mu(x, y, t), mu(y, z, t))
                 lhs = mu(x, z, t)
-                if lhs < bound - tol:
+                if not (lhs >= bound - tol):
                     col["na-mu"].add(x, y, t, z=z, lhs=lhs, rhs=bound)
                 nbound = tconorm_fn(nu(x, y, t), nu(y, z, t))
                 nlhs = nu(x, z, t)
-                if nlhs > nbound + tol:
+                if not (nlhs <= nbound + tol):
                     col["na-nu"].add(x, y, t, z=z, lhs=nlhs, rhs=nbound)
             for t, s in ts_pairs:
                 tm = max(t, s)
                 bound = tnorm_fn(mu(x, y, t), mu(y, z, s))
                 lhs = mu(x, z, tm)
-                if lhs < bound - tol:
+                if not (lhs >= bound - tol):
                     col["na-mu"].add(x, y, t, z=z, s=s, lhs=lhs, rhs=bound)
                 nbound = tconorm_fn(nu(x, y, t), nu(y, z, s))
                 nlhs = nu(x, z, tm)
-                if nlhs > nbound + tol:
+                if not (nlhs <= nbound + tol):
                     col["na-nu"].add(x, y, t, z=z, s=s, lhs=nlhs, rhs=nbound)
         checks.append(col["na-mu"].finish(detail="single-t bound plus max(t,s) variant"))
         checks.append(col["na-nu"].finish(detail="single-t bound plus max(t,s) variant"))
@@ -260,7 +262,7 @@ def test_array_audit_matches_scalar_reference(case):
 def test_chunked_audit_matches_scalar_reference(kind, norm, finite, monkeypatch):
     # 1300 random triples, or the 729 exhaustive triples of line(9), in
     # chunks of 11 tuples; more than ten violations on the planted rows
-    monkeypatch.setattr(auditor, "_CHUNK_CELLS", 100)
+    monkeypatch.setattr(sampling, "_CHUNK_CELLS", 100)
     domain = FiniteDomain.line(9) if finite else IntervalDomain(0.0, 1.0)
     space = _planted(kind, domain, NORM_PAIRS[norm], NON_ARCHIMEDEAN)
     sampler = SamplerConfig(EXHAUSTIVE if finite else RANDOM, 1300, (0.25, 0.5, 1.0), seed=11)
@@ -268,7 +270,7 @@ def test_chunked_audit_matches_scalar_reference(kind, norm, finite, monkeypatch)
     assert report.to_json() == scalar_audit_space(space, sampler).to_json()
     planted_rows = {"clamped-nu": ["i"], "asymmetric": ["iv"], "indiscrete": ["iii", "viii"],
                     "overshoot": ["iii", "viii"], "zero-nu": ["vii"],
-                    "squared": ["na-mu", "na-nu"], "nan": []}
+                    "squared": ["na-mu", "na-nu"], "nan": ["i", "ii", "iii", "iv", "v", "na-mu"]}
     for axiom in planted_rows[kind]:
         assert report.check(axiom).violation_count > MAX_WITNESSES, axiom
 
@@ -281,9 +283,9 @@ def test_witnesses_recheck_and_shrink_toward_anchor(case):
     targets = {"x": anchor, "y": anchor, "z": anchor, "t": 1.0, "s": 1.0}
     for check in audit_space(space, sampler).checks:
         for w in check.witnesses:
-            assert violation_margin(space, w) == (True, w.lhs, w.rhs)
+            assert repr(violation_margin(space, w)) == repr((True, w.lhs, w.rhs))
             m = minimize_witness(space, w)
-            assert violation_margin(space, m) == (True, m.lhs, m.rhs)
+            assert repr(violation_margin(space, m)) == repr((True, m.lhs, m.rhs))
             for coord, target in targets.items():
                 before, after = getattr(w, coord), getattr(m, coord)
                 if before is None:

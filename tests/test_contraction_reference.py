@@ -2,10 +2,12 @@
 byte.
 
 `scalar_contraction_check` is the pair-by-pair loop the contraction checks
-used to run, with the scalar side predicates of that time: one grade call
-per (pair, t, side) and one Python comparison each.  It stays here as the
-reference the array scan must match in every count, witness and serialized
-byte.  The Picard reference is in `test_picard_reference.py`.
+used to run, with scalar side predicates: one grade call per (pair, t,
+side) and one Python comparison each.  It stays here as the reference the
+array scan must match in every count, witness and serialized byte.  The
+scalar predicates are written as "not (the condition that must hold)" and
+treat a NaN grade at either end as a violation.  The Picard reference is in
+`test_picard_reference.py`.
 """
 
 import json
@@ -37,17 +39,16 @@ from ifmkit import (
     psi_from_k,
     standard_space,
 )
-from ifmkit import contraction
+from ifmkit import sampling
 from ifmkit.contraction import (
     CHECK_TOL,
-    MAX_WITNESSES,
     ContractionReport,
     ContractionWitness,
     _k_side,
     _minimize_contraction_witness,
     _psi_phi_side,
 )
-from ifmkit.sampling import draw_tuples
+from ifmkit.sampling import MAX_WITNESSES, draw_tuples
 
 # ---------------------------------------------------------------------------
 # The scalar references, kept verbatim
@@ -57,21 +58,21 @@ from ifmkit.sampling import draw_tuples
 def scalar_psi_phi_side(pair, side, g, g_f):
     if side == "mu":
         if g <= 0.0:
-            return False, 0.0, g
+            return math.isnan(g_f), 0.0, g
         lhs = pair.psi(g_f)
-        return lhs < g - CHECK_TOL, lhs, g
+        return not (lhs >= g - CHECK_TOL and not math.isnan(g_f)), lhs, g
     if g >= 1.0:
-        return False, 1.0, g
+        return math.isnan(g_f), 1.0, g
     lhs = pair.phi(g_f)
-    return lhs > g + CHECK_TOL, lhs, g
+    return not (lhs <= g + CHECK_TOL and not math.isnan(g_f)), lhs, g
 
 
 def scalar_k_side(k, side, g, g_f):
     if g <= 0.0 or g_f <= 0.0:
-        return False, 0.0, 0.0
+        return math.isnan(g) or math.isnan(g_f), 0.0, 0.0
     lhs = 1.0 / g_f - 1.0
     rhs = (k if side == "mu" else 1.0 / k) * (1.0 / g - 1.0)
-    return lhs > rhs + CHECK_TOL * max(1.0, abs(lhs), abs(rhs)), lhs, rhs
+    return not (lhs <= rhs + CHECK_TOL * max(1.0, abs(lhs), abs(rhs))), lhs, rhs
 
 
 def scalar_contraction_check(space, f, sampler, condition, side_check):
@@ -231,7 +232,7 @@ def scans(draw):
                             seed=draw(st.integers(0, 2**16)))
     condition = draw(st.sampled_from(("psi-phi", "k", "guarded")))
     k = draw(st.sampled_from((0.2, 0.4, 0.5, 0.8)))
-    chunk_cells = draw(st.sampled_from((1, 7, 64, contraction._CHUNK_CELLS)))
+    chunk_cells = draw(st.sampled_from((1, 7, 64, sampling._CHUNK_CELLS)))
     return space, f, sampler, condition, k, chunk_cells
 
 
@@ -239,7 +240,7 @@ def scans(draw):
 @given(scans())
 def test_array_scan_matches_scalar_reference(case):
     space, f, sampler, condition, k, chunk_cells = case
-    with mock.patch.object(contraction, "_CHUNK_CELLS", chunk_cells):
+    with mock.patch.object(sampling, "_CHUNK_CELLS", chunk_cells):
         array, scalar = both_scans(space, f, sampler, condition, k)
     assert array == scalar
 
@@ -250,7 +251,7 @@ def test_array_scan_matches_scalar_reference(case):
 def test_chunked_scan_matches_scalar_reference(kind, finite, condition, monkeypatch):
     # 900 random pairs, or the 81 exhaustive pairs of line(9), in chunks of
     # 5 pairs: the witnesses of the violating cases span many chunks
-    monkeypatch.setattr(contraction, "_CHUNK_CELLS", 15)
+    monkeypatch.setattr(sampling, "_CHUNK_CELLS", 15)
     domain = FiniteDomain.line(9) if finite else IntervalDomain(0.0, 1.0)
     space = SPACES[kind](domain)
     f = SelfMap.identity()
