@@ -26,7 +26,7 @@ negation of the condition that must hold, so a NaN grade violates; so does
 a NaN at the other end of a vacuous antecedent.  The pairwise scan applies
 them to grade tables, its witness shrinker (`sampling.shrink`) to the
 grades of one witness, and the sequence predicates over iteration traces
-to consecutive diagnostic values.
+to consecutive diagnostic columns.
 
 The scan draws its pairs as one array and works through them in chunks of
 at most 2^14 (pair, t) cells (`sampling.chunks`), so memory does not grow
@@ -423,7 +423,8 @@ class ContractionReport:
 # Side predicates: one side ("mu" or "nu") of a condition at one pair and t,
 # as (violated, lhs, rhs) of g = grade(x, y, t) and g_f = grade(f(x), f(y), t).
 # Each works on floats and on numpy arrays alike: the pairwise scan applies
-# it to grade tables, its shrinker and the sequence checks to single values.
+# it to grade tables, the sequence checks to diagnostic columns and its
+# shrinker to single values.
 # Each returns the negation of the condition that must hold.  Where an
 # antecedent fails ("dead"), lhs and rhs take values that satisfy it.  A
 # comparison with NaN is false, so a NaN grade is never dead and violates;
@@ -586,13 +587,19 @@ def is_k_contractive_sequence(trace: "IterationTrace", k):
 
 def _first_failing_step(trace, side_check):
     """The pairwise side predicates on consecutive diagnostics: the step
-    n -> n+1 maps (x_n, x_{n+1}) to (x_{n+1}, x_{n+2})."""
-    if len(trace.points) < 3:
+    n -> n+1 maps (x_n, x_{n+1}) to (x_{n+1}, x_{n+2}).  Each side is
+    checked once per grid t, on whole diagnostic columns; the smallest
+    failing n is returned."""
+    steps = len(trace.points) - 2
+    if steps < 1:
         raise PreconditionError(
             f"sequence predicates need at least 3 trace points, got {len(trace.points)}")
-    for n in range(len(trace.points) - 2):
-        for t in trace.t_grid:
-            for side, diag in (("mu", trace.mu_diag[t]), ("nu", trace.nu_diag[t])):
-                if side_check(side, diag[n], diag[n + 1])[0]:
-                    return False, n
-    return True, None
+    first = steps
+    for t in trace.t_grid:
+        for side, diag in (("mu", trace.mu_diag[t]), ("nu", trace.nu_diag[t])):
+            g = np.asarray(diag, dtype=np.float64)
+            with np.errstate(over="ignore"):  # an overflowing gap is inf, as for floats
+                bad = side_check(side, g[:-1], g[1:])[0]
+            if bad.any():
+                first = min(first, int(bad.argmax()))
+    return (True, None) if first == steps else (False, first)

@@ -9,11 +9,16 @@ grades every pair of the block's trailing windows; the newest older point
 of a pair that is not near gives the first step whose whole window is
 near, and the points past it are dropped.  It then records, at every grid
 time t, the consecutive-step grades mu(x_n, x_{n+1}, t) and
-nu(x_n, x_{n+1}, t), tabulated in one pass over the orbit.  Both passes
-grade through `spaces.grade_tables` (a grade function without an array
-form is called element-wise).  For a psi-phi contractive
-map the mu diagnostic is non-decreasing and the nu diagnostic
+nu(x_n, x_{n+1}, t), tabulated in one pass over the orbit and kept as
+float64 arrays.  Both passes grade through `spaces.grade_tables` (a grade
+function without an array form is called element-wise).  For a psi-phi
+contractive map the mu diagnostic is non-decreasing and the nu diagnostic
 non-increasing in n.
+
+`write_trace_csv` and `trace_to_csv` write those arrays, and on an interval
+the orbit converted to float64 once, without a round trip through Python
+lists: the rows are laid out as bytes, chunk by chunk, in work buffers
+that each trace allocates once.
 
 `edelstein_solve` is the finite-domain engine: orbits on a finite point set
 must repeat within |X| steps, so convergence questions reduce to exact
@@ -32,7 +37,8 @@ import numpy as np
 
 from .contraction import SelfMap
 from .errors import DomainError, NonConvergenceError, PreconditionError
-from .spaces import FiniteDomain, IFSpace, NON_ARCHIMEDEAN, grade_tables, time_grid
+from .spaces import (FiniteDomain, IFSpace, IntervalDomain, NON_ARCHIMEDEAN, grade_tables,
+                     time_grid)
 
 _G_CAUCHY_TAIL_PAIRS = 3
 # The Picard loop takes its steps in blocks: the first block has this many
@@ -77,16 +83,17 @@ class SolverConfig:
 class IterationTrace:
     """A Picard orbit plus per-t diagnostic sequences.
 
-    ``mu_diag[t][n] = mu(x_n, x_{n+1}, t)`` and likewise for nu, so the
-    diagnostic lists are one shorter than ``points``.
+    ``mu_diag[t][n] = mu(x_n, x_{n+1}, t)`` and likewise for nu: float64
+    arrays, one shorter than ``points``, which holds the orbit's own
+    objects.
     """
 
     space: IFSpace = field(repr=False)
     map: SelfMap = field(repr=False)
     t_grid: tuple[float, ...]
     points: list
-    mu_diag: dict[float, list[float]]
-    nu_diag: dict[float, list[float]]
+    mu_diag: dict[float, np.ndarray]
+    nu_diag: dict[float, np.ndarray]
     stop_reason: str  # "converged" | "max_iter" | "precondition_failed"
     note: str | None = None
 
@@ -172,7 +179,7 @@ def picard_iterate(space: IFSpace, f: SelfMap, x0, config: SolverConfig) -> Iter
         if not (space.mu(x0, fx0, t) > 0.0 and space.nu(x0, fx0, t) < 1.0):
             return IterationTrace(
                 space=space, map=f, t_grid=grid, points=[x0],
-                mu_diag={t: [] for t in grid}, nu_diag={t: [] for t in grid},
+                mu_diag={t: np.empty(0) for t in grid}, nu_diag={t: np.empty(0) for t in grid},
                 stop_reason="precondition_failed",
                 note=f"mu(x0, f(x0), {t:g}) = {space.mu(x0, fx0, t)!r}, "
                      f"nu = {space.nu(x0, fx0, t)!r}",
@@ -210,8 +217,8 @@ def picard_iterate(space: IFSpace, f: SelfMap, x0, config: SolverConfig) -> Iter
             break
         block, size = [], min(2 * size, _BLOCK_CAP)
     pts = np.array(points)
-    mu_diag, nu_diag = (dict(zip(grid, table.T.tolist())) for table in grade_tables(
-        space, pts[:-1, None], pts[1:, None], np.array(grid)))
+    mu_diag, nu_diag = (dict(zip(grid, np.asarray(table, dtype=np.float64))) for table in
+                        grade_tables(space, pts[:-1], pts[1:], np.array(grid)[:, None]))
     return IterationTrace(
         space=space, map=f, t_grid=grid, points=points,
         mu_diag=mu_diag, nu_diag=nu_diag, stop_reason=stop_reason,
@@ -270,9 +277,9 @@ def verify_fixed_point(space: IFSpace, f: SelfMap, x, t_grid, tol: float) -> Res
     if not space.domain.contains(x):
         raise DomainError(f"point {x!r} outside domain")
     fx = f.apply_checked(space.domain, x)
-    mus = [space.mu(x, fx, t) for t in t_grid]
-    nus = [space.nu(x, fx, t) for t in t_grid]
-    return ResidualCheck(residual_mu=min(mus), residual_nu=max(nus), tol=tol)
+    # np.min/np.max keep a NaN grade, which fails the check; min() would drop it
+    mu, nu = grade_tables(space, x, fx, np.array(t_grid))
+    return ResidualCheck(residual_mu=float(np.min(mu)), residual_nu=float(np.max(nu)), tol=tol)
 
 
 @dataclass
@@ -465,33 +472,43 @@ def _fixed_decimal(t: float) -> str:
     return np.format_float_positional(t, trim="-")
 
 
-# `_g17_fields` renders float64 arrays as format(x, ".17g") does.  A value
+# `_FieldWriter` renders float64 arrays as format(x, ".17g") does.  A value
 # with 1e-11 < |x| < 1e17 has a decimal exponent E in [-11, 16], and its 17
 # digits are N = round-half-even(m * 5**k * 2**(q + k)) for x = m * 2**q and
 # k = 16 - E: as m < 2**53 and 5**k <= 5**27 < 2**63, the product is exact
 # in 128 bits, held in two uint64 halves.  Integer constants are numpy
 # scalars, so no step depends on how a numpy version promotes Python ints.
-_CSV_CHUNK_ROWS = 1 << 11
-_POW5 = np.array([5**k for k in range(28)], dtype=np.uint64)
+# A chunk holds about this many float fields (1,024 rows at a three-value t
+# grid), for which one trace's work buffers come to about 1.7 MiB.
+_CSV_CHUNK_FIELDS = 7 << 10
+# A chunk's text is copied out in pieces of this many layout bytes, so that
+# no allocation per chunk reaches the 128 KiB at which glibc's malloc maps
+# fresh pages (and faults them in again) by default.
+_PIECE = 1 << 16
 _LOW32, _U32, _U1, _U63 = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(1), np.uint64(63)
-_TEN16, _TEN17 = np.uint64(10**16), np.uint64(10**17)
-# A field is 44 byte columns, of which a keep mask selects the value's own:
-# the sign, "0." and up to three zeros (for 1e-4 <= |x| < 1), the 17
-# digits with a "." slot after each of the first 16, "e-" with two exponent
-# digits, and the "," that ends the field.
+_POW5_HIGH, _POW5_LOW = np.divmod(np.array([5**k for k in range(28)], dtype=np.uint64), _LOW32 + _U1)
+_TEN9, _TEN16, _TEN17 = np.uint64(10**9), np.uint64(10**16), np.uint64(10**17)
+_U32_10 = np.uint32(10)
+# A field is 44 byte columns: the sign, "0." and up to three zeros (for
+# 1e-4 <= |x| < 1), the 17 digits with a "." slot after each of the first
+# 16, "e-" with two exponent digits, and the "," that ends the field.  The
+# columns a value does not use hold the gap byte 0xFF, which UTF-8 text
+# never contains, and the writer deletes every gap byte from its output.
+_GAP = np.uint8(0xFF)
 _FIELD = np.frombuffer(b"-0.000" + b"0." * 16 + b"0e-00,", dtype=np.uint8)
 _DIGIT_COLS = slice(6, 39, 2)
 _DIGIT_INDEX = np.arange(17, dtype=np.uint8)[:, None]
 
 
-# built on first use, not at import: building them at import slowed audit
+# built on first use, not at import: building it at import slowed audit
 # runs, which never write a trace, by about 12% in the benchmark
 @cache
-def _layouts() -> tuple[np.ndarray, np.ndarray]:
-    """The bytes and keep masks of a field, by layout code
+def _layouts() -> np.ndarray:
+    """The bytes of a field, gaps included, by layout code
     ((E + 11) * 17 + last) * 2 + negative, where `last` is the index of the
-    last nonzero digit; the digits themselves are added as offsets.  Both
-    are read-only."""
+    last nonzero digit; the digits themselves are added as offsets.  The
+    digit columns a value does not show are gaps, and its digits there are
+    0, so the addition leaves them gaps.  Read-only."""
     e10, last, negative = (a.ravel() for a in np.meshgrid(
         np.arange(-11, 17), np.arange(17), [False, True], indexing="ij"))
     sci = e10 < -4
@@ -508,81 +525,165 @@ def _layouts() -> tuple[np.ndarray, np.ndarray]:
     keep[:, 7:38:2] = (np.arange(16) == point[:, None]) & (last > point)[:, None]
     keep[:, 39:43] = sci[:, None]
     keep[:, 43] = True
+    chars[~keep] = _GAP
     chars.setflags(write=False)
-    keep.setflags(write=False)
-    return chars, keep
+    return chars
 
 
-def _scaled(m, q, e10):
+def _scaled(m, q, e10, work):
     """floor(m * 2**q * 10**(16 - e10)) and whether it rounds up, half to
-    even; m < 2**53 and 16 - e10 in [0, 27] are uint64 and int64 arrays."""
-    k = 16 - e10
-    f = _POW5[k]
-    m_hi, m_lo, f_hi, f_lo = m >> _U32, m & _LOW32, f >> _U32, f & _LOW32
-    ll, lh, hl = m_lo * f_lo, m_lo * f_hi, m_hi * f_lo
-    mid = (ll >> _U32) + (lh & _LOW32) + (hl & _LOW32)
-    lo = (mid << _U32) | (ll & _LOW32)
-    hi = m_hi * f_hi + (lh >> _U32) + (hl >> _U32) + (mid >> _U32)
-    right = np.clip(-(q + k), 0, 63).astype(np.uint64)
-    left = np.clip(q + k, 0, 63).astype(np.uint64)
-    floor = (((hi << (_U63 - right)) << _U1) | (lo >> right)) << left
-    rem = lo & ((_U1 << right) - _U1)
-    half = (_U1 << right) >> _U1
-    odd = (floor & _U1).astype(bool)
-    return floor, (rem > half) | ((rem == half) & half.astype(bool) & odd)
+    even; m < 2**53 and 16 - e10 in [0, 27] are uint64 and int64 arrays,
+    and the binary exponent q + 16 - e10 lies in [-63, 5] (in [-62, 4] once
+    e10 is the exact decimal exponent).
+    Both results are written into `work`: five uint64 arrays, one int64
+    and one bool array shaped like m."""
+    a, b, c, d, e, s, up = work
+    np.subtract(16, e10, out=s)  # k
+    np.take(_POW5_LOW, s, out=a, mode="clip")
+    np.take(_POW5_HIGH, s, out=b, mode="clip")
+    s += q
+    # m * 5**k = b * 2**64 + a, from 32-bit halves (m's high half is below 2**21)
+    np.right_shift(m, _U32, out=c)
+    np.bitwise_and(m, _LOW32, out=d)
+    np.multiply(d, a, out=e)
+    d *= b
+    a *= c
+    b *= c
+    d += a  # the middle term, below 2**64
+    np.left_shift(d, _U32, out=a)
+    a += e
+    np.less(a, e, out=up)  # the carry out of the low word
+    d >>= _U32
+    b += d
+    b += up
+    # shift right by max(-(q + k), 0), in c, then left by max(q + k, 0)
+    np.maximum(s, 0, out=d, casting="unsafe")
+    np.negative(s, out=s)
+    np.maximum(s, 0, out=c, casting="unsafe")
+    np.subtract(_U63, c, out=e)
+    b <<= e
+    b <<= _U1
+    np.right_shift(a, c, out=e)
+    b |= e
+    b <<= d
+    # up when 2 * remainder + (floor odd) > 2**right
+    np.left_shift(_U1, c, out=e)
+    e -= _U1
+    a &= e
+    e += _U1
+    a <<= _U1
+    np.bitwise_and(b, _U1, out=c)
+    a |= c
+    np.greater(a, e, out=up)
+    return b, up
 
 
-def _text_field(strings) -> tuple[np.ndarray, np.ndarray]:
-    """(bytes, keep) rows holding the strings, UTF-8 encoded."""
-    encoded = [s.encode() for s in strings]
-    lengths = np.array([len(b) for b in encoded])
-    width = max(1, lengths.max(initial=0))
-    chars = np.array(encoded, dtype=f"S{width}").view(np.uint8).reshape(len(encoded), width)
-    return chars, np.arange(width) < lengths[:, None]
+class _FieldWriter:
+    """Work buffers, allocated once, that lay out up to `rows` rows of
+    `cols` float64 values at a time as .17g fields: each row is `lead`
+    44-byte slots for the caller, then one 44-byte field per value, gaps
+    included."""
+
+    _WORK = (np.float64,) * 3 + (np.intc,) + (np.uint64,) * 6 + (np.int64,) * 3 + (
+        bool,) * 2 + (np.uint32,) * 4 + (np.uint8,)
+
+    def __init__(self, rows: int, cols: int, lead: int):
+        self.lead = lead
+        self.raw = bytearray(rows * (lead + cols) * 44)
+        self.chars = np.frombuffer(self.raw, dtype=np.uint8).reshape(rows, lead + cols, 44)
+        self.code = np.zeros((rows, lead + cols), dtype=np.intp)
+        # one block for the per-value arrays, so the allocator keeps or reuses it whole
+        block = np.empty((len(self._WORK), rows * cols), dtype=np.uint64)
+        self.work = [row.view(dtype)[:rows * cols] for row, dtype in zip(block, self._WORK)]
+        self.digits = np.empty((2, 17, rows * cols), dtype=np.uint8)
+
+    def render(self, columns, lo: int, hi: int) -> np.ndarray:
+        """The (hi - lo, lead + cols, 44) byte layout of rows lo..hi-1 of
+        the columns, each value's field in its slot; the lead slots hold
+        stale bytes for the caller to overwrite."""
+        r, size = hi - lo, (hi - lo) * len(columns)  # values column by column
+        (x, ax, mant, exp2, m, *uints, e10, q, k, slow, up, high, low, quotient, spare,
+         last) = (a[:size] for a in self.work)
+        digits, marks = self.digits[:, :, :size]  # digits[j]: the j-th digit of each
+        np.concatenate([c[lo:hi] for c in columns], out=x)
+        np.abs(x, out=ax)
+        # zero, tiny, huge, inf and NaN go through format()
+        np.logical_not((ax > 1e-11) & (ax < 1e17), out=slow)
+        np.copyto(ax, 1.0, where=slow)
+        np.frexp(ax, out=(mant, exp2))
+        np.ldexp(mant, 53, out=mant)
+        np.copyto(m, mant, casting="unsafe")
+        np.subtract(exp2, 53, out=q)
+        np.floor(np.log10(ax, out=mant), out=mant)
+        np.clip(mant, -11, 16, out=mant)
+        np.copyto(e10, mant, casting="unsafe")
+        n, up = _scaled(m, q, e10, [*uints, k, up])
+        # log10 can be one off near a power of ten; N then falls outside
+        # [1e16, 1e17), and the chunk is redone with those exponents moved
+        below, above = n < _TEN16, n >= _TEN17
+        if below.any() or above.any():
+            e10 -= below
+            e10 += above
+            n, up = _scaled(m, q, e10, [*uints, k, up])
+        # no rounding carry to 1e17: below every power of ten in range, the
+        # nearest double rounds down at 17 digits (the tests check each)
+        n += up
+        np.divmod(n, _TEN9, out=(high, low), casting="unsafe")
+        for part, js in ((high, range(7, -1, -1)), (low, range(16, 7, -1))):
+            for j in js:
+                np.floor_divide(part, _U32_10, out=quotient)
+                np.multiply(quotient, _U32_10, out=spare)
+                np.subtract(part, spare, out=digits[j], casting="unsafe")
+                part, quotient = quotient, part
+        np.not_equal(digits, 0, out=marks)
+        marks *= _DIGIT_INDEX
+        np.max(marks, axis=0, out=last)
+        # the layout code ((E + 11) * 17 + last) * 2 + negative
+        e10 += 11
+        e10 *= 17
+        e10 += last
+        e10 *= 2
+        np.signbit(x, out=up)
+        code, chars = self.code[:r], self.chars[:r]
+        np.add(e10.reshape(-1, r).T, up.reshape(-1, r).T, out=code[:, self.lead:])
+        np.take(_layouts(), code, axis=0, out=chars, mode="clip")
+        fields = chars[:, self.lead:]
+        fields[..., _DIGIT_COLS] += digits.reshape(17, -1, r).T
+        cols, rows = np.nonzero(slow.reshape(-1, r))
+        if rows.size:
+            fields[rows, cols, :-1] = _GAP
+            fields[rows, cols, :24] = _padded(
+                [format(v, ".17g").encode() for v in x.reshape(-1, r)[cols, rows].tolist()], 24)
+        return chars
+
+    def text_of(self, r: int) -> list[bytes]:
+        """The bytes of the first r rows of the layout, gaps deleted, in
+        pieces of at most `_PIECE` layout bytes."""
+        self.chars[r:] = _GAP
+        raw = memoryview(self.raw)
+        return [bytes(raw[i:i + _PIECE]).translate(None, _GAP.tobytes())
+                for i in range(0, len(raw), _PIECE)]
 
 
-def _g17_fields(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(bytes, keep) rows, one per value of the float64 array x, whose kept
-    bytes spell format(value, ".17g") and then ",".  Zeros, values with
-    |x| <= 1e-11 (subnormals among them) or |x| >= 1e17, inf and NaN go
-    through format()."""
-    ax = np.abs(x)
-    fast = (ax > 1e-11) & (ax < 1e17)
-    ax = np.where(fast, ax, 1.0)
-    mant, exp2 = np.frexp(ax)
-    m = np.ldexp(mant, 53).astype(np.uint64)
-    q = exp2.astype(np.int64) - 53
-    # log10 can be one off near a power of ten; N then falls outside
-    # [1e16, 1e17) and the row is redone at the next exponent
-    e10 = np.clip(np.floor(np.log10(ax)), -11, 16).astype(np.int64)
-    n, up = _scaled(m, q, e10)
-    for redo, step in ((n < _TEN16, -1), (n >= _TEN17, 1)):
-        e10[redo] += step
-        n[redo], up[redo] = _scaled(m[redo], q[redo], e10[redo])
-    # no rounding carry to 1e17: below every power of ten in range, the
-    # nearest double rounds down at 17 digits (the tests check each)
-    n += up.astype(np.uint64)
-    digits = np.empty((17, len(x)), dtype=np.uint8)  # digits[j]: the j-th digit of each
-    for part, rows in zip(np.divmod(n, np.uint64(10**9)), (range(7, -1, -1), range(16, 7, -1))):
-        part = part.astype(np.uint32)
-        for j in rows:
-            part, digits[j] = np.divmod(part, np.uint32(10))
-    last = ((digits != 0) * _DIGIT_INDEX).max(axis=0)  # the last nonzero digit
-    code = ((e10 + 11) * 17 + last) * 2 + np.signbit(x)
-    chars, keep = (np.take(table, code, axis=0) for table in _layouts())
-    chars[:, _DIGIT_COLS] += digits.T
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        text, text_keep = _text_field(format(v, ".17g") for v in x[slow].tolist())
-        chars[slow, :text.shape[1]] = text
-        keep[slow, :-1] = False
-        keep[slow, :text.shape[1]] = text_keep
-    return chars, keep
+def _padded(encoded, width: int) -> np.ndarray:
+    """(rows, width) bytes holding the byte strings, padded with gaps."""
+    fill = _GAP.tobytes()
+    return np.frombuffer(b"".join(b.ljust(width, fill) for b in encoded),
+                         dtype=np.uint8).reshape(-1, width)
+
+
+def _integer_fields(n, width: int, out) -> None:
+    """Write the integers n, below 10**width, as decimal text into the rows
+    of `out`: `width` digit columns, with gaps for leading zeros, then ","."""
+    tens = 10 ** np.arange(width - 1, -1, -1)
+    out[:, :width] = n[:, None] // tens % 10 + ord("0")
+    out[:, :width - 1][n[:, None] < tens[:-1]] = _GAP
+    out[:, width] = ord(",")
 
 
 def _csv_chunks(trace: IterationTrace):
-    """The trace CSV as UTF-8 chunks: the header, blocks of at most
-    `_CSV_CHUNK_ROWS` diagnostic rows, and the final row."""
+    """The trace CSV as UTF-8 chunks: the header, blocks of diagnostic
+    rows, and the final row."""
     header = ["n", "x_n"]
     columns = []
     for t in trace.t_grid:
@@ -590,25 +691,33 @@ def _csv_chunks(trace: IterationTrace):
         header += [f"mu@{label}", f"nu@{label}"]
         columns += [trace.mu_diag[t], trace.nu_diag[t]]
     yield (",".join(header) + "\n").encode()
-    shown = list(map(trace.space.domain.describe, trace.points))
-    # a domain describes every point as a float (interval) or as a label
-    labels = not isinstance(shown[0], float)
-    n_diag = len(shown) - 1
-    for lo in range(0, n_diag, _CSV_CHUNK_ROWS):
-        hi = min(lo + _CSV_CHUNK_ROWS, n_diag)
-        values = [range(lo, hi), *([] if labels else [shown[lo:hi]]), *(c[lo:hi] for c in columns)]
-        chars, keep = _g17_fields(np.array(values, dtype=np.float64).T.ravel())
-        chars, keep = chars.reshape(hi - lo, -1), keep.reshape(hi - lo, -1)
-        if labels:  # the label field goes after n, the first field
-            text, text_keep = _text_field(map(format, shown[lo:hi]))
-            comma = np.full((hi - lo, 1), ord(","), dtype=np.uint8)
-            chars = np.concatenate([chars[:, :44], text, comma, chars[:, 44:]], axis=1)
-            keep = np.concatenate([keep[:, :44], text_keep, comma > 0, keep[:, 44:]], axis=1)
-        chars[:, -1] = ord("\n")
-        # compress on the flat arrays: about 3x faster than chars[keep]
-        yield np.compress(keep.ravel(), chars.ravel()).tobytes()
-    x_last = format(shown[-1], "" if labels else ".17g")
-    yield (",".join([str(n_diag), x_last] + [""] * len(columns)) + "\n").encode()
+    domain, points = trace.space.domain, trace.points
+    n_diag = len(points) - 1
+    labels = not isinstance(domain, IntervalDomain)
+    x_last = format(domain.describe(points[-1]), "" if labels else ".17g")
+    final = (",".join([str(n_diag), x_last] + [""] * len(columns)) + "\n").encode()
+    if n_diag:
+        # n, then on a finite domain the label, go in the lead slots
+        width = len(str(n_diag - 1))
+        if labels:
+            shown = [format(domain.describe(p)).encode() + b"," for p in points[:-1]]
+            label_width = max(map(len, shown))
+        else:
+            columns.insert(0, np.asarray(points, dtype=np.float64))
+        rows = min(n_diag, max(1, _CSV_CHUNK_FIELDS // len(columns)))
+        head = width + 1 + (label_width if labels else 0)
+        writer = _FieldWriter(rows, len(columns), -(-head // 44))
+        for lo in range(0, n_diag, rows):
+            hi = min(lo + rows, n_diag)
+            chars = writer.render(columns, lo, hi)
+            lead = chars[:, :writer.lead].reshape(hi - lo, -1)
+            lead[:] = _GAP
+            _integer_fields(np.arange(lo, hi), width, lead)
+            if labels:
+                lead[:, width + 1:head] = _padded(shown[lo:hi], label_width)
+            chars[:, -1, -1] = ord("\n")
+            yield from writer.text_of(hi - lo)
+    yield final
 
 
 def trace_to_csv(trace: IterationTrace) -> str:
@@ -617,11 +726,14 @@ def trace_to_csv(trace: IterationTrace) -> str:
     final row has no diagnostic entries (they pair consecutive points).
 
     Every number reads exactly as format(value, ".17g") would give it, and
-    a `FiniteDomain` point as its label.  The numbers are laid out as byte
-    arrays, 2**11 rows at a time: digits come from exact 128-bit integer
-    scaling of the float (the integer route of Gay 1990 and Adams's Ryu,
-    2018), not from one dtoa call per value.  Zero, values with |x| <= 1e-11
-    or |x| >= 1e17, subnormals, inf and NaN are rendered by format().
+    a `FiniteDomain` point as its label.  The rows are laid out as byte
+    arrays, in chunks of about 7,168 float fields (1,024 rows at a
+    three-value t grid), through work buffers allocated once per trace:
+    digits come from exact 128-bit integer scaling of the float (the
+    integer route of Gay 1990 and Adams's Ryu, 2018), not from one dtoa
+    call per value, and n from integer division.  Zero, values with
+    |x| <= 1e-11 or |x| >= 1e17, subnormals, inf and NaN are rendered by
+    format().
     """
     return b"".join(_csv_chunks(trace)).decode()
 

@@ -6,15 +6,19 @@ used to run, with scalar side predicates: one grade call per (pair, t,
 side) and one Python comparison each.  It stays here as the reference the
 array scan must match in every count, witness and serialized byte.  The
 scalar predicates are written as "not (the condition that must hold)" and
-treat a NaN grade at either end as a violation.  The Picard reference is in
-`test_picard_reference.py`.
+treat a NaN grade at either end as a violation.  `scalar_first_failing_step`
+is the per-step loop the sequence predicates used to run over a trace's
+diagnostics; they now check whole columns and must give the same verdict
+and step.  The Picard reference is in `test_picard_reference.py`.
 """
 
+import dataclasses
 import json
 import math
 from functools import partial
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +30,8 @@ from ifmkit import (
     FiniteDomain,
     IFSpace,
     IntervalDomain,
+    IterationTrace,
+    PreconditionError,
     PsiPhiPair,
     SamplerConfig,
     SelfMap,
@@ -34,6 +40,8 @@ from ifmkit import (
     check_k_contractive,
     check_psi_phi_contractive,
     crisp_threshold_space,
+    is_contractive_sequence,
+    is_k_contractive_sequence,
     pair_from_k,
     phi_from_k,
     psi_from_k,
@@ -302,3 +310,61 @@ def _value(fn, *args):
         return repr(fn(*args))
     except ArithmeticError as exc:  # the Moebius controls at g_f = 1/(1-k)
         return type(exc)
+
+
+# ---------------------------------------------------------------------------
+# The sequence predicates against the per-step loop
+# ---------------------------------------------------------------------------
+
+
+def scalar_first_failing_step(trace, side_check):
+    """The per-step loop of the sequence predicates, kept verbatim as the
+    reference: one side check per (n, t, side) on two diagnostic values."""
+    if len(trace.points) < 3:
+        raise PreconditionError(
+            f"sequence predicates need at least 3 trace points, got {len(trace.points)}")
+    for n in range(len(trace.points) - 2):
+        for t in trace.t_grid:
+            for side, diag in (("mu", trace.mu_diag[t]), ("nu", trace.nu_diag[t])):
+                if side_check(side, diag[n], diag[n + 1])[0]:
+                    return False, n
+    return True, None
+
+
+GRADES = st.sampled_from((0.0, 1.0, math.nan)) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def graded_traces(draw):
+    """Traces whose diagnostics are random grades, or an exactly contractive
+    orbit (mu = 1, nu = 0) with a few zero, one or NaN grades put in."""
+    steps = draw(st.integers(1, 40))
+    grid = (0.1, 1.0, 10.0)[:draw(st.integers(1, 3))]
+
+    def column(flat):
+        if draw(st.booleans()):
+            return draw(st.lists(GRADES, min_size=steps + 1, max_size=steps + 1))
+        values = [flat] * (steps + 1)
+        for _ in range(draw(st.integers(0, 3))):
+            values[draw(st.integers(0, steps))] = draw(st.sampled_from((0.0, 1.0, math.nan)))
+        return values
+
+    return IterationTrace(
+        space=standard_space(IntervalDomain(0.0, 1.0), TNorm.product(),
+                             TConorm.probabilistic_sum()),
+        map=SelfMap.identity(), t_grid=grid, points=[0.0] * (steps + 2),
+        mu_diag={t: np.array(column(1.0)) for t in grid},
+        nu_diag={t: np.array(column(0.0)) for t in grid}, stop_reason="max_iter")
+
+
+@settings(max_examples=300, deadline=None)
+@given(graded_traces(), st.sampled_from((0.2, 0.5, 0.9)))
+def test_sequence_predicates_match_per_step_loop(trace, k):
+    as_lists = dataclasses.replace(
+        trace, mu_diag={t: c.tolist() for t, c in trace.mu_diag.items()},
+        nu_diag={t: c.tolist() for t, c in trace.nu_diag.items()})
+    pair = pair_from_k(k)
+    assert is_contractive_sequence(trace, pair) == scalar_first_failing_step(
+        as_lists, partial(_psi_phi_side, pair))
+    assert is_k_contractive_sequence(trace, k) == scalar_first_failing_step(
+        as_lists, partial(_k_side, k))

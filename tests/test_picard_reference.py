@@ -11,7 +11,7 @@ cap.
 `scalar_trace_to_csv` is the trace CSV writer with one format() call per
 value.  It stays here as the reference for `trace_to_csv`, whose numbers
 are laid out as byte arrays: the two must give the same text on every
-trace, and `_g17_fields` must spell each float as format(x, ".17g").
+trace, and `_FieldWriter` must spell each float as format(x, ".17g").
 """
 
 import json
@@ -42,9 +42,16 @@ from ifmkit import (
     picard_iterate,
     standard_space,
     trace_to_csv,
+    write_trace_csv,
 )
 from ifmkit import solver
-from ifmkit.solver import _CSV_CHUNK_ROWS, IterationTrace, _fixed_decimal, _g17_fields
+from ifmkit.solver import (
+    _CSV_CHUNK_FIELDS,
+    IterationTrace,
+    _FieldWriter,
+    _fixed_decimal,
+    _integer_fields,
+)
 
 # ---------------------------------------------------------------------------
 # The step-by-step reference, kept verbatim
@@ -274,9 +281,11 @@ def _outcome(run):
         return type(exc), str(exc)
     csv = trace_to_csv(trace)
     assert csv == scalar_trace_to_csv(trace)
+    diagnostics = [{t: np.asarray(column, dtype=np.float64).tolist() for t, column in d.items()}
+                   for d in (trace.mu_diag, trace.nu_diag)]
     return (trace.stop_reason, trace.note,
             [(type(p), repr(p)) for p in trace.points],
-            json.dumps([trace.mu_diag, trace.nu_diag]), csv)
+            json.dumps(diagnostics), csv)
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +408,11 @@ def test_finite_contains_array_matches_contains(points):
 
 
 def g17(values) -> list[str]:
-    """`_g17_fields` of the values, one string per value."""
-    chars, keep = _g17_fields(np.array(values, dtype=np.float64))
-    fields = [bytes(c[k]).decode() for c, k in zip(chars, keep)]
+    """The fields `_FieldWriter` lays out for the values, one string per
+    value, gap bytes deleted."""
+    x = np.array(values, dtype=np.float64)
+    chars = _FieldWriter(len(x), 1, 0).render([x], 0, len(x))[:, 0]
+    fields = [bytes(c[c != 0xFF]).decode() for c in chars]
     assert all(f.endswith(",") for f in fields)
     return [f[:-1] for f in fields]
 
@@ -446,7 +457,7 @@ def test_g17_matches_format_on_wide_samples():
 def test_g17_corrects_its_exponent_estimate(skew, monkeypatch):
     # log10 one off on about half the values: each is redone at E -/+ 1
     log10 = np.log10
-    monkeypatch.setattr(np, "log10", lambda x: log10(x) + skew)
+    monkeypatch.setattr(np, "log10", lambda x, out: np.add(log10(x, out=out), skew, out=out))
     values = np.concatenate([10.0 ** np.random.default_rng(3).uniform(-11, 17, 2000),
                              near_powers_of_ten()])
     assert g17(values) == [format(v, ".17g") for v in values.tolist()]
@@ -504,8 +515,12 @@ def test_csv_matches_scalar_on_a_zero_step_trace(domain):
     assert trace_to_csv(trace) == scalar_trace_to_csv(trace)
 
 
-@pytest.mark.parametrize("rows", [_CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1,
-                                  3 * _CSV_CHUNK_ROWS])
+# rows per chunk on an interval domain with a three-value t grid (7 float fields)
+CHUNK_ROWS = _CSV_CHUNK_FIELDS // 7
+
+
+@pytest.mark.parametrize("rows", [2 * CHUNK_ROWS - 1, 2 * CHUNK_ROWS, 2 * CHUNK_ROWS + 1,
+                                  6 * CHUNK_ROWS])
 def test_csv_matches_scalar_across_chunks(rows):
     rng = np.random.default_rng(rows)
 
@@ -517,3 +532,68 @@ def test_csv_matches_scalar_across_chunks(rows):
     text = trace_to_csv(trace)
     assert text == scalar_trace_to_csv(trace)
     assert text.count("\n") == rows + 2
+
+
+def _random_trace(space, rows, t_grid=(0.1, 1.0, 10.0), seed=0):
+    """A trace of `rows` diagnostic rows of random values."""
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-1.0, 1.0, rows + 1).tolist() if isinstance(
+        space.domain, IntervalDomain) else rng.integers(0, space.domain.size, rows + 1).tolist()
+    return _trace(space, points, [(rng.random(rows), rng.random(rows)) for _ in t_grid], t_grid)
+
+
+LABELLED = standard_space(FiniteDomain(["a", "", "β", "long label " * 5], [[abs(i - j) for j in range(4)]
+                                                                          for i in range(4)]), *NORMS)
+
+
+@pytest.mark.parametrize("space", [SYMMETRIC, LABELLED], ids=["interval", "labels"])
+@pytest.mark.parametrize("rows", [1, 9, 10, 11, 99, 100, 101, 9_999, 10_000, 10_001,
+                                  CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+def test_csv_n_column_across_digit_counts(space, rows):
+    # the n field widens at 10, 100 and 10,000 rows; the final row's n is rows
+    trace = _random_trace(space, rows, seed=rows)
+    assert trace_to_csv(trace) == scalar_trace_to_csv(trace)
+
+
+def test_integer_fields_beyond_the_default_max_iter():
+    n = np.concatenate([np.arange(10), np.arange(10**7 - 5, 10**7 + 5), [10**12 - 1]])
+    out = np.empty((len(n), 13), dtype=np.uint8)
+    _integer_fields(n, 12, out)
+    assert [bytes(row[row != 0xFF]) for row in out] == [b"%d," % v for v in n]
+
+
+def test_diagnostics_are_float64_columns():
+    space = standard_space(IntervalDomain(0.0, 1.0), *NORMS)
+    config = SolverConfig(epsilon=1e-8, t_grid=(0.1, 1.0), max_iter=100)
+    trace = picard_iterate(space, SelfMap.scale(0.5), 1.0, config)
+    crisp = crisp_threshold_space(IntervalDomain(0.0, 1.0), *NORMS)
+    failed = picard_iterate(crisp, SelfMap.constant(0.0), 1.0, config)
+    assert failed.stop_reason == "precondition_failed"
+    for tr in (trace, failed):
+        for column in [*tr.mu_diag.values(), *tr.nu_diag.values()]:
+            assert isinstance(column, np.ndarray) and column.dtype == np.float64
+            assert column.shape == (tr.iterations,)
+
+
+def test_csv_write_faults_do_not_grow_with_chunk_count(tmp_path):
+    # the writer's buffers are allocated once per trace, so a second write
+    # of a 12-chunk trace takes about the page faults of a 3-chunk one
+    resource = pytest.importorskip("resource")
+    space = standard_space(IntervalDomain(0.0, 1.0), *NORMS)
+    path = tmp_path / "trace.csv"
+
+    def faults(chunks):
+        config = SolverConfig(epsilon=1e-12, t_grid=(0.1, 1.0, 10.0), max_iter=chunks * CHUNK_ROWS)
+        trace = picard_iterate(space, SelfMap.scale(0.9999), 1.0, config)
+        assert trace.stop_reason == "max_iter"
+        write_trace_csv(trace, path)
+        counts = []
+        for _ in range(3):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            write_trace_csv(trace, path)
+            counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        return min(counts)
+
+    few, many = faults(3), faults(12)
+    # the slack absorbs a stray fault; per-chunk faulting takes thousands
+    assert many <= 1.25 * few + 100

@@ -90,22 +90,22 @@ class TestPicard:
         trace = picard_iterate(unit_space, SelfMap.identity(), 0.3, _cfg())
         assert trace.stop_reason == "converged"
         assert trace.iterations == 1
-        assert trace.mu_diag[1.0] == [1.0]
-        assert trace.nu_diag[1.0] == [0.0]
+        assert trace.mu_diag[1.0].tolist() == [1.0]
+        assert trace.nu_diag[1.0].tolist() == [0.0]
 
     def test_crisp_space_above_threshold_converges_at_once(self, crisp5):
         trace = picard_iterate(crisp5, SelfMap.table([1, 2, 3, 4, 0]), 0,
                                _cfg(t_grid=(2.0,)))
         assert trace.stop_reason == "converged"
         assert trace.iterations == 1
-        assert trace.mu_diag[2.0] == [1.0]
+        assert trace.mu_diag[2.0].tolist() == [1.0]
 
     def test_crisp_space_below_threshold_fails_precondition(self, crisp5):
         trace = picard_iterate(crisp5, SelfMap.table([1, 2, 3, 4, 0]), 0,
                                _cfg(t_grid=(0.5,)))
         assert trace.stop_reason == "precondition_failed"
         assert trace.points == [0]
-        assert trace.mu_diag[0.5] == []
+        assert trace.mu_diag[0.5].tolist() == []
 
     def test_escaping_map_raises(self, unit_space):
         with pytest.raises(DomainError, match="outside the domain"):
@@ -272,6 +272,16 @@ class TestVerify:
         res = verify_fixed_point(crisp5, SelfMap.table([1, 2, 3, 4, 0]), 0, (0.5,), 1e-6)
         assert res.residual_mu == 0.0
         assert not res.passed
+
+    @pytest.mark.parametrize("grid", [(0.1, 1.0, 10.0), (10.0, 1.0)])
+    @pytest.mark.parametrize("side", ["mu", "nu"])
+    def test_nan_grade_fails_wherever_it_is_on_the_grid(self, unit_space, side, grid):
+        grade = getattr(unit_space, side)
+        nan_late = lambda x, y, t: math.nan if t >= 10.0 else grade(x, y, t)  # noqa: E731
+        space = dataclasses.replace(unit_space, **{side: nan_late})
+        res = verify_fixed_point(space, SelfMap.scale(0.5), 0.0, grid, 1e-8)
+        assert math.isnan(getattr(res, f"residual_{side}")) and not res.passed
+        assert type(res.residual_mu) is float and type(res.residual_nu) is float
 
 
 class TestEdelstein:
