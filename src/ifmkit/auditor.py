@@ -59,12 +59,12 @@ serialized report is byte-identical to that of the scalar loop.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._jsonout import dumps
 from .errors import PreconditionError, WitnessIntegrityError
 from .sampling import EXHAUSTIVE, Recorder, SamplerConfig, chunks, draw_array, shrink, violated
 from .sampling import draw_tuples  # noqa: F401  perfbench/tracer.py patches this name
@@ -156,7 +156,7 @@ class AuditReport:
         }
 
     def to_json(self) -> str:
-        return dumps(self.to_dict()) + "\n"
+        return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
 class _Collector(Recorder):

@@ -35,7 +35,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._jsonout import dumps
 from .auditor import audit_space
 from .contraction import (
     PsiPhiPair,
@@ -349,7 +348,7 @@ class RunConfig:
 def _write_json(data: dict, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        fh.write(dumps(data) + "\n")
+        fh.write(json.dumps(data, indent=2) + "\n")
 
 
 def _write_solve(data: dict, traces, out_dir: Path) -> None:
@@ -536,7 +535,7 @@ def main(argv=None) -> int:
             return cmd_demo(Path(args.out), args.seed)
         config = RunConfig.from_path(args.config)
         if args.dump_config:
-            print(dumps(config.to_dict()))
+            print(json.dumps(config.to_dict(), indent=2))
             return EXIT_OK
         out_dir = Path(args.out)
         if args.command == "audit":

@@ -46,6 +46,7 @@ scalars.  A control function is only called where its antecedent holds.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Callable
@@ -448,12 +449,7 @@ def _gap(v):
     return 1.0 / v - 1.0
 
 
-def _gap_array(v):
-    with np.errstate(over="ignore"):  # 1/subnormal is inf, as for floats
-        return 1.0 / v - 1.0
-
-
-_gap.array = _gap_array
+_gap.array = _gap  # the same arithmetic works element-wise on arrays
 
 
 def _psi_phi_side(pair: PsiPhiPair, side: str, g, g_f):
@@ -473,8 +469,12 @@ def _k_side(k: float, side: str, g, g_f):
     nu side.  A zero grade on either end skips the comparison (the
     reciprocal gap is undefined there), unless the other end is NaN."""
     dead = (g <= 0.0) | (g_f <= 0.0)
-    lhs = _unless(dead, _gap, g_f, 0.0)
-    rhs = (k if side == "mu" else 1.0 / k) * _unless(dead, _gap, g, 0.0)
+    # A gap past the largest double is inf.  numpy (arrays, numpy scalars)
+    # warns on the overflow and Python floats do not, so the shrinker's
+    # float calls skip the cost of np.errstate.
+    with nullcontext() if type(dead) is bool else np.errstate(over="ignore"):
+        lhs = _unless(dead, _gap, g_f, 0.0)
+        rhs = (k if side == "mu" else 1.0 / k) * _unless(dead, _gap, g, 0.0)
     # Reciprocal gaps are unbounded, so the tolerance scales with the
     # comparison magnitude; a flat 1e-12 would sit below one ulp for large
     # gaps and turn rounding noise into violations.  lhs <= rhs + tol *
@@ -598,8 +598,7 @@ def _first_failing_step(trace, side_check):
     for t in trace.t_grid:
         for side, diag in (("mu", trace.mu_diag[t]), ("nu", trace.nu_diag[t])):
             g = np.asarray(diag, dtype=np.float64)
-            with np.errstate(over="ignore"):  # an overflowing gap is inf, as for floats
-                bad = side_check(side, g[:-1], g[1:])[0]
+            bad = side_check(side, g[:-1], g[1:])[0]
             if bad.any():
                 first = min(first, int(bad.argmax()))
     return (True, None) if first == steps else (False, first)

@@ -37,6 +37,7 @@ import numpy as np
 
 from .contraction import SelfMap
 from .errors import DomainError, NonConvergenceError, PreconditionError
+from .sampling import MAX_WITNESSES
 from .spaces import (FiniteDomain, IFSpace, IntervalDomain, NON_ARCHIMEDEAN, grade_tables,
                      time_grid)
 
@@ -291,7 +292,9 @@ class FixedPointReport:
     stop_reasons: list[str]
     residual: ResidualCheck | None
     unique: bool
-    witnesses: list[tuple]  # (seed_i, seed_j, distance) between found limits
+    witnesses: list[tuple]  # the first (seed_i, seed_j, distance) beyond point_tol
+    limit_pairs: int        # pairs of found limits
+    max_limit_distance: float | None  # over those pairs; None below two limits
     cycle_lengths: list | None = None
     traces: list = field(default_factory=list, repr=False)
     domain: object = field(default=None, repr=False)
@@ -315,6 +318,8 @@ class FixedPointReport:
             "residual": self.residual.to_dict() if self.residual else None,
             "unique": self.unique,
             "witnesses": [list(w) for w in self.witnesses],
+            "limit_pairs": self.limit_pairs,
+            "max_limit_distance": self.max_limit_distance,
             "cycle_lengths": list(self.cycle_lengths) if self.cycle_lengths is not None else None,
         }
 
@@ -324,10 +329,13 @@ def _cross_checked(method: str, space: IFSpace, f: SelfMap, config: SolverConfig
     """The report of either engine, from one limit (None if not reached) per
     seed: the first limit found is the fixed point, verified over the grid,
     and `unique` holds when every seed reached a limit and all limits agree
-    within `point_tol`.  Witnesses are the distances between found limits."""
+    within `point_tol`.  Over the pairs of found limits it keeps their count,
+    the largest distance and, as witnesses, the first `MAX_WITNESSES` pairs
+    farther apart than `point_tol`, so its size grows with the seeds only."""
     domain = space.domain
     found = [(i, p) for i, p in enumerate(limits) if p is not None]
     fixed_point = found[0][1] if found else None
+    pairs = [(i, j, domain.distance(p, q)) for (i, p), (j, q) in combinations(found, 2)]
     return FixedPointReport(
         method=method,
         fixed_point=fixed_point,
@@ -336,7 +344,9 @@ def _cross_checked(method: str, space: IFSpace, f: SelfMap, config: SolverConfig
             space, f, fixed_point, config.t_grid, config.epsilon),
         unique=bool(found) and len(found) == len(limits) and all(
             domain.distance(fixed_point, p) <= config.point_tol for _, p in found),
-        witnesses=[(i, j, domain.distance(p, q)) for (i, p), (j, q) in combinations(found, 2)],
+        witnesses=[w for w in pairs if w[2] > config.point_tol][:MAX_WITNESSES],
+        limit_pairs=len(pairs),
+        max_limit_distance=max((d for _, _, d in pairs), default=None),
         domain=domain,
         **per_seed,
     )

@@ -165,7 +165,7 @@ def test_criterion_5_banach_desk_scale():
     elapsed = time.perf_counter() - t0
     ok = abs(report.fixed_point) <= 1e-8
     ok &= report.unique
-    max_pairwise = max((d for _, _, d in report.witnesses), default=0.0)
+    max_pairwise = report.max_limit_distance
     ok &= max_pairwise <= 2e-8
     for trace in report.traces:
         ok &= trace.stop_reason == "converged"

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 from functools import partial
 from unittest import mock
 
@@ -261,6 +263,26 @@ class TestKCheck:
             k_report = check_k_contractive(unit_space, f, 0.5, sampler)
             pp_report = check_psi_phi_contractive(unit_space, f, pair_from_k(0.5), sampler)
             assert k_report.passed and pp_report.passed, f.name
+
+    @pytest.mark.parametrize("with_array", [True, False])
+    def test_overflowing_gap_is_inf_without_a_warning(self, unit_space, with_array):
+        # 1/nu - 1 = 1e308 and 1/k times it overflows to inf, which satisfies
+        # the nu side; numpy warns on that multiply unless it is silenced
+        def nu(x, y, t):
+            return 1e-308 if abs(x - y) > 0.5 else unit_space.nu(x, y, t)
+
+        if with_array:
+            nu.array = lambda x, y, t: np.where(abs(x - y) > 0.5, 1e-308, unit_space.nu(x, y, t))
+        space = dataclasses.replace(unit_space, nu=nu)
+        sampler = SamplerConfig(RANDOM, 200, (0.1, 1.0, 10.0), seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            quiet = check_k_contractive(space, SelfMap.identity(), 0.5, sampler)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = check_k_contractive(space, SelfMap.identity(), 0.5, sampler)
+        assert report.to_dict() == quiet.to_dict()
+        assert report.violation_count == 600 and {w.side for w in report.witnesses} == {"mu"}
 
 
 class TestSequencePredicates:

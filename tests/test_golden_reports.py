@@ -34,7 +34,7 @@ CASES = {
     "contract_line12_table": (["contract", "--config"], EXIT_VIOLATIONS),
     "solve_halving": (["solve", "--config"], EXIT_OK),
     # table map with fixed points 0, 5 and 11, solved from every point:
-    # 66 witness rows, written as one table
+    # 66 limit pairs, 39 of them beyond point_tol, so the ten-witness cap applies
     "solve_line12_all_seeds": (["solve", "--config"], EXIT_NOT_UNIQUE),
     "demo": (["demo", "--seed", "0"], EXIT_OK),
 }
@@ -59,6 +59,14 @@ def test_reports_match_golden(case, tmp_path, capsys):
     assert written == _files(expected)
     for name in written:
         assert filecmp.cmp(tmp_path / name, expected / name, shallow=False), name
+
+
+def test_every_report_is_json_dumps_indent_2():
+    reports = sorted(GOLDEN.glob("*/expected/**/*.json"))
+    assert len(reports) > len(CASES)
+    for path in reports:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", path
 
 
 # Custom operations, each failing the axioms noted beside it

@@ -10,6 +10,7 @@ from ifmkit import (
     EXHAUSTIVE,
     DomainError,
     FiniteDomain,
+    IntervalDomain,
     NonConvergenceError,
     PreconditionError,
     SamplerConfig,
@@ -30,6 +31,7 @@ from ifmkit import (
     trace_to_csv,
     verify_fixed_point,
 )
+from ifmkit.solver import _cross_checked
 
 TOL = 1e-12
 
@@ -241,7 +243,8 @@ class TestSolve:
                    point_tol=1e-8, seeds=seeds)
         report = solve_fixed_point(unit_space, SelfMap.scale(0.5), cfg)
         assert report.unique
-        assert max(d for _, _, d in report.witnesses) <= 2 * cfg.point_tol
+        assert report.max_limit_distance <= 2 * cfg.point_tol
+        assert report.witnesses == [] and report.limit_pairs == 66
 
     def test_seed_stopped_by_max_iter_is_not_unique(self, unit_space):
         cfg = _cfg(max_iter=3, seeds=(0.0, 1.0))
@@ -249,6 +252,22 @@ class TestSolve:
         assert report.stop_reasons == ["converged", "max_iter"]
         assert report.limits == [0.0, None]
         assert not report.unique
+        # one limit makes no pair
+        assert report.limit_pairs == 0 and report.max_limit_distance is None
+        assert report.witnesses == []
+
+    def test_witnesses_are_the_first_ten_pairs_beyond_point_tol(self, unit_space):
+        seeds = tuple(i / 11 for i in range(12))
+        report = solve_fixed_point(unit_space, SelfMap.identity(), _cfg(seeds=seeds))
+        assert report.limits == list(seeds)
+        assert report.limit_pairs == 66
+        assert report.witnesses == [(0, j, pytest.approx(j / 11)) for j in range(1, 11)]
+        assert report.max_limit_distance == 1.0
+        data = report.to_dict()
+        keys = list(data)
+        assert keys[keys.index("witnesses"):] == [
+            "witnesses", "limit_pairs", "max_limit_distance", "cycle_lengths"]
+        assert (data["limit_pairs"], data["max_limit_distance"]) == (66, 1.0)
 
     def test_idempotent_verification(self, unit_space):
         cfg = _cfg(epsilon=1e-8, t_grid=(0.1, 1.0, 10.0), max_iter=10_000, seeds=(1.0,))
@@ -302,6 +321,8 @@ class TestEdelstein:
         assert report.fixed_point is None
         assert report.cycle_lengths == [10] * 10
         assert not report.unique
+        assert report.limit_pairs == 0 and report.witnesses == []
+        assert report.to_dict()["max_limit_distance"] is None
 
     def test_identity_gives_all_limits(self, line10_space):
         cfg = _cfg(t_grid=(1.0,), point_tol=0.0, seeds=tuple(range(10)), max_iter=100)
@@ -370,6 +391,35 @@ def test_picard_agrees_with_edelstein_on_table_maps(data, n):
     assert picard.limits == orbit.limits
     assert picard.fixed_point == orbit.fixed_point
     assert picard.unique == orbit.unique
+
+
+LIMIT_DOMAINS = {
+    "interval": IntervalDomain(0.0, 1.0),
+    "finite": FiniteDomain(["a", "b", "c", "d"], [[0.0, 1.0, 2.0, 2.5],
+                                                  [1.0, 0.0, 1.0, 1.5],
+                                                  [2.0, 1.0, 0.0, 0.5],
+                                                  [2.5, 1.5, 0.5, 0.0]]),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(sorted(LIMIT_DOMAINS)),
+       point_tol=st.sampled_from((0.0, 0.25, 1.0)))
+def test_uniqueness_evidence_matches_every_pair(data, kind, point_tol):
+    domain = LIMIT_DOMAINS[kind]
+    points = (st.sampled_from((0.0, 0.1, 0.2, 0.5, 1.0)) if kind == "interval"
+              else st.integers(0, domain.size - 1))
+    limits = data.draw(st.lists(st.none() | points, min_size=1, max_size=16))
+    space = standard_space(domain, TNorm.product(), TConorm.probabilistic_sum())
+    report = _cross_checked("picard", space, SelfMap.identity(), _cfg(point_tol=point_tol),
+                            limits, iterations_per_seed=[], stop_reasons=[])
+    n = len(limits)
+    pairs = [(i, j, domain.distance(limits[i], limits[j]))
+             for i in range(n) for j in range(i + 1, n)
+             if limits[i] is not None and limits[j] is not None]
+    assert report.limit_pairs == len(pairs)
+    assert report.max_limit_distance == max((d for _, _, d in pairs), default=None)
+    assert report.witnesses == [w for w in pairs if w[2] > point_tol][:10]
 
 
 class TestJointContinuity:
