@@ -24,14 +24,15 @@ that each trace allocates once.
 must repeat within |X| steps, so convergence questions reduce to exact
 cycle detection.  Cycles of length one are fixed points; longer cycles are
 reported, not raised — they certify that the contraction hypothesis fails.
+All seeds advance at once: per step one `SelfMap.array` and one `contains_array`
+call, into a (seeds x |X|) first-seen-step table and a (steps x seeds) history.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cache, partial
-from itertools import combinations
+from functools import cache, partial, reduce
 
 import numpy as np
 
@@ -333,20 +334,35 @@ def _cross_checked(method: str, space: IFSpace, f: SelfMap, config: SolverConfig
     the largest distance and, as witnesses, the first `MAX_WITNESSES` pairs
     farther apart than `point_tol`, so its size grows with the seeds only."""
     domain = space.domain
-    found = [(i, p) for i, p in enumerate(limits) if p is not None]
-    fixed_point = found[0][1] if found else None
-    pairs = [(i, j, domain.distance(p, q)) for (i, p), (j, q) in combinations(found, 2)]
+    idx = [i for i, p in enumerate(limits) if p is not None]
+    points = [limits[i] for i in idx]
+    if isinstance(domain, FiniteDomain):
+        x, metric = np.array(points, dtype=np.intp), domain.metric
+        row = lambda r: metric[x[r], x[r + 1:]]  # noqa: E731
+    else:  # Python arithmetic on points other than floats: distances keep their types
+        x = np.array(points, dtype=float if {float}.issuperset(map(type, points)) else object)
+        row = lambda r: np.abs(x[r] - x[r + 1:])  # noqa: E731
+    witnesses, largest = [], None
+    for r in range(len(idx) - 1):  # the pairs (r, later), in combinations order
+        d = row(r)
+        [top] = d.max(keepdims=True).tolist()  # a Python scalar, as the report holds
+        largest = top if largest is None or top > largest else largest
+        if top > config.point_tol and len(witnesses) < MAX_WITNESSES:
+            far = np.flatnonzero(d > config.point_tol)[:MAX_WITNESSES - len(witnesses)]
+            witnesses += [(idx[r], idx[r + 1 + j], v)
+                          for j, v in zip(far.tolist(), d[far].tolist())]
+    fixed_point = points[0] if points else None
     return FixedPointReport(
         method=method,
         fixed_point=fixed_point,
         limits=limits,
         residual=None if fixed_point is None else verify_fixed_point(
             space, f, fixed_point, config.t_grid, config.epsilon),
-        unique=bool(found) and len(found) == len(limits) and all(
-            domain.distance(fixed_point, p) <= config.point_tol for _, p in found),
-        witnesses=[w for w in pairs if w[2] > config.point_tol][:MAX_WITNESSES],
-        limit_pairs=len(pairs),
-        max_limit_distance=max((d for _, _, d in pairs), default=None),
+        unique=bool(points) and len(points) == len(limits) and all(
+            domain.distance(fixed_point, p) <= config.point_tol for p in points),
+        witnesses=witnesses,
+        limit_pairs=len(idx) * (len(idx) - 1) // 2,
+        max_limit_distance=largest,
         domain=domain,
         **per_seed,
     )
@@ -390,37 +406,57 @@ def edelstein_solve(space: IFSpace, f: SelfMap, config: SolverConfig) -> FixedPo
     report with no fixed point is a valid outcome (the caller decides how
     to treat it), since longer cycles certify the contraction hypothesis
     fails rather than signalling a numerical error.
+
+    A failure (a seed or an image outside the domain, or an exception from
+    f) raises what a seed-by-seed loop would raise first.
     """
     domain = space.domain
     if not isinstance(domain, FiniteDomain):
         raise PreconditionError("edelstein_solve requires a finite domain")
     seeds = config.seeds if config.seeds else tuple(domain.points())
-    cycle_lengths = []
-    limits = []
-    iterations = []
-    traces = []
-    for x0 in seeds:
-        if not domain.contains(x0):
-            raise DomainError(f"seed {x0!r} outside domain {domain!r}")
-        seen = {x0: 0}
-        orbit = [x0]
-        x = x0
-        cycle_len = None
-        for step in range(1, min(config.max_iter, domain.size) + 1):
-            x = f.apply_checked(domain, x)
-            if x in seen:
-                cycle_len = step - seen[x]
-                orbit.append(x)
-                break
-            seen[x] = step
-            orbit.append(x)
-        cycle_lengths.append(cycle_len)
-        iterations.append(len(orbit) - 1)
-        limits.append(orbit[-1] if cycle_len == 1 else None)
-        traces.append(orbit)
+    outside = ~domain.contains_array(list(seeds))
+    m = int(outside.argmax()) if outside.any() else len(seeds)  # the seeds that start
+    error = DomainError(f"seed {seeds[m]!r} outside domain {domain!r}") if m < len(seeds) else None
+    steps = min(config.max_iter, domain.size)
+    path = np.zeros((steps + 1, m), dtype=np.intp)  # path[s, i]: seed i's point at step s
+    path[0] = seeds[:m]
+    first_seen = np.full((m, domain.size), -1, dtype=np.intp)
+    first_seen[np.arange(m), path[0]] = 0
+    ends = np.full(m, steps, dtype=np.intp)
+    active, x = np.arange(m), path[0]  # the seeds still walking, and their points
+    for step in range(1, steps + 1):
+        if not active.size:
+            break
+        try:
+            images = f.array(x)
+            ok = domain.contains_array(images.tolist()).all()
+        except Exception:  # noqa: BLE001  replayed below, seed by seed
+            ok = False
+        if not ok:  # each seed's orbit again in checked steps, up to the first failure
+            images = []
+            for i in active.tolist():
+                try:
+                    images.append(reduce(lambda p, _: f.apply_checked(domain, p), range(step),
+                                         seeds[i]))
+                except Exception as exc:  # noqa: BLE001  raised unless an earlier seed fails later
+                    error, active = exc, active[:len(images)]
+                    break
+        path[step, active] = images
+        x = path[step, active]
+        closed = first_seen[active, x] >= 0
+        ends[active[closed]] = step
+        active, x = active[~closed], x[~closed]
+        first_seen[active, x] = step
+    if error is not None:
+        raise error
+    traces = [[x0] + o[1:e + 1] for x0, o, e in zip(seeds, path.T.tolist(), ends.tolist())]
+    # a closed orbit's last point was first seen a cycle earlier; an open one's, at its end
+    cycle = ends - first_seen[np.arange(m), path[ends, np.arange(m)]]
+    cycle_lengths = [c or None for c in cycle.tolist()]
     return _cross_checked(
-        "edelstein", space, f, config, limits,
-        iterations_per_seed=iterations,
+        "edelstein", space, f, config,
+        [orbit[-1] if c == 1 else None for orbit, c in zip(traces, cycle_lengths)],
+        iterations_per_seed=ends.tolist(),
         stop_reasons=["cycle" if c is not None else "max_iter" for c in cycle_lengths],
         cycle_lengths=cycle_lengths,
         traces=traces,

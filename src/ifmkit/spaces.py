@@ -93,7 +93,7 @@ class FiniteDomain:
     triangle inequality must hold (all within 1e-12).
     """
 
-    def __init__(self, labels, metric):
+    def __init__(self, labels, metric, *, _metric_by_construction: bool = False):
         labels = tuple(str(lab) for lab in labels)
         try:
             m = np.array(metric, dtype=float)
@@ -113,7 +113,7 @@ class FiniteDomain:
         # One O(n^2) slab per i: bad[j, k] is m[i, k] > m[i, j] + m[j, k] + tol,
         # so the first hit of the first failing i is the lexicographically
         # first (i, j, k).
-        for i in range(n):
+        for i in range(0 if _metric_by_construction else n):
             bad = m[i][None, :] > m[i][:, None] + m + POINT_EQ_TOL
             if bad.any():
                 j, k = np.argwhere(bad)[0].tolist()
@@ -132,8 +132,11 @@ class FiniteDomain:
         if n < 1:
             raise DomainError("line domain needs at least one point")
         spacing = diameter / (n - 1) if n > 1 else 0.0
-        metric = [[abs(i - j) * spacing for j in range(n)] for i in range(n)]
-        return cls([str(i) for i in range(n)], metric)
+        i = np.arange(n, dtype=float)  # |i - j| is exact, so these are the doubles of a list build
+        with np.errstate(invalid="ignore"):  # 0 * inf is NaN, rejected as not finite
+            metric = np.abs(i[:, None] - i) * spacing
+        # a metric in exact arithmetic, whose rounding can fail the 1e-12 triangle pass
+        return cls([str(k) for k in range(n)], metric, _metric_by_construction=True)
 
     @property
     def size(self) -> int:

@@ -373,6 +373,27 @@ class TestSolveCommand:
         report = json.loads((tmp_path / "solve.json").read_text())
         assert report["cycle_lengths"] == [10] * 10
 
+    def test_large_diameter_line_solves(self, tmp_path, capsys):
+        # |i - j| * spacing rounds past the triangle pass's 1e-12 at this
+        # scale, which made this config an error (exit 2)
+        cfg = {
+            "schema_version": 1,
+            "space": {
+                "construction": "standard",
+                "domain": {"kind": "line", "n": 30, "diameter": 100000.0},
+                "tnorm": "product",
+                "tconorm": "probabilistic_sum",
+            },
+            "map": {"name": "table", "images": [i // 2 for i in range(30)]},
+            "solver": {"epsilon": 1e-6, "t_grid": [0.1, 1, 10], "max_iter": 100,
+                       "point_tol": 0.0, "seeds": list(range(30))},
+        }
+        path = write_config(tmp_path, cfg)
+        assert main(["solve", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
+        assert "fixed point 0 (unique" in capsys.readouterr().out
+        report = json.loads((tmp_path / "solve.json").read_text())
+        assert report["fixed_point"] == "0" and report["unique"] is True
+
     def test_flip_map_never_converges(self, tmp_path):
         cfg = standard_config(map={"name": "affine_clamped", "a": -1.0, "b": 1.0})
         cfg["solver"]["seeds"] = [0.2]

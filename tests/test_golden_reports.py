@@ -36,6 +36,9 @@ CASES = {
     # table map with fixed points 0, 5 and 11, solved from every point:
     # 66 limit pairs, 39 of them beyond point_tol, so the ten-witness cap applies
     "solve_line12_all_seeds": (["solve", "--config"], EXIT_NOT_UNIQUE),
+    # line(30) of diameter 1e5, whose metric rounds past the triangle
+    # tolerance: floor-half from every point reaches 0
+    "solve_line30_wide": (["solve", "--config"], EXIT_OK),
     "demo": (["demo", "--seed", "0"], EXIT_OK),
 }
 

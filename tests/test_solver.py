@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import math
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -371,6 +373,61 @@ class TestEdelstein:
                 assert report.fixed_point == true_fixed[0]
         assert passers >= 3  # at least the constant maps qualify
 
+    # The errors: a seed-by-seed loop raises the first failure of the lowest
+    # failing seed index, at that seed's own step, whatever later seeds do.
+
+    def test_seed_outside_the_domain(self, line10_space):
+        with pytest.raises(DomainError, match=r"^seed 10 outside domain FiniteDomain\(n=10\)$"):
+            edelstein_solve(line10_space, SelfMap.identity(), _cfg(seeds=(0, 10, -1)))
+        with pytest.raises(DomainError, match=r"^seed 2\.0 outside"):
+            edelstein_solve(line10_space, SelfMap.identity(), _cfg(seeds=(2.0,)))
+
+    # 0 and 1 settle at 0; 2 -> 3 -> 4 -> 5 -> 6 leaves at step 5; 7 leaves at step 1
+    LEAVER = {0: 0, 1: 0, 2: 3, 3: 4, 4: 5, 5: 6, 6: -1, 7: 12, 8: 8, 9: 8}
+
+    @pytest.mark.parametrize("seeds,message", [
+        ((0, 1, 2, 7), "sends 6 to -1"),
+        ((7, 2), "sends 7 to 12"),
+        ((0, 2, 10), "sends 6 to -1"),  # seed 10 is never reached
+    ])
+    def test_lowest_seed_that_leaves_the_domain_wins(self, line10_space, seeds, message):
+        f = SelfMap.closure(lambda x: self.LEAVER[x], name="leaver")
+        with pytest.raises(DomainError, match=f"^map leaver {message}, outside the domain$"):
+            edelstein_solve(line10_space, f, _cfg(seeds=seeds))
+
+    def test_array_form_that_leaves_the_domain(self, line10_space):
+        with pytest.raises(DomainError, match=r"^map constant\(12\) sends 0 to 12, outside"):
+            edelstein_solve(line10_space, SelfMap.constant(12), _cfg(seeds=()))
+
+    def test_map_that_raises(self, line10_space):
+        def fn(x):
+            if x in (4, 9):
+                raise ValueError(f"no image for {x}")
+            return x + 1 if x < 4 else 0
+
+        f = SelfMap.closure(fn)
+        # seed 2 raises at step 2, after seed 9 raised at step 1
+        with pytest.raises(ValueError, match="^no image for 4$"):
+            edelstein_solve(line10_space, f, _cfg(seeds=(2, 9)))
+        with pytest.raises(ValueError, match="^no image for 9$"):
+            edelstein_solve(line10_space, f, _cfg(seeds=(9, 2)))
+
+    def test_budget_below_the_domain_size(self, line10_space):
+        f = SelfMap.table([max(i - 1, 0) for i in range(10)])
+        report = edelstein_solve(line10_space, f, _cfg(seeds=(9, 0), max_iter=3))
+        assert report.traces == [[9, 8, 7, 6], [0, 0]]
+        assert report.iterations_per_seed == [3, 1]
+        assert report.stop_reasons == ["max_iter", "cycle"]
+        assert report.cycle_lengths == [None, 1] and report.limits == [None, 0]
+
+    def test_repeated_seeds(self, line10_space):
+        f = SelfMap.table([i // 2 for i in range(10)])
+        report = edelstein_solve(line10_space, f, _cfg(seeds=(6, 6, 1, 6)))
+        assert report.traces == [[6, 3, 1, 0, 0]] * 2 + [[1, 0, 0], [6, 3, 1, 0, 0]]
+        assert report.iterations_per_seed == [4, 4, 2, 4]
+        assert report.limits == [0] * 4 and report.unique
+        assert (report.limit_pairs, report.max_limit_distance) == (6, 0.0)
+
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), n=st.integers(1, 12))
@@ -407,7 +464,8 @@ LIMIT_DOMAINS = {
        point_tol=st.sampled_from((0.0, 0.25, 1.0)))
 def test_uniqueness_evidence_matches_every_pair(data, kind, point_tol):
     domain = LIMIT_DOMAINS[kind]
-    points = (st.sampled_from((0.0, 0.1, 0.2, 0.5, 1.0)) if kind == "interval"
+    # integer points on the interval: distances keep their Python types
+    points = (st.sampled_from((0.0, 0.1, 0.2, 0.5, 1.0, 0, 1)) if kind == "interval"
               else st.integers(0, domain.size - 1))
     limits = data.draw(st.lists(st.none() | points, min_size=1, max_size=16))
     space = standard_space(domain, TNorm.product(), TConorm.probabilistic_sum())
@@ -417,9 +475,37 @@ def test_uniqueness_evidence_matches_every_pair(data, kind, point_tol):
     pairs = [(i, j, domain.distance(limits[i], limits[j]))
              for i in range(n) for j in range(i + 1, n)
              if limits[i] is not None and limits[j] is not None]
-    assert report.limit_pairs == len(pairs)
-    assert report.max_limit_distance == max((d for _, _, d in pairs), default=None)
-    assert report.witnesses == [w for w in pairs if w[2] > point_tol][:10]
+    # repr, so that the types count too
+    assert repr(report.limit_pairs) == repr(len(pairs))
+    assert repr(report.max_limit_distance) == repr(max((d for _, _, d in pairs), default=None))
+    assert repr(report.witnesses) == repr([w for w in pairs if w[2] > point_tol][:10])
+
+
+def test_uniqueness_evidence_is_linear_in_the_seeds():
+    # 1,000 limits make 499,500 pairs, which a list of them held at once
+    # (about 50 MiB, and a third of a second)
+    space = standard_space(IntervalDomain(0.0, 1.0), TNorm.product(), TConorm.probabilistic_sum())
+    limits = [i / 1000 for i in range(1000)]
+
+    def check():
+        return _cross_checked("picard", space, SelfMap.identity(), _cfg(), limits,
+                              iterations_per_seed=[], stop_reasons=[])
+
+    tracemalloc.start()
+    try:
+        report = check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20
+    assert (report.limit_pairs, report.max_limit_distance) == (499_500, 0.999)
+    assert len(report.witnesses) == 10
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        check()
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 0.02
 
 
 class TestJointContinuity:

@@ -99,6 +99,18 @@ class TestDomains:
         assert line.distance(3, 4) == pytest.approx(1.0 / 9.0)
         assert line.labels[0] == "0"
 
+    def test_large_diameter_line_is_a_metric(self):
+        # |i - j| * spacing rounds by one ulp at this scale, past the
+        # triangle pass's absolute 1e-12, which rejected it
+        assert FiniteDomain.line(30, 1e5).metric[0, 6] == 6 * (1e5 / 29)
+        with pytest.raises(DomainError, match=r"indices \(0, 1, 6\)"):
+            FiniteDomain([str(i) for i in range(30)], FiniteDomain.line(30, 1e5).metric)
+
+    @pytest.mark.parametrize("diameter", [float("inf"), float("nan"), -1.0])
+    def test_line_keeps_the_other_checks(self, diameter):
+        with pytest.raises(DomainError, match="finite|nonnegative"):
+            FiniteDomain.line(3, diameter)
+
 
 class TestStandardSpace:
     def test_point_values(self):
