@@ -17,8 +17,9 @@ non-increasing in n.
 
 `write_trace_csv` and `trace_to_csv` write those arrays, and on an interval
 the orbit converted to float64 once, without a round trip through Python
-lists: the rows are laid out as bytes, chunk by chunk, in work buffers
-that each trace allocates once.
+lists: chunk by chunk, every number of the rows, n included, is laid out
+in one flat run of 32-byte slots, in work buffers that each trace
+allocates once.
 
 `edelstein_solve` is the finite-domain engine: orbits on a finite point set
 must repeat within |X| steps, so convergence questions reduce to exact
@@ -524,56 +525,62 @@ def _fixed_decimal(t: float) -> str:
 # k = 16 - E: as m < 2**53 and 5**k <= 5**27 < 2**63, the product is exact
 # in 128 bits, held in two uint64 halves.  Integer constants are numpy
 # scalars, so no step depends on how a numpy version promotes Python ints.
-# A chunk holds about this many float fields (1,024 rows at a three-value t
-# grid), for which one trace's work buffers come to about 1.7 MiB.
-_CSV_CHUNK_FIELDS = 7 << 10
+# A chunk holds about this many fields (1,024 rows of n, x_n and a three-value
+# t grid's six diagnostics), for which one trace's work buffers take 1.7 MiB.
+_CSV_CHUNK_FIELDS = 8 << 10
 # A chunk's text is copied out in pieces of this many layout bytes, so that
 # no allocation per chunk reaches the 128 KiB at which glibc's malloc maps
 # fresh pages (and faults them in again) by default.
 _PIECE = 1 << 16
 _LOW32, _U32, _U1, _U63 = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(1), np.uint64(63)
 _POW5_HIGH, _POW5_LOW = np.divmod(np.array([5**k for k in range(28)], dtype=np.uint64), _LOW32 + _U1)
-_TEN9, _TEN16, _TEN17 = np.uint64(10**9), np.uint64(10**16), np.uint64(10**17)
-_U32_10 = np.uint32(10)
-# A field is 44 byte columns: the sign, "0." and up to three zeros (for
-# 1e-4 <= |x| < 1), the 17 digits with a "." slot after each of the first
-# 16, "e-" with two exponent digits, and the "," that ends the field.  The
-# columns a value does not use hold the gap byte 0xFF, which UTF-8 text
+_TEN4, _TEN8, _TEN16, _TEN17 = (np.uint64(10**k) for k in (4, 8, 16, 17))
+# A field is a 32-byte slot: 0 the sign, 1-2 "0." and 3-5 up to three zeros
+# (for 1e-4 <= |x| < 1), 6 the first digit, 7 its ".", 8-23 the other 16
+# digits, 24-27 "e-" with two exponent digits, 28 the "," that ends the field.
+# The bytes a value does not use hold the gap byte 0xFF, which UTF-8 text
 # never contains, and the writer deletes every gap byte from its output.
 _GAP = np.uint8(0xFF)
-_FIELD = np.frombuffer(b"-0.000" + b"0." * 16 + b"0e-00,", dtype=np.uint8)
-_DIGIT_COLS = slice(6, 39, 2)
-_DIGIT_INDEX = np.arange(17, dtype=np.uint8)[:, None]
+_SLOT = 32
+_FIELD = np.frombuffer(b"-0.0000." + b"0" * 16 + b"e-00," + b"\xff" * 3, dtype=np.uint8)
 
 
-# built on first use, not at import: building it at import slowed audit
+# built on first use, not at import: building them at import slowed audit
 # runs, which never write a trace, by about 12% in the benchmark
 @cache
-def _layouts() -> np.ndarray:
-    """The bytes of a field, gaps included, by layout code
-    ((E + 11) * 17 + last) * 2 + negative, where `last` is the index of the
-    last nonzero digit; the digits themselves are added as offsets.  The
-    digit columns a value does not show are gaps, and its digits there are
-    0, so the addition leaves them gaps.  Read-only."""
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The writer's read-only tables.  The bytes of a field, gaps included,
+    by layout code ((E + 11) * 17 + last) * 2 + negative, where `last` is
+    the index of the last nonzero digit: the digits themselves are added
+    as offsets, and those a value does not show are 0 on a gap.  Then, for
+    g < 10**4, its four digits as the bytes of a uint32 word, and for each
+    group of digits 1-4, 5-8, 9-12 and 13-16, the index among the 17 of
+    g's last nonzero digit there (0 for g = 0)."""
     e10, last, negative = (a.ravel() for a in np.meshgrid(
         np.arange(-11, 17), np.arange(17), [False, True], indexing="ij"))
     sci = e10 < -4
     point = np.where(sci, 0, e10)  # the digit the "." follows; below 0, "0." leads
     lead = ~sci & (e10 < 0)
     chars = np.repeat(_FIELD[None, :], len(e10), axis=0)
-    chars[:, 41] += np.where(sci, -e10 // 10, 0).astype(np.uint8)
-    chars[:, 42] += np.where(sci, -e10 % 10, 0).astype(np.uint8)
+    chars[:, 26] += np.where(sci, -e10 // 10, 0).astype(np.uint8)
+    chars[:, 27] += np.where(sci, -e10 % 10, 0).astype(np.uint8)
     keep = np.zeros(chars.shape, dtype=bool)
     keep[:, 0] = negative
     keep[:, 1] = keep[:, 2] = lead
     keep[:, 3:6] = lead[:, None] & (np.arange(3) < -1 - e10[:, None])
-    keep[:, _DIGIT_COLS] = np.arange(17) <= np.maximum(last, point)[:, None]
-    keep[:, 7:38:2] = (np.arange(16) == point[:, None]) & (last > point)[:, None]
-    keep[:, 39:43] = sci[:, None]
-    keep[:, 43] = True
+    keep[:, 6] = keep[:, 28] = True
+    keep[:, 7] = (point >= 0) & (last > point)  # moved after digit E >= 1 by the writer
+    keep[:, 8:24] = np.arange(1, 17) <= np.maximum(last, point)[:, None]
+    keep[:, 24:28] = sci[:, None]
     chars[~keep] = _GAP
-    chars.setflags(write=False)
-    return chars
+    g = np.arange(10**4, dtype=np.uint16)
+    words = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1).astype(np.uint8)
+    within = sum((g % p > 0).astype(np.uint8) for p in (10**4, 1000, 100, 10))
+    lasts = (within + np.arange(0, 16, 4, dtype=np.uint8)[:, None]) * (within > 0)
+    tables = chars, words.view(np.uint32).ravel(), lasts
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def _scaled(m, q, e10, work):
@@ -625,33 +632,25 @@ def _scaled(m, q, e10, work):
 
 
 class _FieldWriter:
-    """Work buffers, allocated once, that lay out up to `rows` rows of
-    `cols` float64 values at a time as .17g fields: each row is `lead`
-    44-byte slots for the caller, then one 44-byte field per value, gaps
-    included."""
+    """Work buffers, allocated once, that lay out up to `size` float64
+    values at a time, put in `x` in text order, as .17g fields: one 32-byte
+    slot per value, gaps included."""
 
-    _WORK = (np.float64,) * 3 + (np.intc,) + (np.uint64,) * 6 + (np.int64,) * 3 + (
-        bool,) * 2 + (np.uint32,) * 4 + (np.uint8,)
+    _WORK = (np.float64,) * 3 + (np.intc,) + (np.uint64,) * 9 + (np.int64,) * 3 + (
+        bool,) * 3 + (np.uint32,) + (np.uint8,) * 3
 
-    def __init__(self, rows: int, cols: int, lead: int):
-        self.lead = lead
-        self.raw = bytearray(rows * (lead + cols) * 44)
-        self.chars = np.frombuffer(self.raw, dtype=np.uint8).reshape(rows, lead + cols, 44)
-        self.code = np.zeros((rows, lead + cols), dtype=np.intp)
+    def __init__(self, size: int):
+        self.raw = bytearray(size * _SLOT)
+        self.slots = np.frombuffer(self.raw, dtype=np.uint8).reshape(size, _SLOT)
         # one block for the per-value arrays, so the allocator keeps or reuses it whole
-        block = np.empty((len(self._WORK), rows * cols), dtype=np.uint64)
-        self.work = [row.view(dtype)[:rows * cols] for row, dtype in zip(block, self._WORK)]
-        self.digits = np.empty((2, 17, rows * cols), dtype=np.uint8)
+        block = np.empty((len(self._WORK), size), dtype=np.uint64)
+        self.work = [row.view(dtype)[:size] for row, dtype in zip(block, self._WORK)]
+        self.x = self.work[0]
 
-    def render(self, columns, lo: int, hi: int) -> np.ndarray:
-        """The (hi - lo, lead + cols, 44) byte layout of rows lo..hi-1 of
-        the columns, each value's field in its slot; the lead slots hold
-        stale bytes for the caller to overwrite."""
-        r, size = hi - lo, (hi - lo) * len(columns)  # values column by column
-        (x, ax, mant, exp2, m, *uints, e10, q, k, slow, up, high, low, quotient, spare,
-         last) = (a[:size] for a in self.work)
-        digits, marks = self.digits[:, :, :size]  # digits[j]: the j-th digit of each
-        np.concatenate([c[lo:hi] for c in columns], out=x)
+    def render(self, size: int) -> np.ndarray:
+        """The (size, 32) slots of the first `size` values of `x`."""
+        (x, ax, mant, exp2, m, *uints, g0, g1, g2, e10, q, k, slow, up, shift, word, first, last,
+         spare) = (a[:size] for a in self.work)
         np.abs(x, out=ax)
         # zero, tiny, huge, inf and NaN go through format()
         np.logical_not((ax > 1e-11) & (ax < 1e17), out=slow)
@@ -674,41 +673,55 @@ class _FieldWriter:
         # no rounding carry to 1e17: below every power of ten in range, the
         # nearest double rounds down at 17 digits (the tests check each)
         n += up
-        np.divmod(n, _TEN9, out=(high, low), casting="unsafe")
-        for part, js in ((high, range(7, -1, -1)), (low, range(16, 7, -1))):
-            for j in js:
-                np.floor_divide(part, _U32_10, out=quotient)
-                np.multiply(quotient, _U32_10, out=spare)
-                np.subtract(part, spare, out=digits[j], casting="unsafe")
-                part, quotient = quotient, part
-        np.not_equal(digits, 0, out=marks)
-        marks *= _DIGIT_INDEX
-        np.max(marks, axis=0, out=last)
+        # the first digit, then digits 1-4, 5-8, 9-12 and 13-16 as table indices
+        spare64 = uints[0]
+        _split(n, _TEN16, first, spare64)
+        _split(n, _TEN8, g1, spare64)
+        _split(g1, _TEN4, g0, spare64)
+        _split(n, _TEN4, g2, spare64)
+        groups = [g.view(np.int64) for g in (g0, g1, g2, n)]
+        layouts, words, lasts = _tables()
+        np.take(lasts[0], groups[0], out=last)
+        for table, g in zip(lasts[1:], groups[1:]):
+            np.maximum(last, np.take(table, g, out=spare), out=last)
+        # a value >= 10 with a fraction has its "." after digit E: digits
+        # 1..E move one byte left, over the "." at 7
+        np.greater(last, e10, out=shift)
+        shift &= np.greater(e10, 0, out=up)
+        moved = np.flatnonzero(shift)
+        moved_e10 = e10[moved]
         # the layout code ((E + 11) * 17 + last) * 2 + negative
         e10 += 11
         e10 *= 17
         e10 += last
         e10 *= 2
-        np.signbit(x, out=up)
-        code, chars = self.code[:r], self.chars[:r]
-        np.add(e10.reshape(-1, r).T, up.reshape(-1, r).T, out=code[:, self.lead:])
-        np.take(_layouts(), code, axis=0, out=chars, mode="clip")
-        fields = chars[:, self.lead:]
-        fields[..., _DIGIT_COLS] += digits.reshape(17, -1, r).T
-        cols, rows = np.nonzero(slow.reshape(-1, r))
-        if rows.size:
-            fields[rows, cols, :-1] = _GAP
-            fields[rows, cols, :24] = _padded(
-                [format(v, ".17g").encode() for v in x.reshape(-1, r)[cols, rows].tolist()], 24)
-        return chars
+        e10 += np.signbit(x, out=up)
+        slots = self.slots[:size]
+        np.take(layouts, e10, axis=0, out=slots, mode="clip")
+        slots[:, 6] += first
+        for col, g in enumerate(groups, 2):
+            slots.view(np.uint32)[:, col] += np.take(words, g, out=word)
+        for e in set(moved_e10.tolist()):
+            at, cols = moved[moved_e10 == e][:, None], np.arange(7, 8 + e)
+            slots[at, cols] = slots[at, np.roll(cols, -1)]
+        slow_at = np.flatnonzero(slow)
+        if slow_at.size:
+            slots[slow_at, :28] = _padded(
+                [format(v, ".17g").encode() for v in x[slow_at].tolist()], 28)
+        return slots
 
-    def text_of(self, r: int) -> list[bytes]:
-        """The bytes of the first r rows of the layout, gaps deleted, in
-        pieces of at most `_PIECE` layout bytes."""
-        self.chars[r:] = _GAP
-        raw = memoryview(self.raw)
+    def text(self, size: int) -> list[bytes]:
+        """The bytes of the first `size` slots, gaps deleted, in pieces of
+        at most `_PIECE` layout bytes."""
+        raw = memoryview(self.raw)[:size * _SLOT]
         return [bytes(raw[i:i + _PIECE]).translate(None, _GAP.tobytes())
                 for i in range(0, len(raw), _PIECE)]
+
+
+def _split(x, unit, high, spare) -> None:
+    """high = x // unit, x %= unit: floor_divide runs faster than divmod."""
+    np.floor_divide(x, unit, out=high)
+    x -= np.multiply(high, unit, out=spare)
 
 
 def _padded(encoded, width: int) -> np.ndarray:
@@ -716,15 +729,6 @@ def _padded(encoded, width: int) -> np.ndarray:
     fill = _GAP.tobytes()
     return np.frombuffer(b"".join(b.ljust(width, fill) for b in encoded),
                          dtype=np.uint8).reshape(-1, width)
-
-
-def _integer_fields(n, width: int, out) -> None:
-    """Write the integers n, below 10**width, as decimal text into the rows
-    of `out`: `width` digit columns, with gaps for leading zeros, then ","."""
-    tens = 10 ** np.arange(width - 1, -1, -1)
-    out[:, :width] = n[:, None] // tens % 10 + ord("0")
-    out[:, :width - 1][n[:, None] < tens[:-1]] = _GAP
-    out[:, width] = ord(",")
 
 
 def _csv_chunks(trace: IterationTrace):
@@ -743,26 +747,29 @@ def _csv_chunks(trace: IterationTrace):
     x_last = format(domain.describe(points[-1]), "" if labels else ".17g")
     final = (",".join([str(n_diag), x_last] + [""] * len(columns)) + "\n").encode()
     if n_diag:
-        # n, then on a finite domain the label, go in the lead slots
-        width = len(str(n_diag - 1))
+        # a row's slots: n, on a finite domain the label's, then the values
+        lead = 0
         if labels:
             shown = [format(domain.describe(p)).encode() + b"," for p in points[:-1]]
-            label_width = max(map(len, shown))
+            lead = -(-max(map(len, shown)) // _SLOT)
         else:
             columns.insert(0, np.asarray(points, dtype=np.float64))
-        rows = min(n_diag, max(1, _CSV_CHUNK_FIELDS // len(columns)))
-        head = width + 1 + (label_width if labels else 0)
-        writer = _FieldWriter(rows, len(columns), -(-head // 44))
+        cols = 1 + lead + len(columns)
+        rows = min(n_diag, max(1, _CSV_CHUNK_FIELDS // cols))
+        writer = _FieldWriter(rows * cols)
+        x = writer.x.reshape(rows, cols)
+        x[:, 1:1 + lead] = 1.0  # rendered, then overwritten by the label
+        n = np.arange(rows, dtype=np.float64)
         for lo in range(0, n_diag, rows):
-            hi = min(lo + rows, n_diag)
-            chars = writer.render(columns, lo, hi)
-            lead = chars[:, :writer.lead].reshape(hi - lo, -1)
-            lead[:] = _GAP
-            _integer_fields(np.arange(lo, hi), width, lead)
-            if labels:
-                lead[:, width + 1:head] = _padded(shown[lo:hi], label_width)
-            chars[:, -1, -1] = ord("\n")
-            yield from writer.text_of(hi - lo)
+            r = min(rows, n_diag - lo)
+            np.add(n[:r], lo, out=x[:r, 0])
+            for j, column in enumerate(columns, 1 + lead):
+                x[:r, j] = column[lo:lo + r]
+            lines = writer.render(r * cols).reshape(r, -1)
+            if lead:
+                lines[:, _SLOT:_SLOT * (1 + lead)] = _padded(shown[lo:lo + r], _SLOT * lead)
+            lines[:, 28 - _SLOT] = ord("\n")  # over the last field's ","
+            yield from writer.text(r * cols)
     yield final
 
 
@@ -772,14 +779,15 @@ def trace_to_csv(trace: IterationTrace) -> str:
     final row has no diagnostic entries (they pair consecutive points).
 
     Every number reads exactly as format(value, ".17g") would give it, and
-    a `FiniteDomain` point as its label.  The rows are laid out as byte
-    arrays, in chunks of about 7,168 float fields (1,024 rows at a
-    three-value t grid), through work buffers allocated once per trace:
-    digits come from exact 128-bit integer scaling of the float (the
-    integer route of Gay 1990 and Adams's Ryu, 2018), not from one dtoa
-    call per value, and n from integer division.  Zero, values with
-    |x| <= 1e-11 or |x| >= 1e17, subnormals, inf and NaN are rendered by
-    format().
+    a `FiniteDomain` point as its label.  The rows are laid out as one
+    flat run of 32-byte slots, one per number in text order, in chunks of
+    about 8,192 (1,024 rows at a three-value t grid), through work buffers
+    allocated once per trace: digits come from exact 128-bit integer
+    scaling of the float (the integer route of Gay 1990 and Adams's Ryu,
+    2018), not from one dtoa call per value, and are added four at a time
+    from a table.  n is a float column too: .17g spells an integral double
+    below 1e16 as %d.  Zero, values with |x| <= 1e-11 or |x| >= 1e17,
+    subnormals, inf and NaN are rendered by format().
     """
     return b"".join(_csv_chunks(trace)).decode()
 

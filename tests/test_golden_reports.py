@@ -39,6 +39,9 @@ CASES = {
     # line(30) of diameter 1e5, whose metric rounds past the triangle
     # tolerance: floor-half from every point reaches 0
     "solve_line30_wide": (["solve", "--config"], EXIT_OK),
+    # scale(-0.5) on [-1000, 1000]: alternating signs, x_n >= 10 with a
+    # fraction (the "." after digit E >= 1) and e-XX fields in the traces
+    "solve_wide_interval": (["solve", "--config"], EXIT_OK),
     "demo": (["demo", "--seed", "0"], EXIT_OK),
 }
 

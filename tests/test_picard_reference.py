@@ -16,9 +16,13 @@ trace, and `_FieldWriter` must spell each float as format(x, ".17g").
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -44,13 +48,13 @@ from ifmkit import (
     trace_to_csv,
     write_trace_csv,
 )
+import ifmkit
 from ifmkit import solver
 from ifmkit.solver import (
     _CSV_CHUNK_FIELDS,
     IterationTrace,
     _FieldWriter,
     _fixed_decimal,
-    _integer_fields,
 )
 
 # ---------------------------------------------------------------------------
@@ -411,8 +415,11 @@ def g17(values) -> list[str]:
     """The fields `_FieldWriter` lays out for the values, one string per
     value, gap bytes deleted."""
     x = np.array(values, dtype=np.float64)
-    chars = _FieldWriter(len(x), 1, 0).render([x], 0, len(x))[:, 0]
-    fields = [bytes(c[c != 0xFF]).decode() for c in chars]
+    writer = _FieldWriter(len(x))
+    writer.x[:] = x
+    slots = writer.render(len(x))
+    assert slots.shape == (len(x), 32)
+    fields = [bytes(s[s != 0xFF]).decode() for s in slots]
     assert all(f.endswith(",") for f in fields)
     return [f[:-1] for f in fields]
 
@@ -428,11 +435,16 @@ halfway = (st.integers(10**15, 2**51 - 1).flatmap(
                lambda a: st.sampled_from((a + 0.25, a + 0.75)))
            | st.integers(10**14, 10**15 - 1).flatmap(
                lambda a: st.sampled_from([a + k / 8 for k in (1, 3, 5, 7)])))
+# integral doubles, as the n column holds them, and values >= 10 with a
+# fraction, whose "." follows digit E >= 1
+integral = st.integers(0, 2**53).map(float)
+fractional = st.integers(10, 10**15 - 1).flatmap(
+    lambda a: st.sampled_from([a + k / 8 for k in range(1, 8)]))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.floats() | halfway | st.sampled_from(near_powers_of_ten()),
-                min_size=1, max_size=64),
+@given(st.lists(st.floats() | halfway | st.sampled_from(near_powers_of_ten()) | integral
+                | fractional, min_size=1, max_size=64),
        st.lists(st.booleans(), min_size=64, max_size=64))
 def test_g17_matches_format(values, negate):
     values = [-v if flip else v for v, flip in zip(values, negate)]
@@ -447,6 +459,8 @@ def test_g17_matches_format_on_wide_samples():
         10.0 ** rng.uniform(-12, 17, 5000) * rng.choice([-1.0, 1.0], 5000),
         rng.integers(0, 2**64, 5000, dtype=np.uint64).view(np.float64),
         near_powers_of_ten(),
+        rng.integers(0, 2**53, 5000).astype(np.float64),
+        (rng.integers(10, 10**15, 5000) + rng.integers(1, 8, 5000) / 8) * rng.choice([-1, 1], 5000),
         [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-11,
          np.nextafter(1e-11, 1.0), 1e17, np.nextafter(1e17, 0.0), math.inf, -math.inf, math.nan],
     ])
@@ -515,8 +529,9 @@ def test_csv_matches_scalar_on_a_zero_step_trace(domain):
     assert trace_to_csv(trace) == scalar_trace_to_csv(trace)
 
 
-# rows per chunk on an interval domain with a three-value t grid (7 float fields)
-CHUNK_ROWS = _CSV_CHUNK_FIELDS // 7
+# rows per chunk on an interval domain with a three-value t grid (n, x_n and
+# six diagnostics: 8 fields)
+CHUNK_ROWS = _CSV_CHUNK_FIELDS // 8
 
 
 @pytest.mark.parametrize("rows", [2 * CHUNK_ROWS - 1, 2 * CHUNK_ROWS, 2 * CHUNK_ROWS + 1,
@@ -555,11 +570,25 @@ def test_csv_n_column_across_digit_counts(space, rows):
     assert trace_to_csv(trace) == scalar_trace_to_csv(trace)
 
 
-def test_integer_fields_beyond_the_default_max_iter():
-    n = np.concatenate([np.arange(10), np.arange(10**7 - 5, 10**7 + 5), [10**12 - 1]])
-    out = np.empty((len(n), 13), dtype=np.uint8)
-    _integer_fields(n, 12, out)
-    assert [bytes(row[row != 0xFF]) for row in out] == [b"%d," % v for v in n]
+def test_n_column_beyond_the_default_max_iter():
+    # n is a float column: .17g spells an integral double below 1e16 as %d
+    n = np.concatenate([np.arange(10), np.arange(10**7 - 5, 10**7 + 5),
+                        np.arange(10**12 - 5, 10**12 + 1)])
+    assert g17(n.astype(np.float64)) == ["%d" % v for v in n]
+
+
+def test_import_builds_no_writer_table():
+    # the writer's tables are built on first use, so runs that write no
+    # trace never pay for them
+    code = ("import ifmkit\nfrom ifmkit import solver\n"
+            "print(solver._tables.cache_info().currsize)")
+    path = os.pathsep.join(filter(None, [str(Path(ifmkit.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert run.stdout == "0\n"
+    solver._tables()
+    assert solver._tables.cache_info().currsize == 1
 
 
 def test_diagnostics_are_float64_columns():
