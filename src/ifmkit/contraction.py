@@ -141,7 +141,9 @@ class SelfMap:
 
     `array` maps a whole array of points.  The built-in maps carry an array
     form as ``fn.array``; a closure without one is called element-wise on
-    plain Python scalars.  A finite image table (`table`) is a closure that
+    plain Python scalars.  `scale` also carries ``fn.orbit(x, n)``, the
+    next n iterates from a float x as one float64 array, which the Picard
+    loop uses.  A finite image table (`table`) is a closure that
     looks points up in its ``images``, which it keeps, so tables compare and
     hash by name and images; any other map compares and hashes by name and
     ``fn``.
@@ -174,7 +176,17 @@ class SelfMap:
         def fn(x):
             return c * x
 
+        def orbit(x: float, n: int) -> np.ndarray:
+            # the next n iterates from a float x, as one running product of
+            # [x, c, c, ...]: IEEE products commute and round alike in numpy
+            # and Python, so these are the doubles of n calls of fn
+            factors = np.full(n + 1, c)
+            factors[0] = x
+            with np.errstate(all="ignore"):  # Python floats overflow to inf silently
+                return np.multiply.accumulate(factors, out=factors)[1:]
+
         fn.array = fn
+        fn.orbit = orbit
         return cls.closure(fn, name=f"scale({c:g})")
 
     @classmethod

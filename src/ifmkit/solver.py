@@ -2,16 +2,21 @@
 
 `picard_iterate` follows the orbit x0, f(x0), f^2(x0), ... until the
 trailing-window Cauchy detector, the stopping rule, fires at the smallest
-grid t.  It takes its steps in blocks: a plain loop of scalar map calls,
-16 steps at first and doubling up to `_BLOCK_CAP` = 1024, then one array
-op that checks every point of the block against the domain and one that
-grades every pair of the block's trailing windows; the newest older point
-of a pair that is not near gives the first step whose whole window is
-near, and the points past it are dropped.  It then records, at every grid
-time t, the consecutive-step grades mu(x_n, x_{n+1}, t) and
-nu(x_n, x_{n+1}, t), tabulated in one pass over the orbit and kept as
-float64 arrays.  Both passes grade through `spaces.grade_tables` (a grade
-function without an array form is called element-wise).  For a psi-phi
+grid t.  It takes its steps in blocks, 16 steps at first and doubling up
+to `_BLOCK_CAP` = 1024: a plain loop of scalar map calls, or, for
+`SelfMap.scale` from a float point, one call of its orbit form
+``fn.orbit`` (a running product in numpy, the same doubles).  One array
+op checks every point of the block against the domain, and the points
+inside become one array.  The window check then grades lag by lag: lag 1
+for every step of the block, lag L only for the steps whose pairs at
+every smaller lag were near.  A step's smallest lag whose pair is not
+near gives the newest older point of such a pair, hence the first step
+whose whole window is near, and the points past it are dropped.  It then
+records, at every grid time t, the consecutive-step grades
+mu(x_n, x_{n+1}, t) and nu(x_n, x_{n+1}, t), tabulated in one pass over
+the block arrays, concatenated, and kept as float64 arrays.  Both passes
+grade through `spaces.grade_tables` (a grade function without an array
+form is called element-wise).  For a psi-phi
 contractive map the mu diagnostic is non-decreasing and the nu diagnostic
 non-increasing in n.
 
@@ -172,6 +177,13 @@ def picard_iterate(space: IFSpace, f: SelfMap, x0, config: SolverConfig) -> Iter
     are discarded.  A map error (a point outside the domain, or an
     exception raised by f) is raised only if the orbit reaches it, with the
     same type and message as a step-by-step loop.
+
+    A map with an orbit form ``f.fn.orbit(x, n)`` (`SelfMap.scale`) takes a
+    block in one call while the current point is exactly a Python float,
+    and `points` gets the block's Python floats; any other map or point
+    runs the scalar loop.  The window check grades lag L of a step only if
+    every smaller lag of it was near: the grade functions see fewer pairs
+    than the full windows hold, and the stop is the same.
     """
     domain = space.domain
     if not domain.contains(x0):
@@ -189,37 +201,47 @@ def picard_iterate(space: IFSpace, f: SelfMap, x0, config: SolverConfig) -> Iter
             )
 
     near = partial(_near_pairs, space, t=grid[0], epsilon=config.epsilon)
-    step = f.fn
-    lags = np.arange(1, config.cauchy_window)
+    step, orbit = f.fn, getattr(f.fn, "orbit", None)
+    back = config.cauchy_window - 1  # the older points a window holds
     last_fail = -1
-    points = [x0]
+    points, arrays = [x0], [np.asarray([x0])]  # the orbit, and its blocks as arrays
     x, block = fx0, [fx0]  # the first step ran in the precondition check
     size = min(_FIRST_BLOCK, _BLOCK_CAP)
     stop_reason = "max_iter"
     while True:
         error = None
-        try:
-            for _ in range(min(size, config.max_iter + 1 - len(points)) - len(block)):
-                x = step(x)
-                block.append(x)
-        except Exception as exc:  # noqa: BLE001  raised below only if the orbit gets there
-            error = exc
-        inside = domain.contains_array(block)
+        todo = min(size, config.max_iter + 1 - len(points)) - len(block)
+        if orbit is not None and type(x) is float:
+            values = np.concatenate((block, orbit(x, todo)))
+            block = values.tolist()
+        else:
+            try:
+                for _ in range(todo):
+                    x = step(x)
+                    block.append(x)
+            except Exception as exc:  # noqa: BLE001  raised below only if the orbit gets there
+                error = exc
+            values = block
+        inside = domain.contains_array(values)
         end = len(block) if inside.all() else int(inside.argmin())
         if end < len(block):
             error = f.domain_error(block[end - 1] if end else points[-1], block[end])
-        stop, last_fail = _window_stop(near, points, block[:end], lags, last_fail)
+        values = np.asarray(values[:end])  # the points inside: a list is converted here, once
+        stop, last_fail = _window_stop(near, np.asarray(points[-back:]), values, len(points),
+                                       back, last_fail)
         if stop is not None:
             points += block[:stop + 1]
+            arrays.append(values[:stop + 1])
             stop_reason = "converged"
             break
         if error is not None:
             raise error
         points += block
+        arrays.append(values)
         if len(points) > config.max_iter:
             break
-        block, size = [], min(2 * size, _BLOCK_CAP)
-    pts = np.array(points)
+        x, block, size = block[-1], [], min(2 * size, _BLOCK_CAP)
+    pts = np.concatenate(arrays)
     mu_diag, nu_diag = (dict(zip(grid, np.asarray(table, dtype=np.float64))) for table in
                         grade_tables(space, pts[:-1], pts[1:], np.array(grid)[:, None]))
     return IterationTrace(
@@ -228,30 +250,36 @@ def picard_iterate(space: IFSpace, f: SelfMap, x0, config: SolverConfig) -> Iter
     )
 
 
-def _window_stop(near, points: list, block: list, lags: np.ndarray, last_fail: int):
+def _window_stop(near, tail: np.ndarray, block: np.ndarray, first: int, back: int,
+                 last_fail: int):
     """The index in `block` of the first step whose trailing window is near,
     or None, and the newest older step of a pair that is not near, up to
     the block's end (-1 if none).
 
-    `block` continues the orbit `points`.  The window at step k holds x_i
-    for lo(k) <= i <= k, lo(k) = max(0, k - cauchy_window + 1), so it is
-    near exactly when every pair (x_i, x_j) with i < j <= k and
-    j - i < cauchy_window that is not near has i < lo(k).
+    `block` holds steps `first`, `first` + 1, ... of the orbit, and `tail`
+    the up to `back` = cauchy_window - 1 points before them.  The window at
+    step k holds x_i for lo(k) <= i <= k, lo(k) = max(0, k - back),
+    so it is near exactly when every pair (x_i, x_j) with i < j <= k and
+    j - i < cauchy_window that is not near has i < lo(k).  Step j's newest
+    such i is j - L for the smallest lag L whose pair is not near, so lag L
+    is graded only for the steps whose smaller lags were all near.
     """
-    if not block:
+    if not block.size:
         return None, last_fail
-    first = len(points)  # the step index of block[0]
-    pts = np.asarray(points[-lags.size:] + block)
-    newer = np.broadcast_to(np.arange(len(pts) - len(block), len(pts))[:, None],
-                            (len(block), lags.size))
-    older = newer - lags
-    exists = older >= 0  # in the first steps, j - L < 0 for the longer lags
-    fail = np.zeros(older.shape, dtype=bool)
-    fail[exists] = ~near(pts[older[exists]], pts[newer[exists]])
+    pts = np.concatenate((tail, block))
+    newest = np.full(len(block), -1)
+    rows = np.arange(len(block))  # the steps whose pairs at every smaller lag are near
+    for lag in range(1, back + 1):
+        rows = rows[rows + len(tail) >= lag]  # in the first steps, x_{j - lag} may not exist
+        if not rows.size:
+            break
+        at = rows + len(tail)
+        fail = ~near(pts[at - lag], pts[at])
+        newest[rows[fail]] = rows[fail] + (first - lag)
+        rows = rows[~fail]
     steps = np.arange(first, first + len(block))
-    older_fail = np.where(fail, steps[:, None] - lags, -1).max(axis=1)
-    last = np.maximum(np.maximum.accumulate(older_fail), last_fail)
-    near_window = last < np.maximum(steps - lags.size, 0)
+    last = np.maximum(np.maximum.accumulate(newest), last_fail)
+    near_window = last < np.maximum(steps - back, 0)
     stop = int(near_window.argmax()) if near_window.any() else None
     return stop, int(last[-1])
 
@@ -749,9 +777,12 @@ def _csv_chunks(trace: IterationTrace):
     if n_diag:
         # a row's slots: n, on a finite domain the label's, then the values
         lead = 0
-        if labels:
-            shown = [format(domain.describe(p)).encode() + b"," for p in points[:-1]]
+        if labels:  # each distinct label formatted once, then gathered per chunk
+            distinct, label_at = np.unique(np.asarray(points[:-1], dtype=np.intp),
+                                           return_inverse=True)
+            shown = [format(domain.describe(p)).encode() + b"," for p in distinct.tolist()]
             lead = -(-max(map(len, shown)) // _SLOT)
+            label_slots = _padded(shown, _SLOT * lead)
         else:
             columns.insert(0, np.asarray(points, dtype=np.float64))
         cols = 1 + lead + len(columns)
@@ -767,7 +798,7 @@ def _csv_chunks(trace: IterationTrace):
                 x[:r, j] = column[lo:lo + r]
             lines = writer.render(r * cols).reshape(r, -1)
             if lead:
-                lines[:, _SLOT:_SLOT * (1 + lead)] = _padded(shown[lo:lo + r], _SLOT * lead)
+                lines[:, _SLOT:_SLOT * (1 + lead)] = label_slots[label_at[lo:lo + r]]
             lines[:, 28 - _SLOT] = ord("\n")  # over the last field's ","
             yield from writer.text(r * cols)
     yield final

@@ -17,8 +17,9 @@ Picard loop grade point and time arrays through one call, `grade_tables`,
 which uses these forms (`array_form`); ``same_point`` of either domain
 also works element-wise.  ``contains_array``
 is ``contains`` over a list of points: one array comparison when every
-point is exactly a ``float`` (interval) or an ``int`` (finite), where the
-two agree by construction, else ``contains`` per point.
+point is exactly a ``float`` (interval; a 1-d float64 array too) or an
+``int`` (finite), where the two agree by construction, else ``contains``
+per point.
 """
 
 from __future__ import annotations
@@ -64,9 +65,12 @@ class IntervalDomain:
         return self.lo - POINT_EQ_TOL <= v <= self.hi + POINT_EQ_TOL
 
     def contains_array(self, points) -> np.ndarray:
-        if not {float}.issuperset(map(type, points)):  # a type other than exactly float
+        if isinstance(points, np.ndarray) and points.dtype == np.float64 and points.ndim == 1:
+            v = points
+        elif {float}.issuperset(map(type, points)):  # every point exactly a float
+            v = np.array(points, dtype=float)
+        else:
             return np.array([self.contains(p) for p in points], dtype=bool)
-        v = np.array(points, dtype=float)
         return (self.lo - POINT_EQ_TOL <= v) & (v <= self.hi + POINT_EQ_TOL)
 
     def distance(self, x, y) -> float:

@@ -42,6 +42,9 @@ CASES = {
     # scale(-0.5) on [-1000, 1000]: alternating signs, x_n >= 10 with a
     # fraction (the "." after digit E >= 1) and e-XX fields in the traces
     "solve_wide_interval": (["solve", "--config"], EXIT_OK),
+    # scale(0.8) on [0, 1]: seed 1.0 stops at step 95, in the third Picard
+    # block (steps 49-112); the subnormal and zero seeds stop at step 1
+    "solve_scale_blocks": (["solve", "--config"], EXIT_OK),
     "demo": (["demo", "--seed", "0"], EXIT_OK),
 }
 

@@ -19,6 +19,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -27,7 +28,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ifmkit import (
@@ -189,7 +190,7 @@ def boom(x):
 
 
 def interval_maps(draw):
-    c = draw(st.sampled_from((0.5, 0.9, 0.97, 0.995)))
+    c = draw(st.sampled_from((0.5, 0.9, 0.97, 0.995, -0.5, 0.0)))
     threshold = draw(st.floats(1e-9, 0.9))
     return draw(st.sampled_from((
         SelfMap.scale(c),
@@ -240,7 +241,7 @@ def orbits(draw):
     else:
         domain = IntervalDomain(0.0, 1.0)
         f = interval_maps(draw)
-        x0 = draw(st.sampled_from((1.0, 0.7)) | st.floats(0.0, 1.0))
+        x0 = draw(st.sampled_from((1.0, 0.7, -0.0, 5e-324, 1)) | st.floats(0.0, 1.0))
     space = SPACES[draw(st.sampled_from(sorted(SPACES)))](domain)
     grid = sorted(set(draw(st.lists(st.sampled_from((0.1, 0.5, 1.0, 2.0, 10.0))
                                     | st.floats(0.01, 20.0), min_size=1, max_size=3))))
@@ -255,10 +256,11 @@ def orbits(draw):
 
 @st.composite
 def long_orbits(draw):
-    """Slow contractions on [0, 1] that run for hundreds or thousands of
-    steps, so the orbit spans many blocks, with faults placed late."""
-    domain = IntervalDomain(0.0, 1.0)
-    c = draw(st.sampled_from((0.9, 0.97, 0.995)))
+    """Slow contractions on [0, 1] ([-1, 1] for a negative factor) that run
+    for hundreds or thousands of steps, so the orbit spans many blocks, with
+    faults placed late."""
+    c = draw(st.sampled_from((0.9, 0.97, 0.995, -0.97, 0.0)))
+    domain = IntervalDomain(-1.0 if c < 0 else 0.0, 1.0)  # a negative factor alternates signs
     threshold = draw(st.floats(1e-12, 1e-3))
     then = draw(st.sampled_from((lambda x: -1.0, lambda x: math.nan, boom)))
     f = draw(st.sampled_from((
@@ -274,7 +276,7 @@ def long_orbits(draw):
                                         | st.integers(1, 4000)),
                           cauchy_window=draw(st.integers(2, 7)))
     cap = draw(st.sampled_from((1, 3, 16, 1024)))
-    return space, f, draw(st.floats(0.5, 1.0)), config, cap
+    return space, f, draw(st.floats(0.5, 1.0) | st.sampled_from((-0.0, 5e-324, 1))), config, cap
 
 
 def _outcome(run):
@@ -355,6 +357,42 @@ def test_error_past_the_stop_is_not_raised():
             picard_iterate(space, f, 1.0, replace(config, epsilon=1e-12))
 
 
+def scalar_products(c: float, x: float, n: int) -> list[float]:
+    """The next n iterates of x -> c * x, one Python product each."""
+    out = []
+    for _ in range(n):
+        x = c * x
+        out.append(x)
+    return out
+
+
+def scale_orbit(c, x, n) -> list[float]:
+    """`SelfMap.scale(c).fn.orbit(x, n)` as Python floats, with every
+    warning an error: overflow to inf and underflow stay silent."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        orbit = SelfMap.scale(c).fn.orbit(x, n)
+    assert isinstance(orbit, np.ndarray) and orbit.dtype == np.float64 and orbit.shape == (n,)
+    return orbit.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats() | st.sampled_from((0.0, -0.0, 0.5, -0.5, 2.0, -3.0, 1e-300, 5e-324)),
+       st.floats() | st.sampled_from((1.0, -0.0, 5e-324, 1e300, -1e-300)),
+       st.integers(0, 80))
+@example(2.0, 1e300, 40)       # overflow to inf
+@example(-3.0, 1e300, 40)      # to +-inf, alternating
+@example(1e300, -1e300, 3)
+@example(0.5, 1e-300, 100)     # down through the subnormals to 0.0
+@example(-0.5, 3e-308, 60)     # to +-0.0
+@example(0.999, 5e-324, 5)     # rounds back up to 5e-324
+@example(0.0, math.inf, 2)     # NaN
+@example(math.inf, 0.0, 2)
+def test_scale_orbit_matches_repeated_products(c, x, n):
+    assert list(map(float.hex, scale_orbit(c, x, n))) == list(
+        map(float.hex, scalar_products(c, x, n)))
+
+
 @settings(max_examples=100, deadline=None)
 @given(orbits(), st.integers(1, 7), st.integers(1, 4), st.sampled_from((1e-2, 1e-6)))
 def test_cauchy_detectors_match_scalar_pairs(case, window, m_offset, epsilon):
@@ -384,6 +422,10 @@ def test_zero_dim_array_orbit_matches_per_step_loop():
     assert outcome[0] is DomainError and "array(0.125)" in outcome[1]
 
 
+# float64 arrays: the interval compares them as one array
+ODD_ARRAYS = ([0.5, -0.0, 1.0, 1.0 + 1e-12, 1.0 + 3e-12, -1e-12, -3e-12, 5e-324],
+              [math.nan, math.inf, -math.inf, 0.25], [])
+
 # odd points that a numpy conversion would unwrap or reinterpret
 ODD_POINTS = ([np.array(0.5)], [np.array(3)], [np.True_, 1], [np.float32(0.5)],
               [Fraction(1, 2)], [True])
@@ -392,7 +434,10 @@ ODD_POINTS = ([np.array(0.5)], [np.array(3)], [np.True_, 1], [np.float32(0.5)],
 @pytest.mark.parametrize("points", [[0.5, 0.25, float("nan")], [0.5, 2, True, 1e400],
                                     [10**400, 0.0], ["0.5", 0.5], [(0.5, 0.5)], [1j],
                                     ["0.5"], [np.True_, 0.25], ["0.5", np.float32(0.5), np.True_],
-                                    [], *ODD_POINTS])
+                                    [], *ODD_POINTS, *map(np.array, ODD_ARRAYS),
+                                    np.array([0.5, 2.0], dtype=np.float32), np.array([0, 1, 2]),
+                                    np.array([True, False]), np.array([[0.5, 2.0]]),
+                                    np.array([0.5, Fraction(1, 2), "0.5", 2.0], dtype=object)])
 def test_interval_contains_array_matches_contains(points):
     domain = IntervalDomain(0.0, 1.0)
     assert domain.contains_array(points).tolist() == [domain.contains(p) for p in points]
@@ -516,6 +561,11 @@ def test_csv_matches_scalar_on_label_domains(labels):
     assert trace.iterations >= 5
     assert trace_to_csv(trace) == scalar_trace_to_csv(trace)
     trace = _trace(space, [5, 1, 0, 1, 4, 3, 2], [(ODD_VALUES[:6], ODD_VALUES[6:12])] * 2)
+    assert trace_to_csv(trace) == scalar_trace_to_csv(trace)
+    # a 2-cycle runs to max_iter: its labels span three chunks of 1,365 rows
+    space = standard_space(FiniteDomain.line(5), *NORMS)
+    trace = picard_iterate(space, SelfMap.table([1, 0, 2, 3, 4]), 0, replace(config, max_iter=3000))
+    assert trace.stop_reason == "max_iter" and trace.iterations == 3000
     assert trace_to_csv(trace) == scalar_trace_to_csv(trace)
 
 
