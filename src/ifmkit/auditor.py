@@ -29,16 +29,18 @@ byte-identical when serialized twice.
 The rows are array comparisons over grade tables, built one chunk of drawn
 tuples at a time.  Per chunk, mu and nu are tabulated once over the t-grid
 for (x, y), (y, x), (y, z) and the singles (x, x), and once over the grid
-plus every t+s and max(t, s) for (x, z); v, x and na-* index into those
-tables instead of grading again.  A chunk covers at most 2^14 (tuple, t,
-s) cells (`sampling.chunks`), so no array grows with the sample count.
+plus every t+s and max(t, s) for (x, z); v, x and na-* gather rows of those
+(times, tuples) tables instead of grading again.  A chunk covers at most
+2^14 (tuple, t, s) cells (`sampling.chunks`), so no array grows with the
+sample count.
 
 Array forms travel with the functions: a grade function or t-(co)norm
 function may carry one as its ``array`` attribute, and the built-ins of
 `standard_space`, `crisp_threshold_space` and `norms` do.  A function
 without one (a custom space, or any wrapper around a built-in) fills the
 same tables by element-wise calls on plain Python floats and ints, so a
-replaced mu or nu is never audited through a stale array form.
+replaced mu or nu is never audited through a stale array form (nor through
+the joint form of `standard_space`, see `spaces.grade_tables`).
 
 Each row's comparison is one predicate over grade values, the negation of
 the condition that must hold, written so that it works on Python floats
@@ -47,12 +49,13 @@ and numpy arrays alike: `_ArrayScan` applies it to grade tables and
 re-checks by the very comparison that found it.
 `minimize_witness` shrinks witnesses through `sampling.shrink`.
 
-Each row keeps (`sampling.Recorder`) its exact violation count and its
-first ten witnesses in the order of a tuple-by-tuple scan: (pair, t) for
-the pair rows; singles, then distinct pairs, for iii/viii; (triple, t, s)
-with t outer for v/x; per triple the single-t entries, then the (t, s)
-entries, for na-*.  The all-grid iii/viii witness is the min((mu, t)) /
-max((nu, t)) over the grid, or a NaN grade at the least t that has one.
+Each row keeps (`sampling.Recorder`, on the transposed view of each mask)
+its exact violation count and its first ten witnesses in the order of a
+tuple-by-tuple scan: (pair, t) for the pair rows; singles, then distinct
+pairs, for iii/viii; (triple, t, s) with t outer for v/x; per triple the
+single-t entries, then the (t, s) entries, for na-*.  The all-grid
+iii/viii witness is the min((mu, t)) / max((nu, t)) over the grid, or a
+NaN grade at the least t that has one.
 Witness points, times and sides are plain Python scalars, so the
 serialized report is byte-identical to that of the scalar loop.
 """
@@ -167,20 +170,20 @@ class _Collector(Recorder):
         self.axiom = axiom
 
     def scan(self, mask, lhs, rhs, points, times):
-        """Record the hits of a (tuples, len(times)) mask.
+        """Record the hits of a (len(times), tuples) mask.
 
-        Row r is the tuple ``points[.][r]`` (x, y and z, where z may be
-        None) and column c the ``times[c] = (t, s)`` pair; lhs and rhs
-        broadcast to the mask's shape.
+        Row c is the ``times[c] = (t, s)`` pair and column r the tuple
+        ``points[.][r]`` (x, y and z, where z may be None); lhs and rhs
+        broadcast to the mask's shape.  Hits are recorded tuple by tuple.
         """
         def witness(r, c):
             x, y, z = (None if p is None else p[r].tolist() for p in points)
             t, s = times[c]
             return Witness(self.axiom, x, y, t, z=z, s=s,
-                           lhs=np.broadcast_to(lhs, mask.shape)[r, c].tolist(),
-                           rhs=np.broadcast_to(rhs, mask.shape)[r, c].tolist())
+                           lhs=np.broadcast_to(lhs, mask.shape)[c, r].tolist(),
+                           rhs=np.broadcast_to(rhs, mask.shape)[c, r].tolist())
 
-        self.record(mask, witness)
+        self.record(mask.T, witness)
 
     def finish(self, detail=None) -> AxiomCheck:
         status = "FAIL" if self.count else "PASS"
@@ -283,15 +286,15 @@ class _ArrayScan:
         self.non_archimedean = space.triangle_mode == NON_ARCHIMEDEAN
         g = len(grid)
         self.t_grid = grid
-        self.grid = np.array(grid)
-        t, s = self.grid[:, None], self.grid[None, :]
-        # (x, z) is graded once over grid | {t+s} | {max(t, s)}; these index
-        # its columns.  max(t, s) is written as Python's max picks.
+        self.grid = t = np.array(grid)[:, None]  # a column: tables are (times, tuples)
+        s = t.T
+        # (x, z) is graded once over grid | {t+s} | {max(t, s)}; these index its
+        # rows: t+s, then t and max(t, s) for na-*, max as Python's max picks.
         self.xz_times, at = np.unique(
-            np.concatenate([self.grid, (t + s).ravel(), np.where(s > t, s, t).ravel()]),
+            np.concatenate([t.ravel(), (t + s).ravel(), np.where(s > t, s, t).ravel()]),
             return_inverse=True,
         )
-        self.at_t, self.at_sum, self.at_max = at[:g], at[g:g + g * g], at[g + g * g:]
+        self.at_sum, self.at_single = at[g:g + g * g], np.concatenate([at[:g], at[g + g * g:]])
         self.single_times = [(t, None) for t in grid]
         self.split_times = [(t, s) for t in grid for s in grid]
         self.col = {axiom: _Collector(axiom) for axiom in AXIOM_ORDER}
@@ -299,9 +302,9 @@ class _ArrayScan:
         self.indiscernible = {"iii": _Collector("iii"), "viii": _Collector("viii")}
 
     def grades(self, a, b, times=None):
-        """(mu, nu) tables of shape (len(a), len(times)); the grid by default."""
+        """(mu, nu) tables of shape (len(times), len(a)); the grid by default."""
         times = self.grid if times is None else times
-        return grade_tables(self.space, a[:, None], b[:, None], times)
+        return grade_tables(self.space, a, b, times)
 
     def pairs(self, x, y, mxy, nxy):
         col, times, pts = self.col, self.single_times, (x, y, None)
@@ -311,7 +314,7 @@ class _ArrayScan:
         col["iv"].scan(*_equal(mxy, myx), pts, times)
         col["ix"].scan(*_equal(nxy, nyx), pts, times)
         distinct = np.logical_not(self.same(x, y))
-        col["vii"].scan(*_nu_positive_unless_near(distinct[:, None], mxy, nxy), pts, times)
+        col["vii"].scan(*_nu_positive_unless_near(distinct, mxy, nxy), pts, times)
         # sampled identity of indiscernibles: distinct pairs fully near / non-far
         self._indiscernible("iii", _below_one, min, mxy, x, y, distinct)
         self._indiscernible("viii", _positive, max, nxy, x, y, distinct)
@@ -322,12 +325,12 @@ class _ArrayScan:
         bad, _, rhs = row(grades)
 
         def witness(r):
-            cells = list(zip(grades[r].tolist(), self.t_grid))
+            cells = list(zip(grades[:, r].tolist(), self.t_grid))
             nan_times = [t for g, t in cells if g != g]
             g, t = (math.nan, min(nan_times)) if nan_times else worst(cells)
             return Witness(axiom, x[r].tolist(), y[r].tolist(), t, lhs=g, rhs=rhs)
 
-        self.indiscernible[axiom].record(distinct & bad.all(axis=1), witness)
+        self.indiscernible[axiom].record(distinct & bad.all(axis=0), witness)
 
     def singles(self, x):
         col, times, pts = self.col, self.single_times, (x, x, None)
@@ -338,17 +341,16 @@ class _ArrayScan:
     def triples(self, x, y, z, mxy, nxy):
         pts = (x, y, z)
         myz, nyz = self.grades(y, z)
-        mxz, nxz = self.grades(x, z, self.xz_times)
+        mxz, nxz = self.grades(x, z, self.xz_times[:, None])
         sides = (("v", "na-mu", _mu_triangle, self.tnorm, mxy, myz, mxz),
                  ("x", "na-nu", _nu_triangle, self.tconorm, nxy, nyz, nxz))
         for split, single, row, op, gxy, gyz, gxz in sides:
-            # (tuples, g, g) bounds flattened with t outer, s inner
-            bound = op(gxy[:, :, None], gyz[:, None, :]).reshape(len(x), -1)
-            self.col[split].scan(*row(gxz[:, self.at_sum], bound), pts, self.split_times)
+            # (g, g, tuples) bounds flattened with t outer, s inner
+            bound = op(gxy[:, None, :], gyz[None, :, :]).reshape(-1, len(x))
+            self.col[split].scan(*row(gxz[self.at_sum], bound), pts, self.split_times)
             if self.non_archimedean:
-                lhs = np.concatenate([gxz[:, self.at_t], gxz[:, self.at_max]], axis=1)
-                bound = np.concatenate([op(gxy, gyz), bound], axis=1)
-                self.col[single].scan(*row(lhs, bound), pts,
+                bound = np.concatenate([op(gxy, gyz), bound])
+                self.col[single].scan(*row(gxz[self.at_single], bound), pts,
                                       self.single_times + self.split_times)
 
 
@@ -393,12 +395,11 @@ def audit_space(space: IFSpace, sampler: SamplerConfig) -> AuditReport:
     col = scan.col
     col["iii"].merge(scan.indiscernible["iii"])
     col["viii"].merge(scan.indiscernible["viii"])
-    probe_pairs = pairs[:_CONTINUITY_PROBE_PAIRS].tolist()
     probed = {"vi": space.mu, "xi": space.nu}
     checks = []
     for axiom in AXIOM_ORDER:
         if axiom in probed:
-            checks.append(_continuity_probe(axiom, probed[axiom], probe_pairs, grid))
+            checks.append(_continuity_probe(axiom, probed[axiom], pairs, grid))
         elif axiom.startswith("na-") and not scan.non_archimedean:
             checks.append(AxiomCheck(axiom, "SKIPPED",
                                      detail="space is not tagged non-Archimedean"))
@@ -422,7 +423,9 @@ def _continuity_probe(axiom: str, grade_fn, pairs, grid) -> AxiomCheck:
         for i in range(_CONTINUITY_GRID_POINTS)
     ]
     pairs = pairs[:_CONTINUITY_PROBE_PAIRS]
-    values = np.array([[grade_fn(x, y, t) for t in tgrid] for x, y in pairs], dtype=float)
+    x, y = np.array(pairs).reshape(-1, 2).T
+    # (pair, t) cells, graded in the order of a pair-by-pair loop
+    values = array_form(grade_fn, 3)(x[:, None], y[:, None], np.array(tgrid))
     # np.max keeps a NaN delta, which max() would drop
     max_delta = np.max(np.abs(np.diff(values, axis=-1)), initial=0.0)
     return AxiomCheck(

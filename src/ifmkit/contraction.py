@@ -31,16 +31,17 @@ to consecutive diagnostic columns.
 The scan draws its pairs as one array and works through them in chunks of
 at most 2^14 (pair, t) cells (`sampling.chunks`), so memory does not grow
 with the sample count.  Per chunk it maps the points once (`SelfMap.array`),
-tabulates mu and nu of (x, y) and of (f(x), f(y)) over the grid
-(`grade_tables`), and applies the side predicates as masks; a
-`sampling.Recorder` keeps the exact violation count and the first ten
-witnesses in the order of a pair-by-pair scan: pair, then t, then mu
-before nu.  Array forms travel with the functions, as in the auditor:
-grade functions and the `from_k` controls carry one as ``fn.array``, and
-so does the closure ``fn`` of every built-in `SelfMap` (an image table's
-indexes its images as one numpy array); any other callable (a custom
-control, a user closure) is evaluated element-wise on plain Python
-scalars.  A control function is only called where its antecedent holds.
+tabulates mu and nu of (x, y) and of (f(x), f(y)) over the grid as
+(times, pairs) tables (`grade_tables`), and applies the side predicates as
+masks; a `sampling.Recorder`, given them as one (pair, t, side) array,
+keeps the exact violation count and the first ten witnesses in the order
+of a pair-by-pair scan: pair, then t, then mu before nu.  Array forms
+travel with the functions, as in the auditor: grade functions and the
+`from_k` controls carry one as ``fn.array``, and so does the closure
+``fn`` of every built-in `SelfMap` (an image table's indexes its images
+as one numpy array); any other callable (a custom control, a user
+closure) is evaluated element-wise on plain Python scalars.  A control
+function is only called where its antecedent holds.
 """
 
 from __future__ import annotations
@@ -523,21 +524,21 @@ def _run_contraction_check(space, f, sampler, condition, side_check) -> Contract
     pairs = draw_array(space.domain, sampler, 2)
     t_grid = sampler.t_grid
     t_target = t_grid[len(t_grid) // 2]
-    grid = np.array(t_grid)
+    grid = np.array(t_grid)[:, None]  # a column: tables are (times, pairs)
     found = Recorder()
     for chunk in chunks(pairs, len(t_grid)):
         x, y = chunk.T
-        grades = grade_tables(space, x[:, None], y[:, None], grid)
-        mapped = grade_tables(space, f.array(x)[:, None], f.array(y)[:, None], grid)
+        grades = grade_tables(space, x, y, grid)
+        mapped = grade_tables(space, f.array(x), f.array(y), grid)
         checked = [side_check(*args) for args in zip(_SIDES, grades, mapped)]
 
         def witness(r, c, s):
             _, lhs, rhs = checked[s]
             return ContractionWitness(_SIDES[s], x[r].tolist(), y[r].tolist(), t_grid[c],
-                                      lhs[r, c].tolist(), rhs[r, c].tolist())
+                                      lhs[c, r].tolist(), rhs[c, r].tolist())
 
-        # (pair, t, side): row-major order is the pair-by-pair scan order
-        found.record(np.stack([bad for bad, _, _ in checked], axis=2), witness)
+        # (pair, t, side) by transposing: row-major order is the pair-by-pair scan order
+        found.record(np.stack([bad for bad, _, _ in checked]).T, witness)
 
     witnesses = [
         _minimize_contraction_witness(space, f, side_check, w, t_target)

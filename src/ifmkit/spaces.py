@@ -14,12 +14,13 @@ the place where axioms are certified or falsified, and `eval_mu` /
 The built-in spaces attach an element-wise form of each grade function as
 ``mu.array`` / ``nu.array``.  The auditor, the contraction scan and the
 Picard loop grade point and time arrays through one call, `grade_tables`,
-which uses these forms (`array_form`); ``same_point`` of either domain
-also works element-wise.  ``contains_array``
-is ``contains`` over a list of points: one array comparison when every
-point is exactly a ``float`` (interval; a 1-d float64 array too) or an
-``int`` (finite), where the two agree by construction, else ``contains``
-per point.
+which uses these forms (`array_form`) or, while mu and nu carry the same
+one (`standard_space`), their joint form; its callers lay their tables out
+as (times, points).  ``same_point`` of either domain also works
+element-wise.  ``contains_array`` is ``contains`` over a list of points:
+one array comparison when every point is exactly a ``float`` (interval; a
+1-d float64 array too) or an ``int`` (finite), where the two agree by
+construction, else ``contains`` per point.
 """
 
 from __future__ import annotations
@@ -214,7 +215,11 @@ def array_form(fn, nargs: int):
 
 def grade_tables(space: "IFSpace", x, y, t):
     """(mu, nu) of the space at the broadcast arrays of points x, y and
-    times t, through the grade functions' array forms (`array_form`)."""
+    times t: one pass of the joint form ``.joint`` when mu and nu carry the
+    same one, else their array forms (`array_form`)."""
+    joint = getattr(space.mu, "joint", None)
+    if joint is not None and joint is getattr(space.nu, "joint", None):
+        return joint(x, y, t)
     return array_form(space.mu, 3)(x, y, t), array_form(space.nu, 3)(x, y, t)
 
 
@@ -256,8 +261,7 @@ def standard_space(domain: PointDomain, tnorm: TNorm, tconorm: TConorm) -> IFSpa
             d = abs(x - y)
             return d / (t + d)
 
-        # the same arithmetic works element-wise on arrays
-        mu.array, nu.array = mu, nu
+        gaps = domain.distance  # |x - y| works element-wise on arrays too
 
     else:
         rows, metric = domain._rows, domain.metric
@@ -269,15 +273,17 @@ def standard_space(domain: PointDomain, tnorm: TNorm, tconorm: TConorm) -> IFSpa
             d = rows[x][y]
             return d / (t + d)
 
-        def mu_array(x, y, t):
-            return t / (t + metric[x, y])
+        def gaps(x, y):
+            return metric[x, y]
 
-        def nu_array(x, y, t):
-            d = metric[x, y]
-            return d / (t + d)
+    def joint(x, y, t):  # (mu, nu) from one gap table and one t + d
+        d = gaps(x, y)
+        s = t + d
+        return t / s, d / s
 
-        mu.array, nu.array = mu_array, nu_array
-
+    mu.array = lambda x, y, t: joint(x, y, t)[0]
+    nu.array = lambda x, y, t: joint(x, y, t)[1]
+    mu.joint = nu.joint = joint
     mode = NON_ARCHIMEDEAN if tnorm.kind == "product" else ARCHIMEDEAN
     return IFSpace(domain, mu, nu, tnorm, tconorm, mode, name="standard")
 

@@ -9,6 +9,7 @@ every count, witness and serialized byte.  Each comparison is written as
 
 import dataclasses
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -246,14 +247,17 @@ def audits(draw):
     exhaustive = finite and draw(st.booleans())
     sampler = SamplerConfig(EXHAUSTIVE if exhaustive else RANDOM,
                             draw(st.integers(1, 60)), tuple(grid), seed=draw(st.integers(0, 2**16)))
-    return space, sampler
+    chunk_cells = draw(st.sampled_from((1, 7, 64, sampling._CHUNK_CELLS)))
+    return space, sampler, chunk_cells
 
 
 @settings(max_examples=150, deadline=None)
 @given(audits())
 def test_array_audit_matches_scalar_reference(case):
-    space, sampler = case
-    assert audit_space(space, sampler).to_json() == scalar_audit_space(space, sampler).to_json()
+    space, sampler, chunk_cells = case
+    with mock.patch.object(sampling, "_CHUNK_CELLS", chunk_cells):
+        array = audit_space(space, sampler).to_json()
+    assert array == scalar_audit_space(space, sampler).to_json()
 
 
 @pytest.mark.parametrize("finite", [False, True], ids=["interval", "line9"])
@@ -278,10 +282,12 @@ def test_chunked_audit_matches_scalar_reference(kind, norm, finite, monkeypatch)
 @settings(max_examples=60, deadline=None)
 @given(audits())
 def test_witnesses_recheck_and_shrink_toward_anchor(case):
-    space, sampler = case
+    space, sampler, chunk_cells = case
     anchor = space.domain.anchor()
     targets = {"x": anchor, "y": anchor, "z": anchor, "t": 1.0, "s": 1.0}
-    for check in audit_space(space, sampler).checks:
+    with mock.patch.object(sampling, "_CHUNK_CELLS", chunk_cells):
+        report = audit_space(space, sampler)
+    for check in report.checks:
         for w in check.witnesses:
             assert repr(violation_margin(space, w)) == repr((True, w.lhs, w.rhs))
             m = minimize_witness(space, w)
@@ -294,12 +300,15 @@ def test_witnesses_recheck_and_shrink_toward_anchor(case):
                     assert abs(after - target) <= abs(before - target), coord
 
 
-def test_replaced_grade_function_is_the_one_audited(unit_space):
+@pytest.mark.parametrize("grade, axiom", [("mu", "ii"), ("nu", "vii")])
+def test_replaced_grade_function_is_the_one_audited(unit_space, grade, axiom):
+    # the other grade keeps the standard space's joint form, which must not
+    # grade the replaced one
     def broken(x, y, t):
         return 0.0
 
-    space = dataclasses.replace(unit_space, mu=broken)
+    space = dataclasses.replace(unit_space, **{grade: broken})
     sampler = SamplerConfig(RANDOM, 50, (0.5, 1.0), seed=4)
     report = audit_space(space, sampler)
-    assert "ii" in report.failing_axioms
+    assert axiom in report.failing_axioms
     assert report.to_json() == scalar_audit_space(space, sampler).to_json()

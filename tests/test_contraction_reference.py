@@ -270,6 +270,20 @@ def test_chunked_scan_matches_scalar_reference(kind, finite, condition, monkeypa
         assert json.loads(array)["violation_count"] > MAX_WITNESSES
 
 
+@pytest.mark.parametrize("finite", [False, True], ids=["interval", "line9"])
+def test_replaced_nu_is_the_one_scanned(finite):
+    # mu keeps the standard space's joint form, which must not grade the
+    # replaced nu: the identity map violates the nu side of the standard
+    # space, and never that of a zero nu
+    domain = FiniteDomain.line(9) if finite else IntervalDomain(0.0, 1.0)
+    space = dataclasses.replace(standard_space(domain, *NORMS), nu=lambda x, y, t: 0.0)
+    sampler = SamplerConfig(EXHAUSTIVE if finite else RANDOM, 50, (0.25, 1.0, 4.0), seed=3)
+    array, scalar = both_scans(space, SelfMap.identity(), sampler, "psi-phi", 0.5)
+    assert array == scalar
+    witnesses = json.loads(array)["witnesses"]
+    assert witnesses and {w["side"] for w in witnesses} == {"mu"}
+
+
 def test_control_function_called_only_where_antecedent_holds():
     # on the crisp space mu(x, y, t) = 0 for distinct points at t <= 1, where
     # mu(f(x), f(y), t) is 0 as well; psi must not see those entries
