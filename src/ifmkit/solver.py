@@ -550,18 +550,30 @@ def _fixed_decimal(t: float) -> str:
 # `_FieldWriter` renders float64 arrays as format(x, ".17g") does.  A value
 # with 1e-11 < |x| < 1e17 has a decimal exponent E in [-11, 16], and its 17
 # digits are N = round-half-even(m * 5**k * 2**(q + k)) for x = m * 2**q and
-# k = 16 - E: as m < 2**53 and 5**k <= 5**27 < 2**63, the product is exact
-# in 128 bits, held in two uint64 halves.  Integer constants are numpy
-# scalars, so no step depends on how a numpy version promotes Python ints.
-# A chunk holds about this many fields (1,024 rows of n, x_n and a three-value
-# t grid's six diagnostics), for which one trace's work buffers take 1.7 MiB.
-_CSV_CHUNK_FIELDS = 8 << 10
+# k = 16 - E: the bits of |x| give m < 2**53 and q, 5**k shifted left by j
+# to at least 2**59 (j = 0 from 5**26 up) stays below 2**63, their product
+# is exact in 128 bits, held in two uint64 halves, and N is that product
+# shifted right by j - q - k, which lies in [52, 63].  Integer constants
+# are numpy scalars, so no step depends on how a numpy version promotes
+# Python ints.
+# A chunk holds about this many fields (2,048 rows of n, x_n and a three-value
+# t grid's six diagnostics), for which one trace's buffers take 1.41 MiB.
+_CSV_CHUNK_FIELDS = 16 << 10
 # A chunk's text is copied out in pieces of this many layout bytes, so that
 # no allocation per chunk reaches the 128 KiB at which glibc's malloc maps
 # fresh pages (and faults them in again) by default.
 _PIECE = 1 << 16
-_LOW32, _U32, _U1, _U63 = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(1), np.uint64(63)
-_POW5_HIGH, _POW5_LOW = np.divmod(np.array([5**k for k in range(28)], dtype=np.uint64), _LOW32 + _U1)
+_LOW32, _U1, _U32, _U52, _U64 = (np.uint64(v) for v in (0xFFFFFFFF, 1, 32, 52, 64))
+_ABS, _MANT, _HIDDEN, _HALF = (np.uint64(v) for v in (2**63 - 1, 2**52 - 1, 2**52, 2**63))
+# |x| is in (1e-11, 1e17) when its bits, less the first such double's, are below the span
+_FAST, _END, _ONE = np.array([np.nextafter(1e-11, 1.0), 1e17, 1.0]).view(np.uint64)
+_FAST_SPAN = _END - _FAST
+# by E + 11: 5**k * 2**j as 32-bit halves, and the right shift plus the
+# biased binary exponent of x, q + 1075
+_POW5 = [5**k << max(0, 60 - (5**k).bit_length()) for k in range(27, -1, -1)]
+_POW5_HIGH, _POW5_LOW = np.divmod(np.array(_POW5, dtype=np.uint64), _LOW32 + _U1)
+_SHIFT = np.array([p.bit_length() - (5**k).bit_length() + 1075 - k
+                   for k, p in zip(range(27, -1, -1), _POW5)], dtype=np.int64)
 _TEN4, _TEN8, _TEN16, _TEN17 = (np.uint64(10**k) for k in (4, 8, 16, 17))
 # A field is a 32-byte slot: 0 the sign, 1-2 "0." and 3-5 up to three zeros
 # (for 1e-4 <= |x| < 1), 6 the first digit, 7 its ".", 8-23 the other 16
@@ -576,14 +588,15 @@ _FIELD = np.frombuffer(b"-0.0000." + b"0" * 16 + b"e-00," + b"\xff" * 3, dtype=n
 # built on first use, not at import: building them at import slowed audit
 # runs, which never write a trace, by about 12% in the benchmark
 @cache
-def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The writer's read-only tables.  The bytes of a field, gaps included,
-    by layout code ((E + 11) * 17 + last) * 2 + negative, where `last` is
-    the index of the last nonzero digit: the digits themselves are added
-    as offsets, and those a value does not show are 0 on a gap.  Then, for
+    by layout code (E + 11) * 34 + 2 * last + negative, where `last` is the
+    index of the last nonzero digit: the digits themselves are added as
+    offsets, and those a value does not show are 0 on a gap.  Then, for
     g < 10**4, its four digits as the bytes of a uint32 word, and for each
-    group of digits 1-4, 5-8, 9-12 and 13-16, the index among the 17 of
-    g's last nonzero digit there (0 for g = 0)."""
+    group of digits 1-4, 5-8, 9-12 and 13-16, twice the index among the 17
+    of g's last nonzero digit there (0 for g = 0).  Last, by layout code,
+    whether digits 1..E move left over the "."."""
     e10, last, negative = (a.ravel() for a in np.meshgrid(
         np.arange(-11, 17), np.arange(17), [False, True], indexing="ij"))
     sci = e10 < -4
@@ -604,26 +617,23 @@ def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     g = np.arange(10**4, dtype=np.uint16)
     words = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1).astype(np.uint8)
     within = sum((g % p > 0).astype(np.uint8) for p in (10**4, 1000, 100, 10))
-    lasts = (within + np.arange(0, 16, 4, dtype=np.uint8)[:, None]) * (within > 0)
-    tables = chars, words.view(np.uint32).ravel(), lasts
+    lasts = (within + np.arange(0, 16, 4, dtype=np.uint8)[:, None]) * (within > 0) * np.uint8(2)
+    tables = chars, words.view(np.uint32).ravel(), lasts, (last > e10) & (e10 > 0)
     for table in tables:
         table.setflags(write=False)
     return tables
 
 
-def _scaled(m, q, e10, work):
-    """floor(m * 2**q * 10**(16 - e10)) and whether it rounds up, half to
-    even; m < 2**53 and 16 - e10 in [0, 27] are uint64 and int64 arrays,
-    and the binary exponent q + 16 - e10 lies in [-63, 5] (in [-62, 4] once
-    e10 is the exact decimal exponent).
-    Both results are written into `work`: five uint64 arrays, one int64
-    and one bool array shaped like m."""
-    a, b, c, d, e, s, up = work
-    np.subtract(16, e10, out=s)  # k
-    np.take(_POW5_LOW, s, out=a, mode="clip")
-    np.take(_POW5_HIGH, s, out=b, mode="clip")
-    s += q
-    # m * 5**k = b * 2**64 + a, from 32-bit halves (m's high half is below 2**21)
+def _scaled(m, exp2, e10, work):
+    """floor(N) and whether it rounds up, half to even, for N = m *
+    2**(exp2 - 1075) * 10**(27 - e10), from the uint64 m < 2**53 and the
+    int64 biased exponent exp2 and E + 11 in [0, 27].
+    Both results are written into `work`: five uint64 arrays and one bool
+    array shaped like m."""
+    a, b, c, d, e, up = work
+    np.take(_POW5_LOW, e10, out=a, mode="clip")
+    np.take(_POW5_HIGH, e10, out=b, mode="clip")
+    # m * 5**k * 2**j = b * 2**64 + a, from 32-bit halves (m's high half is below 2**21)
     np.right_shift(m, _U32, out=c)
     np.bitwise_and(m, _LOW32, out=d)
     np.multiply(d, a, out=e)
@@ -637,25 +647,19 @@ def _scaled(m, q, e10, work):
     d >>= _U32
     b += d
     b += up
-    # shift right by max(-(q + k), 0), in c, then left by max(q + k, 0)
-    np.maximum(s, 0, out=d, casting="unsafe")
-    np.negative(s, out=s)
-    np.maximum(s, 0, out=c, casting="unsafe")
-    np.subtract(_U63, c, out=e)
+    # shift right by r = _SHIFT[e10] - exp2, in c: b below 2**52 <= 2**r
+    r = c.view(np.int64)
+    np.take(_SHIFT, e10, out=r, mode="clip")
+    r -= exp2
+    np.subtract(_U64, c, out=e)
     b <<= e
-    b <<= _U1
-    np.right_shift(a, c, out=e)
-    b |= e
-    b <<= d
-    # up when 2 * remainder + (floor odd) > 2**right
-    np.left_shift(_U1, c, out=e)
-    e -= _U1
-    a &= e
-    e += _U1
-    a <<= _U1
-    np.bitwise_and(b, _U1, out=c)
-    a |= c
-    np.greater(a, e, out=up)
+    np.right_shift(a, c, out=d)
+    b |= d
+    # up when the remainder, moved to the top, with (floor odd) as its lowest bit is > 2**63
+    a <<= e
+    np.bitwise_and(b, _U1, out=d)
+    a |= d
+    np.greater(a, _HALF, out=up)
     return b, up
 
 
@@ -664,86 +668,96 @@ class _FieldWriter:
     values at a time, put in `x` in text order, as .17g fields: one 32-byte
     slot per value, gaps included."""
 
-    _WORK = (np.float64,) * 3 + (np.intc,) + (np.uint64,) * 9 + (np.int64,) * 3 + (
-        bool,) * 3 + (np.uint32,) + (np.uint8,) * 3
+    # E + 11, the mantissa of |x|, five uint64 temporaries and two flags;
+    # after the scaling, the temporaries hold the digit groups and the
+    # mantissa's bytes the narrow arrays
+    _WORK = (np.int64,) + (np.uint64,) * 6 + (bool,) * 2
 
     def __init__(self, size: int):
         self.raw = bytearray(size * _SLOT)
         self.slots = np.frombuffer(self.raw, dtype=np.uint8).reshape(size, _SLOT)
+        # x and the binary exponents of |x| live in the slots' bytes until
+        # the layouts are taken into them
+        self.x, self.exp2 = np.frombuffer(self.raw, dtype=np.float64)[:2 * size].reshape(2, size)
         # one block for the per-value arrays, so the allocator keeps or reuses it whole
-        block = np.empty((len(self._WORK), size), dtype=np.uint64)
-        self.work = [row.view(dtype)[:size] for row, dtype in zip(block, self._WORK)]
-        self.x = self.work[0]
+        widths = [size * np.dtype(t).itemsize for t in self._WORK]
+        self.block = np.empty(sum(widths), dtype=np.uint8)
+        self.work = [self.block[end - width:end].view(t)
+                     for t, width, end in zip(self._WORK, widths, np.cumsum(widths))]
 
     def render(self, size: int) -> np.ndarray:
-        """The (size, 32) slots of the first `size` values of `x`."""
-        (x, ax, mant, exp2, m, *uints, g0, g1, g2, e10, q, k, slow, up, shift, word, first, last,
-         spare) = (a[:size] for a in self.work)
-        np.abs(x, out=ax)
-        # zero, tiny, huge, inf and NaN go through format()
-        np.logical_not((ax > 1e-11) & (ax < 1e17), out=slow)
-        np.copyto(ax, 1.0, where=slow)
-        np.frexp(ax, out=(mant, exp2))
-        np.ldexp(mant, 53, out=mant)
-        np.copyto(m, mant, casting="unsafe")
-        np.subtract(exp2, 53, out=q)
-        np.floor(np.log10(ax, out=mant), out=mant)
-        np.clip(mant, -11, 16, out=mant)
-        np.copyto(e10, mant, casting="unsafe")
-        n, up = _scaled(m, q, e10, [*uints, k, up])
+        """The (size, 32) slots of the first `size` values of `x`, which
+        they overwrite."""
+        e10, m, a, b, c, d, e, slow, up = (w[:size] for w in self.work)
+        x, exp2 = self.x[:size], self.exp2[:size].view(np.int64)
+        np.bitwise_and(x.view(np.uint64), _ABS, out=a)  # the bits of |x|
+        # zero, tiny, huge, inf and NaN go through format(), scaled as 1.0
+        np.greater_equal(np.subtract(a, _FAST, out=b), _FAST_SPAN, out=slow)
+        np.copyto(a, _ONE, where=slow)
+        np.bitwise_and(a, _MANT, out=m)
+        m |= _HIDDEN
+        np.right_shift(a, _U52, out=exp2.view(np.uint64))
+        # E + 11 is log10|x| + 11 truncated, at most 27: above 1e-11 the sum
+        # is >= 0 up to rounding, so truncating floors it (or clips it to 0)
+        estimate = b.view(np.float64)
+        np.log10(a.view(np.float64), out=estimate)
+        estimate += 11.0
+        np.copyto(e10, np.minimum(estimate, 27.0, out=estimate), casting="unsafe")
+        work = [a, b, c, d, e, up]
+        n, up = _scaled(m, exp2, e10, work)
         # log10 can be one off near a power of ten; N then falls outside
         # [1e16, 1e17), and the chunk is redone with those exponents moved
-        below, above = n < _TEN16, n >= _TEN17
-        if below.any() or above.any():
+        if n.min() < _TEN16 or n.max() >= _TEN17:
+            below, above = n < _TEN16, n >= _TEN17
             e10 -= below
             e10 += above
-            n, up = _scaled(m, q, e10, [*uints, k, up])
+            n, up = _scaled(m, exp2, e10, work)
         # no rounding carry to 1e17: below every power of ten in range, the
         # nearest double rounds down at 17 digits (the tests check each)
         n += up
-        # the first digit, then digits 1-4, 5-8, 9-12 and 13-16 as table indices
-        spare64 = uints[0]
-        _split(n, _TEN16, first, spare64)
-        _split(n, _TEN8, g1, spare64)
-        _split(g1, _TEN4, g0, spare64)
-        _split(n, _TEN4, g2, spare64)
+        # the first digit, then digits 1-4, 5-8, 9-12 and 13-16 as table
+        # indices; the narrow arrays take m's bytes
+        word, narrow = m.view(np.uint32)[:size], m.view(np.uint8)[4 * size:]
+        first, last, flag = narrow[:size], narrow[size:2 * size], narrow[2 * size:3 * size].view(bool)
+        g0, g1, g2 = a, c, d
+        _split(n, _TEN16, first, e)
+        _split(n, _TEN8, g1, e)
+        _split(g1, _TEN4, g0, e)
+        _split(n, _TEN4, g2, e)
         groups = [g.view(np.int64) for g in (g0, g1, g2, n)]
-        layouts, words, lasts = _tables()
-        np.take(lasts[0], groups[0], out=last)
-        for table, g in zip(lasts[1:], groups[1:]):
-            np.maximum(last, np.take(table, g, out=spare), out=last)
+        layouts, words, lasts, moves = _tables()
+        np.take(lasts[3], groups[3], out=last, mode="clip")
+        # only where digits 13-16 are zero is the last nonzero digit before them
+        zero = np.flatnonzero(np.equal(last, np.uint8(0), out=flag))
+        if zero.size:
+            last[zero] = np.maximum.reduce([t[g[zero]] for t, g in zip(lasts[:3], groups)])
+        last |= np.signbit(x, out=flag).view(np.uint8)
+        e10 *= np.int64(34)  # the layout code
+        e10 += last
         # a value >= 10 with a fraction has its "." after digit E: digits
         # 1..E move one byte left, over the "." at 7
-        np.greater(last, e10, out=shift)
-        shift &= np.greater(e10, 0, out=up)
-        moved = np.flatnonzero(shift)
-        moved_e10 = e10[moved]
-        # the layout code ((E + 11) * 17 + last) * 2 + negative
-        e10 += 11
-        e10 *= 17
-        e10 += last
-        e10 *= 2
-        e10 += np.signbit(x, out=up)
+        moved = np.flatnonzero(np.take(moves, e10, out=flag, mode="clip"))
+        moved_e10 = e10[moved] // 34 - 11
+        slow_at = np.flatnonzero(slow)
+        shown = [format(v, ".17g").encode() for v in x[slow_at].tolist()]
         slots = self.slots[:size]
         np.take(layouts, e10, axis=0, out=slots, mode="clip")
         slots[:, 6] += first
         for col, g in enumerate(groups, 2):
-            slots.view(np.uint32)[:, col] += np.take(words, g, out=word)
-        for e in set(moved_e10.tolist()):
-            at, cols = moved[moved_e10 == e][:, None], np.arange(7, 8 + e)
+            slots.view(np.uint32)[:, col] += np.take(words, g, out=word, mode="clip")
+        for ex in set(moved_e10.tolist()):
+            at, cols = moved[moved_e10 == ex][:, None], np.arange(7, 8 + ex)
             slots[at, cols] = slots[at, np.roll(cols, -1)]
-        slow_at = np.flatnonzero(slow)
-        if slow_at.size:
-            slots[slow_at, :28] = _padded(
-                [format(v, ".17g").encode() for v in x[slow_at].tolist()], 28)
+        if shown:
+            slots[slow_at, :28] = _padded(shown, 28)
         return slots
 
-    def text(self, size: int) -> list[bytes]:
+    def text(self, size: int):
         """The bytes of the first `size` slots, gaps deleted, in pieces of
-        at most `_PIECE` layout bytes."""
+        at most `_PIECE` layout bytes, each copied out when it is taken."""
         raw = memoryview(self.raw)[:size * _SLOT]
-        return [bytes(raw[i:i + _PIECE]).translate(None, _GAP.tobytes())
-                for i in range(0, len(raw), _PIECE)]
+        for i in range(0, len(raw), _PIECE):
+            yield bytes(raw[i:i + _PIECE]).translate(None, _GAP.tobytes())
 
 
 def _split(x, unit, high, spare) -> None:
@@ -789,11 +803,11 @@ def _csv_chunks(trace: IterationTrace):
         rows = min(n_diag, max(1, _CSV_CHUNK_FIELDS // cols))
         writer = _FieldWriter(rows * cols)
         x = writer.x.reshape(rows, cols)
-        x[:, 1:1 + lead] = 1.0  # rendered, then overwritten by the label
         n = np.arange(rows, dtype=np.float64)
         for lo in range(0, n_diag, rows):
             r = min(rows, n_diag - lo)
             np.add(n[:r], lo, out=x[:r, 0])
+            x[:r, 1:1 + lead] = 1.0  # rendered, then overwritten by the label
             for j, column in enumerate(columns, 1 + lead):
                 x[:r, j] = column[lo:lo + r]
             lines = writer.render(r * cols).reshape(r, -1)
@@ -812,13 +826,14 @@ def trace_to_csv(trace: IterationTrace) -> str:
     Every number reads exactly as format(value, ".17g") would give it, and
     a `FiniteDomain` point as its label.  The rows are laid out as one
     flat run of 32-byte slots, one per number in text order, in chunks of
-    about 8,192 (1,024 rows at a three-value t grid), through work buffers
+    about 16,384 (2,048 rows at a three-value t grid), through work buffers
     allocated once per trace: digits come from exact 128-bit integer
-    scaling of the float (the integer route of Gay 1990 and Adams's Ryu,
-    2018), not from one dtoa call per value, and are added four at a time
-    from a table.  n is a float column too: .17g spells an integral double
-    below 1e16 as %d.  Zero, values with |x| <= 1e-11 or |x| >= 1e17,
-    subnormals, inf and NaN are rendered by format().
+    scaling of the float's mantissa and exponent bits (the integer route of
+    Gay 1990 and Adams's Ryu, 2018), not from one dtoa call per value, and
+    are added four at a time from a table.  n is a float column too: .17g
+    spells an integral double below 1e16 as %d.  Zero, values with
+    |x| <= 1e-11 or |x| >= 1e17, subnormals, inf and NaN are rendered by
+    format().
     """
     return b"".join(_csv_chunks(trace)).decode()
 

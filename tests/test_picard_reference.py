@@ -496,6 +496,30 @@ def test_g17_matches_format(values, negate):
     assert g17(values) == [format(v, ".17g") for v in values]
 
 
+# 17-digit significands a * 10**j with a not a multiple of 10: the last
+# nonzero digit is digit 16 - j, so the trailing zero runs end inside every
+# four-digit group and at each group boundary (j = 4, 8 and 12)
+trailing_zeros = st.tuples(st.integers(0, 16), st.integers(-11, 16), st.booleans()).flatmap(
+    lambda c: st.integers(10**(16 - c[0]), 10**(17 - c[0]) - 1).filter(lambda a: a % 10).map(
+        lambda a: float(f"{'-' if c[2] else ''}{a}e{c[1] - 16 + c[0]}")))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(trailing_zeros, min_size=1, max_size=64))
+def test_g17_matches_format_on_trailing_zero_runs(values):
+    assert g17(values) == [format(v, ".17g") for v in values]
+
+
+def test_g17_matches_format_on_every_trailing_zero_run():
+    # each j, sign and E in [-11, 16] once, and the exact dyadic fractions
+    # m / 2**p, whose 17 digits end in zeros below E = 0 as well
+    values = [float(f"{sign}{'12345678912345678'[:17 - j]}e{e - 16 + j}")
+              for j in range(17) for e in range(-11, 17) for sign in ("", "-")]
+    values += [sign * m / 2.0**p for m in (1, 3, 5, 7, 99, 12345) for p in range(60)
+               for sign in (1.0, -1.0)]
+    assert g17(values) == [format(v, ".17g") for v in values]
+
+
 def test_g17_matches_format_on_wide_samples():
     rng = np.random.default_rng(8)
     values = np.concatenate([
@@ -562,10 +586,13 @@ def test_csv_matches_scalar_on_label_domains(labels):
     assert trace_to_csv(trace) == scalar_trace_to_csv(trace)
     trace = _trace(space, [5, 1, 0, 1, 4, 3, 2], [(ODD_VALUES[:6], ODD_VALUES[6:12])] * 2)
     assert trace_to_csv(trace) == scalar_trace_to_csv(trace)
-    # a 2-cycle runs to max_iter: its labels span three chunks of 1,365 rows
+    # a 2-cycle runs to max_iter: its labels span three chunks (a row is n,
+    # the label and four diagnostics: 6 fields)
+    rows = _CSV_CHUNK_FIELDS // 6
     space = standard_space(FiniteDomain.line(5), *NORMS)
-    trace = picard_iterate(space, SelfMap.table([1, 0, 2, 3, 4]), 0, replace(config, max_iter=3000))
-    assert trace.stop_reason == "max_iter" and trace.iterations == 3000
+    steps = 2 * rows + rows // 5
+    trace = picard_iterate(space, SelfMap.table([1, 0, 2, 3, 4]), 0, replace(config, max_iter=steps))
+    assert trace.stop_reason == "max_iter" and trace.iterations == steps
     assert trace_to_csv(trace) == scalar_trace_to_csv(trace)
 
 
@@ -654,9 +681,18 @@ def test_diagnostics_are_float64_columns():
             assert column.shape == (tr.iterations,)
 
 
+def test_writer_buffers_stay_within_their_bytes():
+    # a chunk's work block and slots bound what a trace write adds to peak
+    # memory: at most the 1,769,472 bytes they took at 8,192 fields per chunk
+    writer = _FieldWriter(_CSV_CHUNK_FIELDS)
+    assert writer.block.nbytes + len(writer.raw) <= 1_769_472
+
+
 def test_csv_write_faults_do_not_grow_with_chunk_count(tmp_path):
-    # the writer's buffers are allocated once per trace, so a second write
-    # of a 12-chunk trace takes about the page faults of a 3-chunk one
+    # the writer's buffers (1.41 MiB at 2,048 rows a chunk, its narrow
+    # arrays in the bytes of the wide ones) are allocated once per trace,
+    # so a second write of a 12-chunk trace takes about the page faults of
+    # a 3-chunk one
     resource = pytest.importorskip("resource")
     space = standard_space(IntervalDomain(0.0, 1.0), *NORMS)
     path = tmp_path / "trace.csv"
