@@ -607,12 +607,14 @@ def test_csv_matches_scalar_on_a_zero_step_trace(domain):
 
 
 # rows per chunk on an interval domain with a three-value t grid (n, x_n and
-# six diagnostics: 8 fields)
+# six diagnostics: 8 fields); the boundaries of 1,024-row chunks (8,192
+# fields) stay covered beside those of the current chunk size
 CHUNK_ROWS = _CSV_CHUNK_FIELDS // 8
+BOUNDARIES = (1024, CHUNK_ROWS)
 
 
-@pytest.mark.parametrize("rows", [2 * CHUNK_ROWS - 1, 2 * CHUNK_ROWS, 2 * CHUNK_ROWS + 1,
-                                  6 * CHUNK_ROWS])
+@pytest.mark.parametrize("rows", sorted({r for c in BOUNDARIES
+                                         for r in (2 * c - 1, 2 * c, 2 * c + 1, 6 * c)}))
 def test_csv_matches_scalar_across_chunks(rows):
     rng = np.random.default_rng(rows)
 
@@ -639,8 +641,8 @@ LABELLED = standard_space(FiniteDomain(["a", "", "β", "long label " * 5], [[abs
 
 
 @pytest.mark.parametrize("space", [SYMMETRIC, LABELLED], ids=["interval", "labels"])
-@pytest.mark.parametrize("rows", [1, 9, 10, 11, 99, 100, 101, 9_999, 10_000, 10_001,
-                                  CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+@pytest.mark.parametrize("rows", sorted({1, 9, 10, 11, 99, 100, 101, 9_999, 10_000, 10_001}
+                                         | {r for c in BOUNDARIES for r in (c - 1, c, c + 1)}))
 def test_csv_n_column_across_digit_counts(space, rows):
     # the n field widens at 10, 100 and 10,000 rows; the final row's n is rows
     trace = _random_trace(space, rows, seed=rows)
