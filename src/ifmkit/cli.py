@@ -173,6 +173,11 @@ def _read_space(cfg: dict) -> tuple[dict, IFSpace]:
     else:
         labels = _expect(spec, "labels", "space.domain", list)
         metric = _expect(spec, "metric", "space.domain", list)
+        # np.array(metric, dtype=float) would take numeric strings and booleans
+        if not all(isinstance(row, list) and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in row)
+                for row in metric):
+            raise ConfigError("space.domain.metric", "expected rows (lists) of numbers")
         normalized = {"kind": kind, "labels": labels, "metric": metric}
         with _field("space.domain.metric"):
             domain = FiniteDomain(labels, metric)

@@ -93,9 +93,10 @@ class IntervalDomain:
 class FiniteDomain:
     """A finite labelled point set with an explicit metric matrix.
 
-    Points are integer indices into ``labels``.  The matrix is validated at
-    construction: square, nonnegative, zero diagonal, symmetric, and the
-    triangle inequality must hold (all within 1e-12).
+    Points are integer indices into ``labels``, not bools.  The matrix is
+    validated at construction (square, nonnegative, zero diagonal,
+    symmetric, triangle inequality, all within 1e-12) and kept once, as
+    the read-only float64 ``metric``.
     """
 
     def __init__(self, labels, metric, *, _metric_by_construction: bool = False):
@@ -129,7 +130,6 @@ class FiniteDomain:
         m.setflags(write=False)
         self.labels = labels
         self.metric = m
-        self._rows = m.tolist()  # plain lists: fast scalar lookups in hot loops
 
     @classmethod
     def line(cls, n: int, diameter: float = 1.0) -> "FiniteDomain":
@@ -150,8 +150,8 @@ class FiniteDomain:
     def points(self):
         return range(self.size)
 
-    def contains(self, p) -> bool:
-        return isinstance(p, (int, np.integer)) and 0 <= int(p) < self.size
+    def contains(self, p) -> bool:  # not a bool: numpy reads one as a mask, not an index
+        return isinstance(p, (int, np.integer)) and type(p) is not bool and 0 <= int(p) < self.size
 
     def contains_array(self, points) -> np.ndarray:
         if not {int}.issuperset(map(type, points)):  # a type other than exactly int
@@ -161,7 +161,7 @@ class FiniteDomain:
         return (0 <= v) & (v < self.size)
 
     def distance(self, x, y) -> float:
-        return self._rows[x][y]
+        return self.metric.item(x, y)
 
     def same_point(self, x, y) -> bool:
         return x == y
@@ -264,13 +264,13 @@ def standard_space(domain: PointDomain, tnorm: TNorm, tconorm: TConorm) -> IFSpa
         gaps = domain.distance  # |x - y| works element-wise on arrays too
 
     else:
-        rows, metric = domain._rows, domain.metric
+        metric = domain.metric
 
         def mu(x, y, t):
-            return t / (t + rows[x][y])
+            return t / (t + metric.item(x, y))
 
         def nu(x, y, t):
-            d = rows[x][y]
+            d = metric.item(x, y)
             return d / (t + d)
 
         def gaps(x, y):

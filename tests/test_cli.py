@@ -123,6 +123,34 @@ class TestConfigValidation:
         assert code == EXIT_CONFIG
         assert "metric" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("metric", [
+        [["0", "1", True], ["1", 0, 1], [1, "1", 0]],
+        [[0, "1"], ["1", 0]],
+        [[0, True], [True, 0]],
+        [[0, 1], 1],
+        [[0, 1], {"0": 1, "1": 0}],
+        [[0, [1]], [[1], 0]],
+        [[0, None], [None, 0]],
+    ], ids=["strings-and-bools", "numeric-strings", "bools", "number-row", "object-row",
+            "nested-entry", "null"])
+    @pytest.mark.parametrize("dump", [False, True])
+    def test_metric_entries_must_be_numbers(self, tmp_path, capsys, metric, dump):
+        cfg = standard_config(space={
+            "construction": "standard",
+            "domain": {"kind": "finite", "labels": ["a", "b", "c"][:len(metric)],
+                       "metric": metric},
+            "tnorm": "product",
+            "tconorm": "probabilistic_sum",
+        })
+        cfg["map"] = {"name": "identity"}
+        cfg["solver"]["seeds"] = [0]
+        argv = ["solve", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]
+        code = main(argv + ["--dump-config"] * dump)
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert "space.domain.metric" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("bad", ["Infinity", "-Infinity", "NaN", "1e400", "1" + "0" * 400,
                                      "0", "-1"],
                              ids=["inf", "-inf", "nan", "1e400", "huge-int", "zero", "negative"])

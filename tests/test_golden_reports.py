@@ -32,10 +32,15 @@ CASES = {
     "contract_psi_phi_identity": (["contract", "--config"], EXIT_VIOLATIONS),
     "contract_k_halving": (["contract", "--config"], EXIT_VIOLATIONS),
     "contract_line12_table": (["contract", "--config"], EXIT_VIOLATIONS),
+    # a user-given metric on five labelled points, irregular distances: the
+    # table map's witnesses shrink through the standard space's scalar grades
+    "contract_finite5_table": (["contract", "--config"], EXIT_VIOLATIONS),
     "solve_halving": (["solve", "--config"], EXIT_OK),
     # table map with fixed points 0, 5 and 11, solved from every point:
     # 66 limit pairs, 39 of them beyond point_tol, so the ten-witness cap applies
     "solve_line12_all_seeds": (["solve", "--config"], EXIT_NOT_UNIQUE),
+    # the same map and metric from every point: fixed points e and b, 0.6 apart
+    "solve_finite5_all_seeds": (["solve", "--config"], EXIT_NOT_UNIQUE),
     # line(30) of diameter 1e5, whose metric rounds past the triangle
     # tolerance: floor-half from every point reaches 0
     "solve_line30_wide": (["solve", "--config"], EXIT_OK),

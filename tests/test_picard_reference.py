@@ -45,6 +45,7 @@ from ifmkit import (
     detect_g_cauchy,
     detect_m_cauchy,
     picard_iterate,
+    solve_fixed_point,
     standard_space,
     trace_to_csv,
     write_trace_csv,
@@ -420,6 +421,21 @@ def test_zero_dim_array_orbit_matches_per_step_loop():
     outcome = _outcome(lambda: picard_iterate(space, f, 1.0, config))
     assert outcome == _outcome(lambda: scalar_picard_iterate(space, f, 1.0, config))
     assert outcome[0] is DomainError and "array(0.125)" in outcome[1]
+
+
+@pytest.mark.parametrize("image", [True, False])
+def test_bool_images_leave_a_finite_domain(image):
+    # numpy reads a bool index as a mask: the Picard solver on a finite
+    # domain raises the seed-by-seed loop's error at the first step
+    space = standard_space(FiniteDomain.line(5), *NORMS)
+    f = SelfMap.closure(lambda x: image)
+    config = SolverConfig(epsilon=1e-6, t_grid=(0.1, 1.0), seeds=(2, 3))
+    expected = (DomainError, f"map closure sends 2 to {image}, outside the domain")
+    assert _outcome(lambda: scalar_picard_iterate(space, f, 2, config)) == expected
+    assert _outcome(lambda: picard_iterate(space, f, 2, config)) == expected
+    with pytest.raises(DomainError) as err:
+        solve_fixed_point(space, f, config)
+    assert (DomainError, str(err.value)) == expected
 
 
 # float64 arrays: the interval compares them as one array

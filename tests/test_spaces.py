@@ -4,6 +4,7 @@ import itertools
 import sys
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from ifmkit import (
 )
 
 TOL = 1e-12
+INDEX_TYPES = (int, np.int8, np.uint8, np.int32, np.int64, np.uint64, np.intp)
 
 coords = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 times = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
@@ -156,6 +158,23 @@ class TestStandardSpace:
         space = _UNIT_SPACE
         assert space.mu(x, y, t) <= space.mu(x, y, t + dt) + TOL
         assert space.nu(x, y, t) >= space.nu(x, y, t + dt) - TOL
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(coords, coords), min_size=1, max_size=6), times, st.data())
+    def test_scalar_grades_read_the_matrix(self, corners, t, data):
+        # an L1 metric on points of the plane, given as nested lists; the
+        # indices drawn as Python ints and as numpy integers
+        m = [[abs(a - c) + abs(b - d) for c, d in corners] for a, b in corners]
+        domain = FiniteDomain([str(i) for i in range(len(m))], m)
+        space = standard_space(domain, TNorm.product(), TConorm.probabilistic_sum())
+        index = st.sampled_from(INDEX_TYPES).flatmap(
+            lambda kind: st.integers(0, len(m) - 1).map(kind))
+        x, y = data.draw(index), data.draw(index)
+        joint = space.mu.joint(x, y, t)
+        for got, cell in ((domain.distance(x, y), domain.metric[x, y]),
+                          (space.mu(x, y, t), joint[0]), (space.nu(x, y, t), joint[1])):
+            assert type(got) is float
+            assert got.hex() == float(cell).hex()
 
 
 class TestCrispSpace:
