@@ -66,6 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover
 CHECK_TOL = 1e-12
 _JUMP_THRESHOLD = 0.1
 _SIDES = ("mu", "nu")
+_NO_ERRSTATE = nullcontext()  # reusable: the shrinker's float calls build no context
 
 
 def psi_from_k(k: float) -> Callable[[float], float]:
@@ -240,8 +241,10 @@ class SelfMap:
         form = getattr(self.fn, "array", None)
         if form is not None:
             return form(xs)
-        # the dtype follows the images: index points stay integers
-        return np.array([self.fn(x) for x in xs.tolist()])
+        # the dtype follows the images; an array image stays an object, outside every domain
+        images = [self.fn(x) for x in xs.tolist()]
+        return np.array(images, dtype=object if any(isinstance(i, np.ndarray) for i in images)
+                        else None)
 
     def apply_checked(self, domain, x):
         y = self(x)
@@ -447,14 +450,21 @@ class ContractionReport:
 
 def _unless(dead, fn, arg, fallback):
     """fn(arg), or ``fallback`` where ``dead`` holds.  On arrays fn runs
-    through its array form (`array_form`) on the live entries only, so a
-    control function is never called where its antecedent fails."""
-    if isinstance(dead, np.ndarray):
-        out = np.full(dead.shape, fallback)
-        live = ~dead
-        out[live] = array_form(fn, 1)(arg[live])
-        return out
-    return fallback if dead else fn(arg)
+    through its array form (`array_form`) on the live entries only, flat
+    in row-major order, so a control function is never called where its
+    antecedent fails.  The result is float64, shaped like ``dead``; with
+    every entry live (the common case), no mask, gather or scatter."""
+    if not isinstance(dead, np.ndarray):
+        return fallback if dead else fn(arg)
+    every = not dead.any()
+    live = slice(None) if every else ~dead.reshape(-1)
+    values = array_form(fn, 1)(arg.reshape(-1)[live])
+    as_is = every and type(values) is np.ndarray and values.dtype == np.float64
+    if as_is and values.shape == (dead.size,):
+        return values.reshape(dead.shape)
+    out = np.full(dead.size, fallback)
+    out[live] = values
+    return out.reshape(dead.shape)
 
 
 def _gap(v):
@@ -485,7 +495,7 @@ def _k_side(k: float, side: str, g, g_f):
     # A gap past the largest double is inf.  numpy (arrays, numpy scalars)
     # warns on the overflow and Python floats do not, so the shrinker's
     # float calls skip the cost of np.errstate.
-    with nullcontext() if type(dead) is bool else np.errstate(over="ignore"):
+    with _NO_ERRSTATE if type(dead) is bool else np.errstate(over="ignore"):
         lhs = _unless(dead, _gap, g_f, 0.0)
         rhs = (k if side == "mu" else 1.0 / k) * _unless(dead, _gap, g, 0.0)
     # Reciprocal gaps are unbounded, so the tolerance scales with the
@@ -504,6 +514,7 @@ def _minimize_contraction_witness(space, f, side_check, witness: ContractionWitn
     """Shrink the witness pair toward its midpoint (fixed per round) and t
     toward the central grid value while the violation persists."""
     grade = space.mu if witness.side == "mu" else space.nu
+    step = f.fn  # the closure itself, as the Picard loop steps
     interval = isinstance(space.domain, IntervalDomain)
 
     def targets(c):
@@ -513,7 +524,7 @@ def _minimize_contraction_witness(space, f, side_check, witness: ContractionWitn
 
     def violated_at(c):
         x, y, t = c["x"], c["y"], c["t"]
-        return side_check(witness.side, grade(x, y, t), grade(f(x), f(y), t))
+        return side_check(witness.side, grade(x, y, t), grade(step(x), step(y), t))
 
     coords = {"x": witness.x, "y": witness.y, "t": witness.t}
     c, lhs, rhs = shrink(space.domain, coords, targets, violated_at, witness.lhs, witness.rhs)

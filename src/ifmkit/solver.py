@@ -8,10 +8,11 @@ to `_BLOCK_CAP` = 1024: a plain loop of scalar map calls, or, for
 ``fn.orbit`` (a running product in numpy, the same doubles).  One array
 op checks every point of the block against the domain, and the points
 inside become one array.  The window check then grades lag by lag: lag 1
-for every step of the block, lag L only for the steps whose pairs at
-every smaller lag were near.  A step's smallest lag whose pair is not
-near gives the newest older point of such a pair, hence the first step
-whose whole window is near, and the points past it are dropped.  It then
+for every step of the block, on slices, and lag L only for the steps whose
+pairs at every smaller lag were near.  A step's smallest lag whose pair is
+not near gives the newest older point of such a pair, hence the first step
+whose whole window is near, and the points past it are dropped; a block
+with no near lag-1 pair (most blocks) cannot stop and returns at once.  It then
 records, at every grid time t, the consecutive-step grades
 mu(x_n, x_{n+1}, t) and nu(x_n, x_{n+1}, t), tabulated in one pass over
 the block arrays, concatenated, and kept as float64 arrays.  Both passes
@@ -262,19 +263,25 @@ def _window_stop(near, tail: np.ndarray, block: np.ndarray, first: int, back: in
     so it is near exactly when every pair (x_i, x_j) with i < j <= k and
     j - i < cauchy_window that is not near has i < lo(k).  Step j's newest
     such i is j - L for the smallest lag L whose pair is not near, so lag L
-    is graded only for the steps whose smaller lags were all near.
+    is graded only for the steps whose smaller lags were all near.  Lag 1
+    is graded on slices; a block whose every step has a lag-1 pair (`tail`
+    is not empty) and none of them near cannot stop, and returns at once.
     """
     if not block.size:
         return None, last_fail
-    pts = np.concatenate((tail, block))
-    newest = np.full(len(block), -1)
-    rows = np.arange(len(block))  # the steps whose pairs at every smaller lag are near
+    pts, k, n = np.concatenate((tail, block)), len(tail), len(block)
+    lo = max(k, 1)  # without a tail, the first step has no lag-1 pair
+    lag1 = ~near(pts[lo - 1:k + n - 1], pts[lo:k + n])
+    if k and lag1.all():
+        return None, max(last_fail, first + n - 2)
+    newest = np.full(n, -1)
+    rows = np.arange(n)  # the steps whose pairs at every smaller lag are near
     for lag in range(1, back + 1):
-        rows = rows[rows + len(tail) >= lag]  # in the first steps, x_{j - lag} may not exist
+        rows = rows[rows + k >= lag]  # in the first steps, x_{j - lag} may not exist
         if not rows.size:
             break
-        at = rows + len(tail)
-        fail = ~near(pts[at - lag], pts[at])
+        at = rows + k
+        fail = lag1 if lag == 1 else ~near(pts[at - lag], pts[at])
         newest[rows[fail]] = rows[fail] + (first - lag)
         rows = rows[~fail]
     steps = np.arange(first, first + len(block))
@@ -458,7 +465,7 @@ def edelstein_solve(space: IFSpace, f: SelfMap, config: SolverConfig) -> FixedPo
             break
         try:
             images = f.array(x)
-            ok = domain.contains_array(images.tolist()).all()
+            ok = domain.contains_array(images).all()
         except Exception:  # noqa: BLE001  replayed below, seed by seed
             ok = False
         if not ok:  # each seed's orbit again in checked steps, up to the first failure

@@ -19,8 +19,8 @@ one (`standard_space`), their joint form; its callers lay their tables out
 as (times, points).  ``same_point`` of either domain also works
 element-wise.  ``contains_array`` is ``contains`` over a list of points:
 one array comparison when every point is exactly a ``float`` (interval; a
-1-d float64 array too) or an ``int`` (finite), where the two agree by
-construction, else ``contains`` per point.
+1-d float64 array too) or an ``int`` (finite; a 1-d integer array too),
+where the two agree by construction, else ``contains`` per point.
 """
 
 from __future__ import annotations
@@ -102,6 +102,11 @@ class FiniteDomain:
     def __init__(self, labels, metric, *, _metric_by_construction: bool = False):
         labels = tuple(str(lab) for lab in labels)
         try:
+            # float() takes numeric strings and booleans; a numeric array holds neither
+            numeric = isinstance(metric, np.ndarray) and metric.dtype.kind in "iuf"
+            if not numeric and any(isinstance(v, (str, bytes, bool, np.bool_))
+                                   for v in np.array(metric, dtype=object).flat):
+                raise TypeError("entries must be numbers, not strings or booleans")
             m = np.array(metric, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"metric must be a matrix of numbers: {exc}") from None
@@ -154,10 +159,12 @@ class FiniteDomain:
         return isinstance(p, (int, np.integer)) and type(p) is not bool and 0 <= int(p) < self.size
 
     def contains_array(self, points) -> np.ndarray:
-        if not {int}.issuperset(map(type, points)):  # a type other than exactly int
+        if isinstance(points, np.ndarray) and points.dtype.kind in "iu" and points.ndim == 1:
+            v = points
+        elif not {int}.issuperset(map(type, points)):  # a type other than exactly int
             return np.array([self.contains(p) for p in points], dtype=bool)
-        # ints past int64 make a float or an object array; both compare right
-        v = np.array(points)
+        else:  # ints past int64 make a float or an object array; both compare right
+            v = np.array(points)
         return (0 <= v) & (v < self.size)
 
     def distance(self, x, y) -> float:

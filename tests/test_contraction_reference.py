@@ -9,7 +9,10 @@ scalar predicates are written as "not (the condition that must hold)" and
 treat a NaN grade at either end as a violation.  `scalar_first_failing_step`
 is the per-step loop the sequence predicates used to run over a trace's
 diagnostics; they now check whole columns and must give the same verdict
-and step.  The Picard reference is in `test_picard_reference.py`.
+and step.  `masked_unless` is `_unless` on arrays with a mask, a gather
+and a scatter on every call; `_unless` skips them when no entry is dead,
+and must give the same bits either way.  The Picard reference is in
+`test_picard_reference.py`.
 """
 
 import dataclasses
@@ -20,7 +23,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ifmkit import (
@@ -55,8 +58,10 @@ from ifmkit.contraction import (
     _k_side,
     _minimize_contraction_witness,
     _psi_phi_side,
+    _unless,
 )
 from ifmkit.sampling import MAX_WITNESSES, draw_tuples
+from ifmkit.spaces import array_form
 
 # ---------------------------------------------------------------------------
 # The scalar references, kept verbatim
@@ -316,6 +321,66 @@ def test_side_predicates_on_floats_match_scalar_reference(side, k, g, g_f):
     for new, old in ((partial(_psi_phi_side, pair), partial(scalar_psi_phi_side, pair)),
                      (partial(_k_side, k), partial(scalar_k_side, k))):
         assert _value(new, side, g, g_f) == _value(old, side, g, g_f)
+
+
+def masked_unless(dead, fn, arg, fallback):
+    """`_unless` on arrays as it was: a mask, a gather and a scatter on
+    every call, whether or not any entry is dead."""
+    out = np.full(dead.shape, fallback)
+    live = ~dead
+    out[live] = array_form(fn, 1)(arg[live])
+    return out
+
+
+# array forms that return float64 (new, or the argument itself), float32,
+# integers, a scalar, a length-one array or a list; None for a control
+# without an array form, called element-wise
+FORMS = {
+    "float64": lambda s: s * 0.5 + 0.25,
+    "itself": lambda s: s,
+    "float32": lambda s: (s / 3).astype(np.float32),
+    "int": lambda s: (s > 0.5).astype(np.int64) - 7,
+    "scalar": lambda s: 0.75,
+    "length-one": lambda s: np.full(1, 0.125),
+    "list": lambda s: list(s * 2),
+    "element-wise": None,
+}
+
+
+@st.composite
+def masked_args(draw):
+    """An argument array and a dead mask of its shape, all live about half
+    the time: the unmasked route, else the masked one."""
+    shape = draw(st.sampled_from(((0,), (1,), (7,), (3, 5), (1, 1), (2, 0), ())))
+    size = math.prod(shape)
+    arg = draw(st.lists(SPECIAL | st.floats(-1.0, 2.0), min_size=size, max_size=size))
+    dead = draw(st.just([False] * size) | st.lists(st.booleans(), min_size=size, max_size=size))
+    return np.array(arg, dtype=np.float64).reshape(shape), np.array(dead, dtype=bool).reshape(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(masked_args(), st.sampled_from(sorted(FORMS)), st.sampled_from((0.0, 1.0)))
+# one value for the one dead entry: the masked route broadcasts it to no entry
+@example((np.array([0.5]), np.array([True])), "length-one", 0.0)
+def test_unless_routes_match_the_masked_reference(case, form, fallback):
+    arg, dead = case
+    seen = []
+
+    def control(s):  # records what reaches it: an array, or one Python float at a time
+        seen.append(np.array(s, dtype=np.float64).ravel())
+        return 1.0 / (2.0 + s) if FORMS[form] is None else FORMS[form](s)
+
+    if FORMS[form] is not None:
+        control.array = control
+    with np.errstate(all="ignore"):
+        got = _unless(dead, control, arg, fallback)
+        calls, seen[:] = list(seen), []
+        expected = masked_unless(dead, control, arg, fallback)
+    assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == dead.shape
+    assert got.tobytes() == expected.tobytes()
+    # the control sees exactly the live entries, in row-major order
+    live = np.concatenate(calls) if calls else np.empty(0)
+    assert live.tobytes() == arg[~dead].tobytes()
 
 
 def _value(fn, *args):

@@ -50,6 +50,8 @@ CASES = {
     # scale(0.8) on [0, 1]: seed 1.0 stops at step 95, in the third Picard
     # block (steps 49-112); the subnormal and zero seeds stop at step 1
     "solve_scale_blocks": (["solve", "--config"], EXIT_OK),
+    # the crisp contract grades dead antecedents (the masked control calls),
+    # and the finite scenario runs the orbit engine; CI diffs `ifmkit demo` too
     "demo": (["demo", "--seed", "0"], EXIT_OK),
 }
 

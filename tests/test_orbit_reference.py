@@ -129,6 +129,18 @@ def test_bool_images_leave_the_domain(image):
     assert not space.domain.contains(image)
 
 
+@pytest.mark.parametrize("image", [np.array(0), np.array(3), np.array([1])])
+def test_array_images_leave_the_domain(image):
+    # the element-wise fallback of `SelfMap.array` keeps an array image as
+    # an object, which no domain contains, instead of unwrapping it
+    space = standard_space(FiniteDomain.line(5), TNorm.product(), TConorm.probabilistic_sum())
+    f = SelfMap.closure(lambda x: image)
+    config = SolverConfig(epsilon=1e-6, t_grid=(0.1, 1.0), seeds=(2, 3))
+    outcome = _outcome(edelstein_solve, space, f, config)
+    assert outcome == _outcome(scalar_edelstein_solve, space, f, config)
+    assert outcome == (DomainError, f"map closure sends 2 to {image!r}, outside the domain")
+
+
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 40), diameter=st.floats(1e-3, 1e3))
 def test_line_metric_is_the_list_build(n, diameter):

@@ -6,7 +6,9 @@ whether the trailing window is Cauchy at the smallest grid t.  It stays
 here as the reference: `picard_iterate` must give the same points (the
 same objects, of the same types), stop reason, note and diagnostics, and
 raise the same exception type with the same message, whatever the block
-cap.
+cap.  `lagwise_window_stop` is the window check as it was before its lag-1
+pairs were graded on slices and blocks that cannot stop returned early;
+`solver._window_stop` must return what it returns and grade the same pairs.
 
 `scalar_trace_to_csv` is the trace CSV writer with one format() call per
 value.  It stays here as the reference for `trace_to_csv`, whose numbers
@@ -22,6 +24,7 @@ import sys
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from pathlib import Path
 from unittest import mock
@@ -57,6 +60,7 @@ from ifmkit.solver import (
     IterationTrace,
     _FieldWriter,
     _fixed_decimal,
+    _window_stop,
 )
 
 # ---------------------------------------------------------------------------
@@ -111,6 +115,29 @@ def scalar_picard_iterate(space, f, x0, config):
         space=space, map=f, t_grid=grid, points=points,
         mu_diag=mu_diag, nu_diag=nu_diag, stop_reason=stop_reason,
     )
+
+
+def lagwise_window_stop(near, tail, block, first, back, last_fail):
+    """The window check with fancy-index gathers at every lag, lag 1
+    included, and the prefix-max bookkeeping on every block."""
+    if not block.size:
+        return None, last_fail
+    pts = np.concatenate((tail, block))
+    newest = np.full(len(block), -1)
+    rows = np.arange(len(block))  # the steps whose pairs at every smaller lag are near
+    for lag in range(1, back + 1):
+        rows = rows[rows + len(tail) >= lag]  # in the first steps, x_{j - lag} may not exist
+        if not rows.size:
+            break
+        at = rows + len(tail)
+        fail = ~near(pts[at - lag], pts[at])
+        newest[rows[fail]] = rows[fail] + (first - lag)
+        rows = rows[~fail]
+    steps = np.arange(first, first + len(block))
+    last = np.maximum(np.maximum.accumulate(newest), last_fail)
+    near_window = last < np.maximum(steps - back, 0)
+    stop = int(near_window.argmax()) if near_window.any() else None
+    return stop, int(last[-1])
 
 
 def scalar_trace_to_csv(trace: IterationTrace) -> str:
@@ -413,6 +440,45 @@ def test_cauchy_detectors_match_scalar_pairs(case, window, m_offset, epsilon):
             space, pairs, t, epsilon)
 
 
+@st.composite
+def window_checks(draw):
+    """A block of orbit steps with its tail and `last_fail`, and nearness
+    per pair of step indices: seeded noise at a drawn density, optionally
+    overruled by every pair from a drawn step on being near."""
+    back = draw(st.integers(1, 6))
+    k = draw(st.integers(0, back))
+    first = k + draw(st.integers(0, 3) | st.integers(0, 10_000))
+    n = draw(st.integers(1, 64))
+    last_fail = draw(st.integers(-1, first + n))
+    density = draw(st.sampled_from((0.0, 0.0, 0.05, 0.5, 0.95, 1.0)))
+    near_from = draw(st.none() | st.integers(first - k, first + n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    table = rng.random((k + n, k + n)) < density
+    if near_from is not None:
+        table[near_from - (first - k):, near_from - (first - k):] = True
+    steps = np.arange(first - k, first + n, dtype=np.float64)  # x_i holds i
+    return back, steps[:k], steps[k:], first, last_fail, table, first - k
+
+
+@settings(max_examples=500, deadline=None)
+@given(window_checks())
+def test_window_stop_matches_the_lagwise_reference(case):
+    back, tail, block, first, last_fail, table, base = case
+    graded = {}
+
+    def near(older, newer, calls):
+        i, j = older.astype(np.intp) - base, newer.astype(np.intp) - base
+        calls += list(zip(i.tolist(), j.tolist()))
+        return table[i, j]
+
+    results = [check(partial(near, calls=graded.setdefault(check, [])), tail, block, first,
+                     back, last_fail)
+               for check in (_window_stop, lagwise_window_stop)]
+    assert results[0] == results[1]
+    assert [type(v) for v in results[0]] == [type(v) for v in results[1]]
+    assert graded[_window_stop] == graded[lagwise_window_stop]  # the same pairs, in order
+
+
 def test_zero_dim_array_orbit_matches_per_step_loop():
     # 0-d arrays are not points: both loops raise at the step that makes one
     space = standard_space(IntervalDomain(0.0, 1.0), *NORMS)
@@ -459,12 +525,31 @@ def test_interval_contains_array_matches_contains(points):
     assert domain.contains_array(points).tolist() == [domain.contains(p) for p in points]
 
 
+# 1-d integer arrays, compared as one array, with negative entries and
+# entries at or past the size; then bool, object, 2-d and float arrays
+INT_ARRAYS = [np.array([0, 4, 5, -1, 127, -128, 3]).astype(t)
+              for t in (np.int8, np.int16, np.int32, np.int64)]
+INT_ARRAYS += [np.array([0, 4, 5, 255, 2]).astype(t)
+               for t in (np.uint8, np.uint16, np.uint32, np.uint64)]
+INT_ARRAYS += [np.array([2**63 - 1, -2**63, 3]), np.array([2**64 - 1, 2], dtype=np.uint64),
+               np.array([], dtype=np.int64), np.array([True, False, True]),
+               np.array([1, True, np.int64(3), 2.0, "1", np.array(2), 10**30, -1], dtype=object),
+               np.array([[1, 2], [3, 7]]), np.array([1.0, 2.0, 7.0])]
+
+
 @pytest.mark.parametrize("points", [[0, 4, 5, -1], [1, True, np.int64(3)], [1, 2.0],
                                     [np.True_, np.False_], [10**30, 1], [(1, 2)], ["1"],
-                                    [2**63, -10**400, 4], [], *ODD_POINTS])
+                                    [2**63, -10**400, 4], [], *ODD_POINTS, *INT_ARRAYS])
 def test_finite_contains_array_matches_contains(points):
     domain = FiniteDomain.line(5)
     assert domain.contains_array(points).tolist() == [domain.contains(p) for p in points]
+
+
+def test_finite_contains_array_past_the_dtype_range():
+    # a domain larger than int8 or uint8 holds, against arrays of those types
+    domain = FiniteDomain.line(300)
+    for points in (np.array([0, 127, -128, -1], dtype=np.int8), np.array([0, 255], np.uint8)):
+        assert domain.contains_array(points).tolist() == [domain.contains(p) for p in points]
 
 
 # ---------------------------------------------------------------------------

@@ -63,10 +63,23 @@ class TestDomains:
 
     @pytest.mark.parametrize("metric", [
         [[0, "x"], ["x", 0]], [[0, 1], [1]], [[0, 10**400], [10**400, 0]],
-    ], ids=["string", "ragged", "huge-int"])
+        [[0, "1"], [True, 0]], [[0, True], [True, 0]], [[0, np.True_], [1, 0]],
+        [[0, b"1"], [1, 0]], [[0.0, 1.0], (1.0, "0")], np.array([[0, "1"], ["1", 0]]),
+        np.array([[False, True], [True, False]]), np.array([[0, True], [1, 0]], dtype=object),
+    ], ids=["string", "ragged", "huge-int", "numeric-string-and-bool", "bool", "numpy-bool",
+            "bytes", "string-in-tuple-row", "string-array", "bool-array", "bool-in-object-array"])
     def test_finite_metric_must_be_numbers(self, metric):
+        # float() would read "1" and True as 1.0
         with pytest.raises(DomainError, match="matrix of numbers"):
             FiniteDomain(["a", "b"], metric)
+
+    @pytest.mark.parametrize("metric", [
+        [[0, 1], [1, 0]], [[0.0, np.float32(1)], (np.int8(1), 0)], np.array([[0, 1], [1, 0]]),
+        np.array([[0, 1], [1, 0]], dtype=np.uint8), np.array([[0.0, 1.0], [1.0, 0.0]]),
+        np.array([[0, 1.0], [1, 0]], dtype=object),
+    ])
+    def test_finite_metric_of_numbers_builds(self, metric):
+        assert FiniteDomain(["a", "b"], metric).metric.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
     @settings(deadline=None)
     @given(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6), st.data())
