@@ -3,7 +3,8 @@
 Subcommands:
 
     audit     check the space axioms, write audit.json        (exit 3 on FAIL)
-    contract  check a contraction condition, write contract.json (exit 3)
+    contract  check a contraction condition, write contract.json (exit 3;
+              6 when the map sends a sampled point outside the domain)
     solve     run the fixed-point solver, write solve.json + traces
               (exit 4 when nothing converges, 5 when limits disagree
               or some seeds did not converge)
@@ -173,11 +174,6 @@ def _read_space(cfg: dict) -> tuple[dict, IFSpace]:
     else:
         labels = _expect(spec, "labels", "space.domain", list)
         metric = _expect(spec, "metric", "space.domain", list)
-        # np.array(metric, dtype=float) would take numeric strings and booleans
-        if not all(isinstance(row, list) and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in row)
-                for row in metric):
-            raise ConfigError("space.domain.metric", "expected rows (lists) of numbers")
         normalized = {"kind": kind, "labels": labels, "metric": metric}
         with _field("space.domain.metric"):
             domain = FiniteDomain(labels, metric)

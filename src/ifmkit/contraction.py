@@ -539,8 +539,13 @@ def _run_contraction_check(space, f, sampler, condition, side_check) -> Contract
     found = Recorder()
     for chunk in chunks(pairs, len(t_grid)):
         x, y = chunk.T
+        fx, fy = f.array(x), f.array(y)
+        outside = ~np.stack([space.domain.contains_array(fx), space.domain.contains_array(fy)], 1)
+        if outside.any():  # not a self-map: the first pair in scan order, x before y
+            r, s = divmod(int(outside.argmax()), 2)
+            raise f.domain_error(chunk[r, s].tolist(), (fx, fy)[s].tolist()[r])
         grades = grade_tables(space, x, y, grid)
-        mapped = grade_tables(space, f.array(x), f.array(y), grid)
+        mapped = grade_tables(space, fx, fy, grid)
         checked = [side_check(*args) for args in zip(_SIDES, grades, mapped)]
 
         def witness(r, c, s):
@@ -573,12 +578,15 @@ def check_psi_phi_contractive(space: IFSpace, f: SelfMap, pair: PsiPhiPair,
 
     Violations are data, not errors: the report carries the total count and
     up to ten minimized witnesses, deterministically given the sampler seed.
+    f must be a self-map: the first sampled point it sends outside the
+    domain, in scan order (x before y), raises `SelfMap.domain_error`.
     """
     return _run_contraction_check(space, f, sampler, "psi-phi", partial(_psi_phi_side, pair))
 
 
 def check_k_contractive(space: IFSpace, f: SelfMap, k, sampler: SamplerConfig) -> ContractionReport:
-    """Sampled check of the reciprocal-gap contraction condition for k."""
+    """Sampled check of the reciprocal-gap contraction condition for k; a
+    map that is not a self-map raises as in `check_psi_phi_contractive`."""
     kv = k.k if isinstance(k, KContraction) else _validated_k(k)
     return _run_contraction_check(space, f, sampler, "k", partial(_k_side, kv))
 

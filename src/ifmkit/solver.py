@@ -365,22 +365,20 @@ def _cross_checked(method: str, space: IFSpace, f: SelfMap, config: SolverConfig
                    limits: list, **per_seed) -> FixedPointReport:
     """The report of either engine, from one limit (None if not reached) per
     seed: the first limit found is the fixed point, verified over the grid,
-    and `unique` holds when every seed reached a limit and all limits agree
-    within `point_tol`.  Over the pairs of found limits it keeps their count,
-    the largest distance and, as witnesses, the first `MAX_WITNESSES` pairs
-    farther apart than `point_tol`, so its size grows with the seeds only."""
+    and `unique` holds when every seed reached a limit and no two limits lie
+    farther apart than `point_tol`.  Over their pairs it keeps their
+    count, the largest distance and, as witnesses, the first `MAX_WITNESSES`
+    beyond `point_tol`, so its size grows with the seeds only."""
     domain = space.domain
     idx = [i for i, p in enumerate(limits) if p is not None]
     points = [limits[i] for i in idx]
-    if isinstance(domain, FiniteDomain):
-        x, metric = np.array(points, dtype=np.intp), domain.metric
-        row = lambda r: metric[x[r], x[r + 1:]]  # noqa: E731
+    if isinstance(domain, FiniteDomain):  # index arrays
+        x = np.array(points, dtype=np.intp)
     else:  # Python arithmetic on points other than floats: distances keep their types
         x = np.array(points, dtype=float if {float}.issuperset(map(type, points)) else object)
-        row = lambda r: np.abs(x[r] - x[r + 1:])  # noqa: E731
     witnesses, largest = [], None
     for r in range(len(idx) - 1):  # the pairs (r, later), in combinations order
-        d = row(r)
+        d = domain.distance(x[r], x[r + 1:])
         [top] = d.max(keepdims=True).tolist()  # a Python scalar, as the report holds
         largest = top if largest is None or top > largest else largest
         if top > config.point_tol and len(witnesses) < MAX_WITNESSES:
@@ -394,8 +392,8 @@ def _cross_checked(method: str, space: IFSpace, f: SelfMap, config: SolverConfig
         limits=limits,
         residual=None if fixed_point is None else verify_fixed_point(
             space, f, fixed_point, config.t_grid, config.epsilon),
-        unique=bool(points) and len(points) == len(limits) and all(
-            domain.distance(fixed_point, p) <= config.point_tol for p in points),
+        unique=bool(points) and len(points) == len(limits) and (
+            largest is None or largest <= config.point_tol),
         witnesses=witnesses,
         limit_pairs=len(idx) * (len(idx) - 1) // 2,
         max_limit_distance=largest,
@@ -408,7 +406,7 @@ def solve_fixed_point(space: IFSpace, f: SelfMap, config: SolverConfig) -> Fixed
     """Run Picard iteration from every seed and cross-check the limits.
 
     The fixed point reported is the first converged limit; `unique` states
-    whether every seed converged and all limits agree within `point_tol`.
+    whether every seed converged and no two limits lie beyond `point_tol`.
     Raises `NonConvergenceError` (carrying all traces) when no seed
     converges within the iteration budget.
     """

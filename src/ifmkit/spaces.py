@@ -16,8 +16,8 @@ The built-in spaces attach an element-wise form of each grade function as
 Picard loop grade point and time arrays through one call, `grade_tables`,
 which uses these forms (`array_form`) or, while mu and nu carry the same
 one (`standard_space`), their joint form; its callers lay their tables out
-as (times, points).  ``same_point`` of either domain also works
-element-wise.  ``contains_array`` is ``contains`` over a list of points:
+as (times, points).  ``distance`` and ``same_point`` of either domain
+also work element-wise.  ``contains_array`` is ``contains`` over a list of points:
 one array comparison when every point is exactly a ``float`` (interval; a
 1-d float64 array too) or an ``int`` (finite; a 1-d integer array too),
 where the two agree by construction, else ``contains`` per point.
@@ -74,7 +74,7 @@ class IntervalDomain:
             return np.array([self.contains(p) for p in points], dtype=bool)
         return (self.lo - POINT_EQ_TOL <= v) & (v <= self.hi + POINT_EQ_TOL)
 
-    def distance(self, x, y) -> float:
+    def distance(self, x, y):
         return abs(x - y)
 
     def same_point(self, x, y) -> bool:
@@ -167,8 +167,15 @@ class FiniteDomain:
             v = np.array(points)
         return (0 <= v) & (v < self.size)
 
-    def distance(self, x, y) -> float:
-        return self.metric.item(x, y)
+    def distance(self, x, y):
+        """The exact Python float of the cell for two points; for index
+        arrays, the broadcast cells ``metric[x, y]``."""
+        try:
+            return self.metric.item(x, y)
+        except TypeError:  # index arrays; a bool point stays an error, not a mask
+            if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+                return self.metric[x, y]
+            raise
 
     def same_point(self, x, y) -> bool:
         return x == y
@@ -259,32 +266,17 @@ def standard_space(domain: PointDomain, tnorm: TNorm, tconorm: TConorm) -> IFSpa
     from the metric triangle inequality — (t+d1)(t+d2) >= t(t+d12) — so the
     space is tagged non-Archimedean exactly in that case.
     """
-    if isinstance(domain, IntervalDomain):
+    distance = domain.distance  # points or arrays of them alike
 
-        def mu(x, y, t):
-            return t / (t + abs(x - y))
+    def mu(x, y, t):
+        return t / (t + distance(x, y))
 
-        def nu(x, y, t):
-            d = abs(x - y)
-            return d / (t + d)
-
-        gaps = domain.distance  # |x - y| works element-wise on arrays too
-
-    else:
-        metric = domain.metric
-
-        def mu(x, y, t):
-            return t / (t + metric.item(x, y))
-
-        def nu(x, y, t):
-            d = metric.item(x, y)
-            return d / (t + d)
-
-        def gaps(x, y):
-            return metric[x, y]
+    def nu(x, y, t):
+        d = distance(x, y)
+        return d / (t + d)
 
     def joint(x, y, t):  # (mu, nu) from one gap table and one t + d
-        d = gaps(x, y)
+        d = distance(x, y)
         s = t + d
         return t / s, d / s
 

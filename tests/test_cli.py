@@ -259,6 +259,18 @@ class TestConfigValidation:
 
 
 class TestRuntimeErrors:
+    @pytest.mark.parametrize("check", ["psi-phi", "k"])
+    def test_contract_rejects_a_map_that_is_not_a_self_map(self, tmp_path, capsys, check):
+        cfg = standard_config(map={"name": "scale", "factor": 2.0},
+                              contraction={"check": check, "k": 0.5})
+        code = main(["contract", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error: map scale(2) sends ")
+        assert err.endswith(", outside the domain\n")
+        assert not (tmp_path / "out").exists()
+
     def test_map_leaving_the_domain_is_not_a_config_error(self, tmp_path, capsys):
         cfg = standard_config(map={"name": "scale", "factor": 2.0})
         cfg["solver"]["seeds"] = [0.9]

@@ -39,6 +39,7 @@ from ifmkit import (
 )
 from ifmkit import contraction
 from ifmkit.contraction import _k_side, _psi_phi_side
+from ifmkit.sampling import draw_array
 from ifmkit.solver import IterationTrace
 
 TOL = 1e-12
@@ -283,6 +284,32 @@ class TestKCheck:
             report = check_k_contractive(space, SelfMap.identity(), 0.5, sampler)
         assert report.to_dict() == quiet.to_dict()
         assert report.violation_count == 600 and {w.side for w in report.witnesses} == {"mu"}
+
+
+# maps that send some sampled point outside the domain
+NOT_SELF_MAPS = {
+    "constant": (IntervalDomain(0.0, 1.0), SelfMap.constant(7.0), RANDOM),
+    "doubling": (IntervalDomain(0.0, 1.0), SelfMap.scale(2.0), RANDOM),
+    # no array form; on line(5), first out at y = 4 of the pair (0, 4), before x = 4 of (4, 0)
+    "successor": (FiniteDomain.line(5), SelfMap.closure(lambda i: i + 1, "successor"),
+                  EXHAUSTIVE),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_SELF_MAPS))
+@pytest.mark.parametrize("check", [partial(check_psi_phi_contractive, pair=pair_from_k(0.5)),
+                                   partial(check_k_contractive, k=0.5)], ids=["psi-phi", "k"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_checks_reject_maps_that_are_not_self_maps(case, check, seed):
+    domain, f, mode = NOT_SELF_MAPS[case]
+    space = standard_space(domain, TNorm.product(), TConorm.probabilistic_sum())
+    sampler = SamplerConfig(mode, 3000, (0.1, 1.0, 10.0), seed=seed)
+    # the first point whose image leaves the domain, pair by pair and x before y
+    point = next(p for pair in draw_array(domain, sampler, 2).tolist() for p in pair
+                 if not domain.contains(f(p)))
+    with pytest.raises(DomainError) as err:
+        check(space, f, sampler=sampler)
+    assert str(err.value) == f"map {f.name} sends {point!r} to {f(point)!r}, outside the domain"
 
 
 class TestSequencePredicates:

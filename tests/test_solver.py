@@ -245,8 +245,17 @@ class TestSolve:
                    point_tol=1e-8, seeds=seeds)
         report = solve_fixed_point(unit_space, SelfMap.scale(0.5), cfg)
         assert report.unique
-        assert report.max_limit_distance <= 2 * cfg.point_tol
+        assert report.max_limit_distance <= cfg.point_tol
         assert report.witnesses == [] and report.limit_pairs == 66
+
+    def test_unique_means_no_pair_beyond_point_tol(self, unit_space):
+        # both outer limits lie within point_tol of the first, not of each other
+        cfg = _cfg(point_tol=1e-8, seeds=(0.5, 0.5 + 0.9e-8, 0.5 - 0.9e-8))
+        report = solve_fixed_point(unit_space, SelfMap.identity(), cfg)
+        assert report.limits == list(cfg.seeds)
+        assert report.witnesses == [(1, 2, (0.5 + 0.9e-8) - (0.5 - 0.9e-8))]
+        assert report.max_limit_distance > cfg.point_tol
+        assert not report.unique
 
     def test_seed_stopped_by_max_iter_is_not_unique(self, unit_space):
         cfg = _cfg(max_iter=3, seeds=(0.0, 1.0))
@@ -479,6 +488,7 @@ def test_uniqueness_evidence_matches_every_pair(data, kind, point_tol):
     assert repr(report.limit_pairs) == repr(len(pairs))
     assert repr(report.max_limit_distance) == repr(max((d for _, _, d in pairs), default=None))
     assert repr(report.witnesses) == repr([w for w in pairs if w[2] > point_tol][:10])
+    assert report.unique == (None not in limits and all(d <= point_tol for _, _, d in pairs))
 
 
 def test_uniqueness_evidence_is_linear_in_the_seeds():

@@ -188,6 +188,37 @@ class TestStandardSpace:
                           (space.mu(x, y, t), joint[0]), (space.nu(x, y, t), joint[1])):
             assert type(got) is float
             assert got.hex() == float(cell).hex()
+        # index arrays of one integer dtype, 1-d and broadcast to 2-d: numpy's cells
+        kind = data.draw(st.sampled_from(INDEX_TYPES))
+        indices = st.lists(st.integers(0, len(m) - 1), min_size=1, max_size=5)
+        xs, ys = (np.array(data.draw(indices), dtype=kind) for _ in "xy")
+        for a, b in ((xs, xs[::-1]), (xs[:, None], ys), (xs[0], ys)):
+            got, cells = domain.distance(a, b), domain.metric[a, b]
+            assert (got.dtype, got.shape) == (cells.dtype, cells.shape)
+            assert got.tobytes() == cells.tobytes()
+        with pytest.raises(TypeError):  # numpy would read a bool as a mask
+            domain.distance(True, y)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_joint_form_matches_scalar_grades(self, data):
+        # the (times, points) tables of the joint form, cell by cell, against
+        # the scalar grades on Python scalars, on both kinds of domain
+        if data.draw(st.booleans()):
+            domain = FiniteDomain(["a", "b", "c"], [[0.0, 0.3, 1.1], [0.3, 0.0, 0.9],
+                                                    [1.1, 0.9, 0.0]])
+            point = st.integers(0, domain.size - 1)
+        else:
+            domain, point = IntervalDomain(0.0, 1.0), coords
+        space = standard_space(domain, TNorm.product(), TConorm.probabilistic_sum())
+        pairs = data.draw(st.lists(st.tuples(point, point), min_size=1, max_size=6))
+        grid = data.draw(st.lists(times, min_size=1, max_size=3))
+        x, y = np.array(pairs).T
+        tables = space.mu.joint(x, y, np.array(grid)[:, None])
+        for grade, table in zip((space.mu, space.nu), tables):
+            assert table.shape == (len(grid), len(pairs))
+            for (i, t), (j, (p, q)) in itertools.product(enumerate(grid), enumerate(pairs)):
+                assert grade(p, q, t).hex() == float(table[i, j]).hex()
 
 
 class TestCrispSpace:
