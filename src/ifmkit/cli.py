@@ -14,11 +14,13 @@ Configs are JSON with a mandatory top-level "schema_version".  Maps are
 restricted to a whitelisted catalogue plus finite tables — configs carry
 no executable code.  `RunConfig` reads the whole config in one pass before
 any command runs: every section present is checked against the space,
-whatever the command.  Any malformed or out-of-range field, a non-finite
-number or a negative seed exits with code 2 and a message naming the field;
-an error raised while a command computes (a map leaving its domain, say)
-exits with code 6.  The IFM_LOG environment variable selects log verbosity
-(debug/info/warning/error).
+whatever the command.  A field's type and range are checked by the object
+it configures, whose error names it; this module checks presence, the
+JSON types of sections, catalogue names and what needs the space.  Any
+malformed or out-of-range field, a non-finite number or a negative seed
+exits with code 2 and a message naming the field; an error raised while a
+command computes (a map leaving its domain, say) exits with code 6.  The
+IFM_LOG environment variable selects log verbosity (debug/info/warning/error).
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import dataclasses
 import functools
 import json
 import logging
-import math
 import os
 import sys
 from contextlib import contextmanager
@@ -38,6 +39,7 @@ import numpy as np
 
 from .auditor import audit_space
 from .contraction import (
+    KContraction,
     PsiPhiPair,
     SelfMap,
     check_k_contractive,
@@ -45,7 +47,7 @@ from .contraction import (
     phi_from_k,
     psi_from_k,
 )
-from .errors import ConfigError, IfmError, NonConvergenceError
+from .errors import ConfigError, IfmError, NonConvergenceError, real_field
 from .norms import TConorm, TNorm
 from .sampling import EXHAUSTIVE, RANDOM, SamplerConfig
 from .solver import (
@@ -60,7 +62,6 @@ from .spaces import (
     IntervalDomain,
     crisp_threshold_space,
     standard_space,
-    time_grid,
 )
 
 log = logging.getLogger("ifmkit")
@@ -83,70 +84,45 @@ _CONTROL_NAMES = ("from_k", "identity", "power")
 @contextmanager
 def _field(name: str):
     """Report an ifmkit error raised inside, by a library constructor, as a
-    ConfigError naming the config field or flag `name`."""
+    ConfigError naming ``name.<field>`` if it is about a field
+    (`IfmError.about`), else ``name``; a flag such as ``--seed`` keeps it whole."""
     try:
         yield
     except ConfigError:
         raise
     except IfmError as exc:
-        raise ConfigError(name, str(exc)) from exc
+        if exc.field is None or name.startswith("--"):
+            raise ConfigError(name, str(exc)) from exc
+        raise ConfigError(f"{name}.{exc.field}", exc.reason) from exc
+
+
+def _required(cfg: dict, key: str, path: str):
+    if key not in cfg:
+        raise ConfigError(f"{path}.{key}", "missing required field")
+    return cfg[key]
 
 
 def _expect(cfg: dict, key: str, path: str, types, choices=None):
-    if key not in cfg:
-        raise ConfigError(f"{path}.{key}", "missing required field")
-    value = cfg[key]
+    value = _required(cfg, key, path)
     if not isinstance(value, types):
         raise ConfigError(f"{path}.{key}", f"expected {types}, got {type(value).__name__}")
-    if isinstance(value, bool) and types is not bool:
-        raise ConfigError(f"{path}.{key}", "expected a number, got a boolean")
     if choices is not None and value not in choices:
         raise ConfigError(f"{path}.{key}", f"must be one of {list(choices)}, got {value!r}")
     return value
 
 
-def _integer(cfg: dict, key: str, path: str, lo: int, default=None) -> int:
-    if key not in cfg and default is not None:
-        return default
-    v = _expect(cfg, key, path, int)
-    if v < lo:
-        raise ConfigError(f"{path}.{key}", f"must be >= {lo}, got {v}")
-    return v
+def _fields(cfg: dict, path: str, required, optional=()) -> dict:
+    """A section's named fields, unchecked, as keyword arguments for their owner."""
+    for key in required:
+        _required(cfg, key, path)
+    return {key: cfg[key] for key in (*required, *optional) if key in cfg}
 
 
-def _number(cfg: dict, key: str, path: str, lo=None, hi=None, open_lo=False, open_hi=False,
-            default=None) -> float:
-    if key not in cfg:
-        if default is not None:
-            return default
-        raise ConfigError(f"{path}.{key}", "missing required field")
-    v = cfg[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}", f"expected a number, got {type(v).__name__}")
-    try:
-        v = float(v)
-    except OverflowError:
-        raise ConfigError(f"{path}.{key}", "integer too large for a float") from None
-    # Python's json reads Infinity and NaN; NaN would pass every range check
-    if not math.isfinite(v):
-        raise ConfigError(f"{path}.{key}", f"must be finite, got {v}")
-    if lo is not None and (v <= lo if open_lo else v < lo):
-        bound = f"> {lo}" if open_lo else f">= {lo}"
-        raise ConfigError(f"{path}.{key}", f"must be {bound}, got {v}")
-    if hi is not None and (v >= hi if open_hi else v > hi):
-        bound = f"< {hi}" if open_hi else f"<= {hi}"
-        raise ConfigError(f"{path}.{key}", f"must be {bound}, got {v}")
-    return v
-
-
-def _unit_open(cfg: dict, key: str, path: str) -> float:
-    return _number(cfg, key, path, lo=0.0, hi=1.0, open_lo=True, open_hi=True)
-
-
-def _t_grid(cfg: dict, path: str, increasing=False) -> tuple[float, ...]:
-    t_grid = _expect(cfg, "t_grid", path, list)
-    with _field(f"{path}.t_grid"):
-        return time_grid(t_grid, increasing)
+def _point(domain, p, field: str, noun: str):
+    """A config point inside the domain (not a bool); an interval's as a float."""
+    if isinstance(p, bool) or not domain.contains(p):
+        raise ConfigError(field, f"{noun} {p!r} outside the domain")
+    return float(p) if isinstance(domain, IntervalDomain) else p
 
 
 # ---------------------------------------------------------------------------
@@ -160,17 +136,13 @@ def _read_space(cfg: dict) -> tuple[dict, IFSpace]:
     spec = _expect(cfg, "domain", "space", dict)
     kind = _expect(spec, "kind", "space.domain", str, ("interval", "finite", "line"))
     if kind == "interval":
-        lo = _number(spec, "lo", "space.domain")
-        hi = _number(spec, "hi", "space.domain")
-        normalized = {"kind": kind, "lo": lo, "hi": hi}
         with _field("space.domain"):
-            domain = IntervalDomain(lo, hi)
+            domain = IntervalDomain(**_fields(spec, "space.domain", ("lo", "hi")))
+        normalized = {"kind": kind, "lo": domain.lo, "hi": domain.hi}
     elif kind == "line":
-        n = _integer(spec, "n", "space.domain", lo=1)
-        diameter = _number(spec, "diameter", "space.domain", lo=0.0, open_lo=True,
-                           default=1.0)
-        normalized = {"kind": kind, "n": n, "diameter": diameter}
-        domain = FiniteDomain.line(n, diameter)
+        with _field("space.domain"):
+            domain = FiniteDomain.line(**_fields(spec, "space.domain", ("n",), ("diameter",)))
+        normalized = {"kind": kind, "n": spec["n"], "diameter": float(spec.get("diameter", 1.0))}
     else:
         labels = _expect(spec, "labels", "space.domain", list)
         metric = _expect(spec, "metric", "space.domain", list)
@@ -195,38 +167,34 @@ def _read_map(cfg: dict, domain) -> tuple[dict, SelfMap]:
         images = _expect(cfg, "images", "map", list)
         if not finite:
             raise ConfigError("map.images", "table maps need a finite domain")
-        if len(images) != domain.size or not all(
-            isinstance(i, int) and not isinstance(i, bool) and domain.contains(i)
-            for i in images
-        ):
+        if len(images) != domain.size or not all(map(domain.contains, images)):
             raise ConfigError("map.images", "must list one in-range point index per point "
                                             f"({domain.size} points)")
         return {"name": name, "images": images}, SelfMap.table(images)
     if name == "constant":
-        value = _integer(cfg, "value", "map", lo=0) if finite else _number(cfg, "value", "map")
-        if not domain.contains(value):
-            raise ConfigError("map.value", f"point {value!r} outside the domain")
+        value = _point(domain, _required(cfg, "value", "map"), "map.value", "point")
         return {"name": name, "value": value}, SelfMap.constant(value)
     if finite:
         raise ConfigError("map.name", f"map {name!r} needs an interval domain")
     if name == "scale":
-        factor = _number(cfg, "factor", "map")
-        return {"name": name, "factor": factor}, SelfMap.scale(factor)
-    a, b = _number(cfg, "a", "map"), _number(cfg, "b", "map")
-    return ({"name": name, "a": a, "b": b},
-            SelfMap.affine_clamped(a, b, domain.lo, domain.hi))
+        f = SelfMap.scale(_required(cfg, "factor", "map"))
+        return {"name": name, "factor": float(cfg["factor"])}, f
+    a, b = _fields(cfg, "map", ("a", "b")).values()
+    f = SelfMap.affine_clamped(a, b, domain.lo, domain.hi)
+    return {"name": name, "a": float(a), "b": float(b)}, f
 
 
 def _read_control(cfg: dict, side: str):
     path = f"contraction.{side}"
     spec = _expect(cfg, side, "contraction", dict)
     name = _expect(spec, "name", path, str, _CONTROL_NAMES)
-    if name == "from_k":
-        k = _unit_open(spec, "k", path)
-        return {"name": name, "k": k}, (psi_from_k if side == "psi" else phi_from_k)(k)
-    if name == "power":
-        exponent = _number(spec, "exponent", path, lo=0.0, open_lo=True)
-        return {"name": name, "exponent": exponent}, lambda t: t ** exponent
+    with _field(path):
+        if name == "from_k":
+            k = KContraction(_required(spec, "k", path)).k
+            return {"name": name, "k": k}, (psi_from_k if side == "psi" else phi_from_k)(k)
+        if name == "power":
+            exponent = real_field("exponent", _required(spec, "exponent", path), 0.0, open_lo=True)
+            return {"name": name, "exponent": exponent}, lambda t: t ** exponent
     return {"name": name}, lambda t: t
 
 
@@ -235,7 +203,7 @@ def _read_contraction(cfg: dict, _domain) -> tuple[dict, float | PsiPhiPair]:
     by its k or by explicit psi and phi controls."""
     check = _expect(cfg, "check", "contraction", str, ("psi-phi", "k"))
     if check == "k" or ("k" in cfg and "psi" not in cfg):
-        k = _unit_open(cfg, "k", "contraction")
+        k = KContraction(_required(cfg, "k", "contraction")).k
         return {"check": check, "k": k}, (k if check == "k" else PsiPhiPair.from_k(k))
     (psi_spec, psi), (phi_spec, phi) = (_read_control(cfg, side) for side in ("psi", "phi"))
     return ({"check": check, "psi": psi_spec, "phi": phi_spec},
@@ -243,40 +211,21 @@ def _read_contraction(cfg: dict, _domain) -> tuple[dict, float | PsiPhiPair]:
 
 
 def _read_sampler(cfg: dict, domain) -> tuple[dict, SamplerConfig]:
-    mode = _expect(cfg, "mode", "sampler", str, (RANDOM, EXHAUSTIVE))
-    if mode == EXHAUSTIVE and not isinstance(domain, FiniteDomain):
+    sampler = SamplerConfig(**_fields(cfg, "sampler", ("mode", "sample_count"), ("seed",)),
+                            t_grid=_expect(cfg, "t_grid", "sampler", list))
+    if sampler.mode == EXHAUSTIVE and not isinstance(domain, FiniteDomain):
         raise ConfigError("sampler.mode", "exhaustive sampling needs a finite domain")
-    sampler = SamplerConfig(
-        mode=mode,
-        sample_count=_integer(cfg, "sample_count", "sampler", lo=1),
-        t_grid=_t_grid(cfg, "sampler"),
-        seed=_integer(cfg, "seed", "sampler", lo=0, default=SamplerConfig.seed),
-    )
     return sampler.to_dict(), sampler
 
 
 def _read_solver(cfg: dict, domain) -> tuple[dict, SolverConfig]:
-    epsilon = _unit_open(cfg, "epsilon", "solver")
-    t_grid = _t_grid(cfg, "solver", increasing=True)
-    max_iter = _integer(cfg, "max_iter", "solver", lo=1, default=SolverConfig.max_iter)
-    point_tol = _number(cfg, "point_tol", "solver", lo=0.0, default=SolverConfig.point_tol)
     seeds = _expect(cfg, "seeds", "solver", list)
     if not seeds:
         raise ConfigError("solver.seeds", "must list at least one starting point")
-    for s in seeds:
-        if isinstance(s, bool) or not domain.contains(s):
-            raise ConfigError("solver.seeds", f"seed {s!r} outside the domain")
-    if isinstance(domain, IntervalDomain):
-        seeds = [float(s) for s in seeds]
-    solver = SolverConfig(
-        epsilon=epsilon,
-        t_grid=t_grid,
-        max_iter=max_iter,
-        point_tol=point_tol,
-        seeds=tuple(seeds),
-        cauchy_window=_integer(cfg, "cauchy_window", "solver", lo=2,
-                               default=SolverConfig.cauchy_window),
-    )
+    seeds = tuple(_point(domain, s, "solver.seeds", "seed") for s in seeds)
+    solver = SolverConfig(**_fields(cfg, "solver", ("epsilon",),
+                                    ("max_iter", "point_tol", "cauchy_window")),
+                          t_grid=_expect(cfg, "t_grid", "solver", list), seeds=seeds)
     return solver.to_dict(), solver
 
 
@@ -301,14 +250,16 @@ class RunConfig:
     the sections it needs.  A bad field therefore fails fast, with a
     ConfigError naming it, regardless of which command runs, and
     `to_dict` (what --dump-config prints) is only ever a config that runs.
+    Field types and ranges are the rules of the objects built: their
+    errors come back as ConfigErrors naming ``<section>.<field>``.
     """
 
     def __init__(self, data: dict):
         if not isinstance(data, dict):
             raise ConfigError("<root>", "config must be a JSON object")
-        version = _expect(data, "schema_version", "<root>", int)
-        if version != SCHEMA_VERSION:
-            raise ConfigError("schema_version", f"expected {SCHEMA_VERSION}, got {version}")
+        version = _required(data, "schema_version", "<root>")
+        if type(version) is not int or version != SCHEMA_VERSION:
+            raise ConfigError("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
         with _field("space"):
             space_dict, self.space = _read_space(_expect(data, "space", "<root>", dict))
         self._normalized = {"schema_version": version, "space": space_dict}

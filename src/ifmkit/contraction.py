@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, int_field, real_field
 from .norms import _closest_witness
 from .sampling import Recorder, SamplerConfig, chunks, draw_array, shrink, violated
 from .sampling import draw_tuples  # noqa: F401  perfbench/tracer.py patches this name
@@ -102,10 +102,8 @@ def phi_from_k(k: float) -> Callable[[float], float]:
 
 
 def _validated_k(k) -> float:
-    k = float(k)
-    if not (math.isfinite(k) and 0.0 < k < 1.0):
-        raise DomainError(f"contraction constant must lie in (0, 1), got {k!r}")
-    return k
+    """k as a float in (0, 1) (`real_field`); DomainError otherwise."""
+    return real_field("k", k, 0.0, 1.0, open_lo=True)
 
 
 @dataclass(frozen=True)
@@ -114,6 +112,11 @@ class KContraction:
 
     def __post_init__(self):
         object.__setattr__(self, "k", _validated_k(self.k))
+
+
+def _k_constant(k) -> float:
+    """The constant of the k check: a `KContraction`'s, or k validated."""
+    return k.k if isinstance(k, KContraction) else _validated_k(k)
 
 
 @dataclass(frozen=True)
@@ -173,7 +176,7 @@ class SelfMap:
 
     @classmethod
     def scale(cls, factor: float) -> "SelfMap":
-        c = float(factor)
+        c = real_field("factor", factor)
 
         def fn(x):
             return c * x
@@ -209,7 +212,7 @@ class SelfMap:
 
     @classmethod
     def affine_clamped(cls, a: float, b: float, lo: float, hi: float) -> "SelfMap":
-        a, b, lo, hi = float(a), float(b), float(lo), float(hi)
+        a, b, lo, hi = real_field("a", a), real_field("b", b), float(lo), float(hi)
 
         def fn(x):
             return min(max(a * x + b, lo), hi)
@@ -374,8 +377,7 @@ def check_admissible(pair: PsiPhiPair, grid_size: int) -> AdmissibilityReport:
     and the useful pairs in practice are non-decreasing on both sides.
     Boundary values psi(1)=1 and phi(0)=0 are admissible.
     """
-    if grid_size < 2:
-        raise PreconditionError("grid_size must be >= 2")
+    grid_size = int_field("grid_size", grid_size, 2)
     return AdmissibilityReport(
         psi=_probe_function("psi", pair.psi, grid_size, strict_below=True),
         phi=_probe_function("phi", pair.phi, grid_size, strict_below=False),
@@ -512,10 +514,12 @@ def _k_side(k: float, side: str, g, g_f):
 def _minimize_contraction_witness(space, f, side_check, witness: ContractionWitness,
                                   t_target: float) -> ContractionWitness:
     """Shrink the witness pair toward its midpoint (fixed per round) and t
-    toward the central grid value while the violation persists."""
+    toward the central grid value while the violation persists; f sending a
+    shrunk x, then y, outside the domain raises `SelfMap.domain_error`."""
     grade = space.mu if witness.side == "mu" else space.nu
     step = f.fn  # the closure itself, as the Picard loop steps
-    interval = isinstance(space.domain, IntervalDomain)
+    domain = space.domain
+    interval = isinstance(domain, IntervalDomain)
 
     def targets(c):
         x, y = c["x"], c["y"]
@@ -524,10 +528,15 @@ def _minimize_contraction_witness(space, f, side_check, witness: ContractionWitn
 
     def violated_at(c):
         x, y, t = c["x"], c["y"], c["t"]
-        return side_check(witness.side, grade(x, y, t), grade(step(x), step(y), t))
+        fx, fy = step(x), step(y)
+        if not domain.contains(fx):
+            raise f.domain_error(x, fx)
+        if not domain.contains(fy):
+            raise f.domain_error(y, fy)
+        return side_check(witness.side, grade(x, y, t), grade(fx, fy, t))
 
     coords = {"x": witness.x, "y": witness.y, "t": witness.t}
-    c, lhs, rhs = shrink(space.domain, coords, targets, violated_at, witness.lhs, witness.rhs)
+    c, lhs, rhs = shrink(domain, coords, targets, violated_at, witness.lhs, witness.rhs)
     return ContractionWitness(witness.side, c["x"], c["y"], c["t"], lhs, rhs)
 
 
@@ -578,8 +587,8 @@ def check_psi_phi_contractive(space: IFSpace, f: SelfMap, pair: PsiPhiPair,
 
     Violations are data, not errors: the report carries the total count and
     up to ten minimized witnesses, deterministically given the sampler seed.
-    f must be a self-map: the first sampled point it sends outside the
-    domain, in scan order (x before y), raises `SelfMap.domain_error`.
+    f must be a self-map: the first sampled (scan order, x before y) or
+    shrunk point it sends outside the domain raises `SelfMap.domain_error`.
     """
     return _run_contraction_check(space, f, sampler, "psi-phi", partial(_psi_phi_side, pair))
 
@@ -587,8 +596,7 @@ def check_psi_phi_contractive(space: IFSpace, f: SelfMap, pair: PsiPhiPair,
 def check_k_contractive(space: IFSpace, f: SelfMap, k, sampler: SamplerConfig) -> ContractionReport:
     """Sampled check of the reciprocal-gap contraction condition for k; a
     map that is not a self-map raises as in `check_psi_phi_contractive`."""
-    kv = k.k if isinstance(k, KContraction) else _validated_k(k)
-    return _run_contraction_check(space, f, sampler, "k", partial(_k_side, kv))
+    return _run_contraction_check(space, f, sampler, "k", partial(_k_side, _k_constant(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +621,7 @@ def is_k_contractive_sequence(trace: "IterationTrace", k):
     diagnostic values must satisfy the k inequalities at every grid t.
     Zero grades are skipped on the affected side, as in the pairwise check.
     """
-    kv = k.k if isinstance(k, KContraction) else _validated_k(k)
-    return _first_failing_step(trace, partial(_k_side, kv))
+    return _first_failing_step(trace, partial(_k_side, _k_constant(k)))
 
 
 def _first_failing_step(trace, side_check):

@@ -1,8 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rules for numeric arguments."""
+
+import math
+import numbers
 
 
 class IfmError(Exception):
-    """Base class for all errors raised by ifmkit."""
+    """Base class for all errors raised by ifmkit.  One made by `about`
+    keeps the argument's ``field`` name and the ``reason``."""
+
+    field = reason = None
+
+    @classmethod
+    def about(cls, field: str, reason: str) -> "IfmError":
+        exc = cls(f"{field} {reason}")
+        exc.field, exc.reason = field, reason
+        return exc
 
 
 class UnitRangeError(IfmError, ValueError):
@@ -42,3 +54,34 @@ class ConfigError(IfmError, ValueError):
     def __init__(self, field, message):
         super().__init__(f"{field}: {message}")
         self.field = field
+
+
+def real_field(name: str, value, lo=None, hi=None, *, open_lo=False,
+               error=DomainError) -> float:
+    """``value`` as a plain float: a real number, not a bool, that fits a
+    float, is finite, at least ``lo`` (above it if ``open_lo``) and below
+    ``hi``.  Otherwise ``error`` about ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error.about(name, f"expected a number, got {type(value).__name__}")
+    try:
+        v = float(value)
+    except OverflowError:
+        raise error.about(name, "integer too large for a float") from None
+    if not math.isfinite(v):  # NaN would pass every range check
+        raise error.about(name, f"must be finite, got {v}")
+    if lo is not None and (v <= lo if open_lo else v < lo):
+        raise error.about(name, f"must be {'>' if open_lo else '>='} {lo}, got {v}")
+    if hi is not None and v >= hi:
+        raise error.about(name, f"must be < {hi}, got {v}")
+    return v
+
+
+def int_field(name: str, value, lo: int, error=PreconditionError) -> int:
+    """``value`` as a plain int (numpy's are not JSON): an integral number,
+    not a bool, at least ``lo``.  Otherwise ``error`` about ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error.about(name, f"expected an integer, got {type(value).__name__}")
+    v = int(value)
+    if v < lo:
+        raise error.about(name, f"must be >= {lo}, got {v}")
+    return v

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, UnitRangeError
+from .errors import DomainError, UnitRangeError, int_field
 
 ALGEBRA_TOL = 1e-12
 
@@ -299,8 +299,8 @@ def check_norm_axioms(op, sample_count: int, seed: int) -> NormAxiomReport:
     Deterministic given `seed`.  Witnesses are the violating tuples closest
     to the (0.5, ...) anchor, so failures read naturally.
     """
-    if sample_count < 1:
-        raise PreconditionError("sample_count must be >= 1")
+    sample_count = int_field("sample_count", sample_count, 1)
+    seed = int_field("seed", seed, 0)
     e = op.identity_element
     fn = op.fn
     tol = ALGEBRA_TOL

@@ -16,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, int_field
 from .spaces import FiniteDomain, IntervalDomain, PointDomain, time_grid
 
 EXHAUSTIVE = "exhaustive"
 RANDOM = "random"
+_MODES = (RANDOM, EXHAUSTIVE)
 
 MAX_WITNESSES = 10
 _MAX_SHRINK_ROUNDS = 64
@@ -31,19 +32,19 @@ _CHUNK_CELLS = 1 << 14
 
 @dataclass(frozen=True)
 class SamplerConfig:
+    """How a check draws its points; each field checked, as a plain Python value."""
+
     mode: str  # EXHAUSTIVE (finite domains only) or RANDOM
     sample_count: int
     t_grid: tuple[float, ...]
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in (EXHAUSTIVE, RANDOM):
-            raise DomainError(f"unknown sampler mode {self.mode!r}")
-        if self.sample_count < 1:
-            raise PreconditionError("sample_count must be >= 1")
-        if self.seed < 0:
-            raise PreconditionError(f"seed must be >= 0, got {self.seed}")
+        if not (isinstance(self.mode, str) and self.mode in _MODES):
+            raise DomainError.about("mode", f"must be one of {list(_MODES)}, got {self.mode!r}")
+        object.__setattr__(self, "sample_count", int_field("sample_count", self.sample_count, 1))
         object.__setattr__(self, "t_grid", time_grid(self.t_grid))
+        object.__setattr__(self, "seed", int_field("seed", self.seed, 0))
 
     def to_dict(self) -> dict:
         return {

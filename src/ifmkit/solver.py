@@ -44,7 +44,8 @@ from functools import cache, partial, reduce
 import numpy as np
 
 from .contraction import SelfMap
-from .errors import DomainError, NonConvergenceError, PreconditionError
+from .errors import (DomainError, NonConvergenceError, PreconditionError, int_field,
+                     real_field)
 from .sampling import MAX_WITNESSES
 from .spaces import (FiniteDomain, IFSpace, IntervalDomain, NON_ARCHIMEDEAN, grade_tables,
                      time_grid)
@@ -58,6 +59,8 @@ _BLOCK_CAP = 1024
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """The solver's settings, each checked, as a plain Python value (not the seeds)."""
+
     epsilon: float          # Cauchy threshold in (0, 1)
     t_grid: tuple[float, ...]
     max_iter: int = 10**6
@@ -66,16 +69,13 @@ class SolverConfig:
     cauchy_window: int = 5  # trailing window for the stopping rule
 
     def __post_init__(self):
-        if not (isinstance(self.epsilon, float) and 0.0 < self.epsilon < 1.0):
-            raise DomainError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
-        if self.max_iter < 1:
-            raise PreconditionError("max_iter must be >= 1")
-        if self.point_tol < 0:
-            raise PreconditionError("point_tol must be nonnegative")
-        if self.cauchy_window < 2:
-            raise PreconditionError("cauchy_window must be >= 2")
-        object.__setattr__(self, "t_grid", time_grid(self.t_grid, increasing=True))
-        object.__setattr__(self, "seeds", tuple(self.seeds))
+        set_ = partial(object.__setattr__, self)
+        set_("epsilon", real_field("epsilon", self.epsilon, 0.0, 1.0, open_lo=True))
+        set_("t_grid", time_grid(self.t_grid, increasing=True))
+        set_("max_iter", int_field("max_iter", self.max_iter, 1))
+        set_("point_tol", real_field("point_tol", self.point_tol, 0.0, error=PreconditionError))
+        set_("seeds", tuple(self.seeds))
+        set_("cauchy_window", int_field("cauchy_window", self.cauchy_window, 2))
 
     def to_dict(self) -> dict:
         return {
@@ -126,10 +126,8 @@ def detect_m_cauchy(trace: IterationTrace, epsilon: float, t: float, window: int
     """Finite-window surrogate for the Cauchy property: every pair among
     the trailing `window` points must satisfy mu > 1-eps and nu < eps at t.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    if t <= 0:
-        raise DomainError("t must be positive")
+    epsilon = real_field("epsilon", epsilon, 0.0, 1.0, open_lo=True)
+    t = real_field("t", t, 0.0, open_lo=True)
     if window < 1 or window > len(trace.points):
         raise PreconditionError(
             f"window must be in [1, {len(trace.points)}], got {window}"
@@ -144,15 +142,13 @@ def detect_g_cauchy(trace: IterationTrace, m_offset: int, t: float,
     """Fixed-offset Cauchy probe: the last few pairs (x_n, x_{n+m}) must
     have mu above 1 - eps_tail and nu below eps_tail at the given t.
     """
-    if m_offset < 1:
-        raise PreconditionError("m_offset must be >= 1")
+    m_offset = int_field("m_offset", m_offset, 1)
     n_points = len(trace.points)
     if n_points <= m_offset + 2:
         raise PreconditionError(
             f"trace length must exceed m_offset + 2 = {m_offset + 2}, got {n_points}"
         )
-    if t <= 0:
-        raise DomainError("t must be positive")
+    t = real_field("t", t, 0.0, open_lo=True)
     first = max(0, n_points - m_offset - _G_CAUCHY_TAIL_PAIRS)
     pts = np.asarray(trace.points[first:])
     return bool(_near_pairs(trace.space, pts[:-m_offset], pts[m_offset:], t, eps_tail).all())
@@ -520,8 +516,7 @@ def check_joint_continuity(space: IFSpace, xs, ys, x, y, t: float, tol: float) -
     spaces without the strong triangle bound the result carries a
     hypothesis warning rather than failing.
     """
-    if t <= 0:
-        raise DomainError("t must be positive")
+    t = real_field("t", t, 0.0, open_lo=True)
     xs, ys = list(xs), list(ys)
     if len(xs) != len(ys) or not xs:
         raise PreconditionError("sequences must be nonempty and of equal length")

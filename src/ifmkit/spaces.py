@@ -25,7 +25,6 @@ where the two agree by construction, else ``contains`` per point.
 
 from __future__ import annotations
 
-import math
 import numbers
 import sys
 from dataclasses import dataclass, field
@@ -33,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, int_field, real_field
 from .norms import TConorm, TNorm, UnitValue
 
 POINT_EQ_TOL = 1e-12
@@ -50,12 +49,14 @@ class IntervalDomain:
     hi: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise DomainError("interval bounds must be finite")
+        object.__setattr__(self, "lo", real_field("lo", self.lo))
+        object.__setattr__(self, "hi", real_field("hi", self.hi))
         if not self.lo < self.hi:
             raise DomainError(f"interval requires lo < hi, got [{self.lo}, {self.hi}]")
 
     def contains(self, p) -> bool:
+        if type(p) is float:  # the common case, compared as is
+            return self.lo - POINT_EQ_TOL <= p <= self.hi + POINT_EQ_TOL
         # real numbers only, numpy's bools included: a numeric string is not a point
         if not isinstance(p, (numbers.Real, np.bool_)):
             return False
@@ -138,13 +139,12 @@ class FiniteDomain:
 
     @classmethod
     def line(cls, n: int, diameter: float = 1.0) -> "FiniteDomain":
-        """n points labelled '0'..'n-1' spaced evenly over [0, diameter]."""
-        if n < 1:
-            raise DomainError("line domain needs at least one point")
+        """n >= 1 points labelled '0'..'n-1' spaced evenly over [0, diameter > 0]."""
+        n = int_field("n", n, 1, DomainError)
+        diameter = real_field("diameter", diameter, 0.0, open_lo=True)
         spacing = diameter / (n - 1) if n > 1 else 0.0
         i = np.arange(n, dtype=float)  # |i - j| is exact, so these are the doubles of a list build
-        with np.errstate(invalid="ignore"):  # 0 * inf is NaN, rejected as not finite
-            metric = np.abs(i[:, None] - i) * spacing
+        metric = np.abs(i[:, None] - i) * spacing
         # a metric in exact arithmetic, whose rounding can fail the 1e-12 triangle pass
         return cls([str(k) for k in range(n)], metric, _metric_by_construction=True)
 
@@ -156,6 +156,8 @@ class FiniteDomain:
         return range(self.size)
 
     def contains(self, p) -> bool:  # not a bool: numpy reads one as a mask, not an index
+        if type(p) is int:  # the common case, compared as is
+            return 0 <= p < len(self.labels)
         return isinstance(p, (int, np.integer)) and type(p) is not bool and 0 <= int(p) < self.size
 
     def contains_array(self, points) -> np.ndarray:
@@ -200,20 +202,20 @@ def time_grid(values, increasing: bool = False) -> tuple[float, ...]:
     """A grid of time parameters as a tuple of floats.
 
     The grid must be nonempty and hold positive, finite real numbers (not
-    booleans), strictly increasing when ``increasing``; PreconditionError
-    otherwise.
+    booleans), strictly increasing when ``increasing``; otherwise a
+    PreconditionError about ``t_grid``.
     """
     grid = tuple(values)
     if not grid:
-        raise PreconditionError("t_grid must be nonempty")
+        raise PreconditionError.about("t_grid", "must be nonempty")
     # the upper bound rejects inf, and integers too large for a float;
     # NaN fails every comparison
     if any(isinstance(t, bool) or not isinstance(t, numbers.Real)
            or not 0 < t <= sys.float_info.max for t in grid):
-        raise PreconditionError("t_grid values must be positive and finite numbers")
+        raise PreconditionError.about("t_grid", "values must be positive and finite numbers")
     grid = tuple(float(t) for t in grid)
     if increasing and any(a >= b for a, b in zip(grid, grid[1:])):
-        raise PreconditionError("t_grid must be strictly increasing")
+        raise PreconditionError.about("t_grid", "must be strictly increasing")
     return grid
 
 
@@ -317,12 +319,11 @@ def crisp_threshold_space(domain: PointDomain, tnorm: TNorm, tconorm: TConorm) -
 
 
 def _eval_grade(space: IFSpace, name: str, x, y, t) -> UnitValue:
-    if not (isinstance(t, (int, float)) and math.isfinite(t) and t > 0):
-        raise DomainError(f"time parameter must be positive and finite, got {t!r}")
+    t = real_field("t", t, 0.0, open_lo=True)
     for p in (x, y):
         if not space.domain.contains(p):
             raise DomainError(f"point {p!r} outside domain {space.domain!r}")
-    v = getattr(space, name)(x, y, float(t))
+    v = getattr(space, name)(x, y, t)
     try:
         return UnitValue(v)
     except Exception as exc:

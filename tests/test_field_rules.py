@@ -1,0 +1,231 @@
+"""Each numeric config field's type and range rule lives in the object it
+configures; the CLI only reads the JSON and names the field.
+
+For every field, the library constructor either accepts a value, stored
+as plain Python numbers that JSON can write, or raises an IfmError (never
+a TypeError or OverflowError), and `ifmkit <command> --dump-config` exits 2
+with ``config error: <section>.<field>: <reason>`` exactly when that error
+is about the field.
+"""
+
+import contextlib
+import io
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from ifmkit import (
+    RANDOM,
+    DomainError,
+    FiniteDomain,
+    IfmError,
+    IntervalDomain,
+    KContraction,
+    PreconditionError,
+    SamplerConfig,
+    SelfMap,
+    SolverConfig,
+    TConorm,
+    TNorm,
+    check_admissible,
+    check_k_contractive,
+    check_norm_axioms,
+    check_psi_phi_contractive,
+    pair_from_k,
+    standard_space,
+)
+from ifmkit.cli import EXIT_CONFIG, EXIT_OK, main
+
+SAMPLER = {"mode": "random", "sample_count": 10, "t_grid": [0.5, 1.0], "seed": 0}
+SOLVER = {"epsilon": 1e-6, "t_grid": [0.5, 1.0], "max_iter": 100, "point_tol": 1e-8,
+          "cauchy_window": 5}
+
+
+def _config(domain=None, **sections):
+    domain = domain or {"kind": "interval", "lo": 0.0, "hi": 1.0}
+    return {"schema_version": 1,
+            "space": {"construction": "standard", "domain": domain,
+                      "tnorm": "product", "tconorm": "probabilistic_sum"}, **sections}
+
+
+def _line(n=4, diameter=1.0):
+    return {"kind": "line", "n": n, "diameter": diameter}
+
+
+def _to_dict(obj):
+    return obj.to_dict()
+
+
+def _bounds(domain):
+    return {"lo": domain.lo, "hi": domain.hi}
+
+
+# field -> (build the owner with value v, what of it must be JSON, the config with v)
+FIELDS = {
+    "space.domain.lo": (lambda v: IntervalDomain(v, 1e300), _bounds,
+                        lambda v: _config({"kind": "interval", "lo": v, "hi": 1e300})),
+    "space.domain.hi": (lambda v: IntervalDomain(-1e300, v), _bounds,
+                        lambda v: _config({"kind": "interval", "lo": -1e300, "hi": v})),
+    "space.domain.n": (lambda v: FiniteDomain.line(v), None, lambda v: _config(_line(n=v))),
+    "space.domain.diameter": (lambda v: FiniteDomain.line(4, v), None,
+                              lambda v: _config(_line(diameter=v))),
+    # on a finite domain, so that "exhaustive" is a mode the space allows
+    **{f"sampler.{key}": (lambda v, key=key: SamplerConfig(**{**SAMPLER, key: v}), _to_dict,
+                          lambda v, key=key: _config(_line(), sampler={**SAMPLER, key: v}))
+       for key in ("mode", "sample_count", "seed")},
+    **{f"solver.{key}": (lambda v, key=key: SolverConfig(**{**SOLVER, key: v}), _to_dict,
+                         lambda v, key=key: _config(solver={**SOLVER, key: v, "seeds": [0.5]},
+                                                    map={"name": "identity"}))
+       for key in ("epsilon", "max_iter", "point_tol", "cauchy_window")},
+    "contraction.k": (KContraction, None, lambda v: _config(contraction={"check": "k", "k": v})),
+    "map.factor": (SelfMap.scale, None,
+                   lambda v: _config(map={"name": "scale", "factor": v})),
+    "map.a": (lambda v: SelfMap.affine_clamped(v, 0.0, 0.0, 1.0), None,
+              lambda v: _config(map={"name": "affine_clamped", "a": v, "b": 0.0})),
+    "map.b": (lambda v: SelfMap.affine_clamped(0.5, v, 0.0, 1.0), None,
+              lambda v: _config(map={"name": "affine_clamped", "a": 0.5, "b": v})),
+}
+
+ODD = st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**400), True, False, None,
+                       "1", "0.5", "random", "exhaustive", 0, 1, 2, -1, 0.5, 2.5, 1e-9])
+NUMPY = (st.integers(-2**63, 2**63 - 1).map(np.int64)
+         | st.floats(allow_nan=True, allow_infinity=True).map(np.float64))
+VALUES = ODD | st.integers() | st.floats() | st.booleans() | st.text(max_size=4) | NUMPY
+# line(n) builds an n x n matrix, so n is drawn small
+SMALL_INTS = ODD.filter(lambda v: not (type(v) is int and abs(v) > 100)) | st.integers(-3, 40)
+COUNTS = SMALL_INTS | st.floats() | st.booleans() | st.text(max_size=4) | st.integers(
+    -3, 40).map(np.int64)
+
+
+def _library_outcome(field, value):
+    """None when the owner accepts the value, else its error."""
+    build, stored, _ = FIELDS[field]
+    try:
+        obj = build(value)
+    except IfmError as exc:
+        return exc
+    if stored is not None:
+        json.dumps(stored(obj), allow_nan=False)
+    return None
+
+
+def _cli(tmp_dir, config):
+    path = tmp_dir / "config.json"
+    path.write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["audit", "--config", str(path), "--dump-config"])
+    return code, err.getvalue()
+
+
+def _check(tmp_dir, field, value):
+    outcome = _library_outcome(field, value)
+    if type(value) not in (int, float, bool, str, type(None)):  # not a JSON value
+        return
+    code, err = _cli(tmp_dir, FIELDS[field][2](value))
+    name = field.rsplit(".", 1)[1]
+    if outcome is None:
+        assert (code, err) == (EXIT_OK, "")
+    elif outcome.field == name:
+        assert code == EXIT_CONFIG
+        assert err == f"config error: {field}: {outcome.reason}\n"
+    else:  # a rule across fields, such as lo < hi, names the section
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: ") and not err.startswith(f"config error: {field}")
+
+
+@pytest.fixture(scope="module")
+def tmp_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("field-rules")
+
+
+@pytest.mark.parametrize("field", [f for f in FIELDS if f != "space.domain.n"])
+@settings(max_examples=60, deadline=None)
+@given(value=VALUES)
+@example(value=10**400)
+@example(value=np.int64(3))
+@example(value=math.nan)
+def test_field_rule_lives_in_its_owner(tmp_dir, field, value):
+    _check(tmp_dir, field, value)
+
+
+@pytest.mark.parametrize("field", ["space.domain.n", "sampler.sample_count", "sampler.seed",
+                                   "solver.max_iter", "solver.cauchy_window"])
+@settings(max_examples=60, deadline=None)
+@given(value=COUNTS)
+def test_count_rule_lives_in_its_owner(tmp_dir, field, value):
+    _check(tmp_dir, field, value)
+
+
+# The reproductions: each failed late with a raw Python or numpy error, or
+# was accepted, before the owners held the rules.
+@pytest.mark.parametrize("build,error", [
+    (lambda: SamplerConfig(RANDOM, 2.5, (1.0,)), PreconditionError),
+    (lambda: SamplerConfig(RANDOM, 10, (1.0,), seed=1.5), PreconditionError),
+    (lambda: SolverConfig(1e-6, (1.0,), max_iter=2.5), PreconditionError),
+    (lambda: SolverConfig(1e-6, (1.0,), cauchy_window=2.5), PreconditionError),
+    (lambda: SolverConfig(1e-6, (1.0,), point_tol=math.inf), PreconditionError),
+    (lambda: FiniteDomain.line(3, 0.0), DomainError),
+    (lambda: FiniteDomain.line(2.5), DomainError),
+    (lambda: FiniteDomain.line(True), DomainError),
+    (lambda: IntervalDomain(0, 10**400), DomainError),
+    (lambda: IntervalDomain(False, 1.0), DomainError),
+    (lambda: SelfMap.scale(math.inf), DomainError),
+    (lambda: SelfMap.scale("2"), DomainError),
+    (lambda: SelfMap.affine_clamped(0.5, math.nan, 0.0, 1.0), DomainError),
+    (lambda: KContraction("0.5"), DomainError),
+    (lambda: check_norm_axioms(TNorm.product(), 20, -1), PreconditionError),
+    (lambda: check_norm_axioms(TNorm.product(), 2.5, 0), PreconditionError),
+    (lambda: check_admissible(pair_from_k(0.5), 2.5), PreconditionError),
+], ids=["sample-count-2.5", "seed-1.5", "max-iter-2.5", "cauchy-window-2.5", "point-tol-inf",
+        "line-diameter-0", "line-n-2.5", "line-n-bool", "interval-huge-int", "interval-bool",
+        "scale-inf", "scale-string", "affine-nan", "k-string", "norm-seed-negative",
+        "norm-count-2.5", "admissible-grid-2.5"])
+def test_owner_rejects(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_numpy_numbers_are_stored_as_python_numbers():
+    sampler = SamplerConfig(RANDOM, np.int64(10), (1.0,), seed=np.int64(3))
+    assert json.dumps(sampler.to_dict()) == (
+        '{"mode": "random", "sample_count": 10, "t_grid": [1.0], "seed": 3}')
+    solver = SolverConfig(np.float64(0.5), (1.0,), max_iter=np.int32(7), point_tol=np.float32(0))
+    assert [type(v) for v in (solver.epsilon, solver.max_iter, solver.point_tol)] == [
+        float, int, float]
+    assert type(IntervalDomain(np.int64(0), 1).lo) is float
+
+
+def test_error_names_field_and_reason():
+    with pytest.raises(PreconditionError) as err:
+        SolverConfig(1e-6, (1.0,), point_tol=math.inf)
+    assert (err.value.field, err.value.reason) == ("point_tol", "must be finite, got inf")
+    assert str(err.value) == "point_tol must be finite, got inf"
+
+
+def test_max_iter_config_error(tmp_path, capsys):
+    config = _config(solver={**SOLVER, "max_iter": 2.5, "seeds": [0.5]}, map={"name": "identity"})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: solver.max_iter: expected an integer, got float\n")
+
+
+# The witness shrinker keeps the self-map rule: no sampled point of this
+# map leaves [0, 1], but the shrunk witnesses pass through (0.45, 0.55).
+ESCAPES = SelfMap.closure(lambda x: 7.0 if 0.45 < x < 0.55 else x)
+
+
+@pytest.mark.parametrize("check", [
+    lambda space, sampler: check_psi_phi_contractive(space, ESCAPES, pair_from_k(0.5), sampler),
+    lambda space, sampler: check_k_contractive(space, ESCAPES, 0.5, sampler),
+], ids=["psi-phi", "k"])
+def test_shrinker_raises_for_an_image_outside_the_domain(check):
+    space = standard_space(IntervalDomain(0.0, 1.0), TNorm.product(), TConorm.probabilistic_sum())
+    with pytest.raises(DomainError, match=r"map closure sends .* to 7\.0, outside the domain"):
+        check(space, SamplerConfig(RANDOM, 6, (0.5, 1.0), seed=2))

@@ -18,6 +18,7 @@ trace, and `_FieldWriter` must spell each float as format(x, ".17g").
 
 import json
 import math
+import numbers
 import os
 import subprocess
 import sys
@@ -62,6 +63,7 @@ from ifmkit.solver import (
     _fixed_decimal,
     _window_stop,
 )
+from ifmkit.spaces import POINT_EQ_TOL
 
 # ---------------------------------------------------------------------------
 # The step-by-step reference, kept verbatim
@@ -417,6 +419,10 @@ def scale_orbit(c, x, n) -> list[float]:
 @example(0.0, math.inf, 2)     # NaN
 @example(math.inf, 0.0, 2)
 def test_scale_orbit_matches_repeated_products(c, x, n):
+    if not math.isfinite(c):  # scale takes finite factors only
+        with pytest.raises(DomainError, match="factor must be finite"):
+            SelfMap.scale(c)
+        return
     assert list(map(float.hex, scale_orbit(c, x, n))) == list(
         map(float.hex, scalar_products(c, x, n)))
 
@@ -513,16 +519,52 @@ ODD_POINTS = ([np.array(0.5)], [np.array(3)], [np.True_, 1], [np.float32(0.5)],
               [Fraction(1, 2)], [True])
 
 
-@pytest.mark.parametrize("points", [[0.5, 0.25, float("nan")], [0.5, 2, True, 1e400],
-                                    [10**400, 0.0], ["0.5", 0.5], [(0.5, 0.5)], [1j],
-                                    ["0.5"], [np.True_, 0.25], ["0.5", np.float32(0.5), np.True_],
-                                    [], *ODD_POINTS, *map(np.array, ODD_ARRAYS),
-                                    np.array([0.5, 2.0], dtype=np.float32), np.array([0, 1, 2]),
-                                    np.array([True, False]), np.array([[0.5, 2.0]]),
-                                    np.array([0.5, Fraction(1, 2), "0.5", 2.0], dtype=object)])
+INTERVAL_POINTS = [[0.5, 0.25, float("nan")], [0.5, 2, True, 1e400],
+                   [10**400, 0.0], ["0.5", 0.5], [(0.5, 0.5)], [1j],
+                   ["0.5"], [np.True_, 0.25], ["0.5", np.float32(0.5), np.True_],
+                   [], *ODD_POINTS, *map(np.array, ODD_ARRAYS),
+                   np.array([0.5, 2.0], dtype=np.float32), np.array([0, 1, 2]),
+                   np.array([True, False]), np.array([[0.5, 2.0]]),
+                   np.array([0.5, Fraction(1, 2), "0.5", 2.0], dtype=object)]
+
+
+@pytest.mark.parametrize("points", INTERVAL_POINTS)
 def test_interval_contains_array_matches_contains(points):
     domain = IntervalDomain(0.0, 1.0)
     assert domain.contains_array(points).tolist() == [domain.contains(p) for p in points]
+
+
+def general_contains(domain, p) -> bool:
+    """`IntervalDomain.contains` without its exact-float fast path."""
+    if not isinstance(p, (numbers.Real, np.bool_)):
+        return False
+    try:
+        v = float(p)
+    except OverflowError:
+        return False
+    return domain.lo - POINT_EQ_TOL <= v <= domain.hi + POINT_EQ_TOL
+
+
+ANY_POINT = (st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1.0 + 1e-12,
+                                            1.0 + 2e-12, -1e-12, -2e-12, 10**400, True, False])
+             | st.integers() | st.booleans() | st.text(max_size=3)
+             | st.floats().map(np.float64) | st.floats(width=32).map(np.float32)
+             | st.integers(-2**63, 2**63 - 1).map(np.int64) | st.booleans().map(np.bool_))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ANY_POINT, st.sampled_from([(0.0, 1.0), (-1000.0, 1000.0), (0.25, 0.5)]))
+def test_interval_contains_fast_path_matches_general(p, bounds):
+    domain = IntervalDomain(*bounds)
+    assert domain.contains(p) is general_contains(domain, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ANY_POINT | st.integers(-3, 12), st.integers(1, 10))
+def test_finite_contains_fast_path_matches_general(p, n):
+    # the rule without the exact-int fast path
+    expected = isinstance(p, (int, np.integer)) and type(p) is not bool and 0 <= int(p) < n
+    assert FiniteDomain.line(n).contains(p) is expected
 
 
 # 1-d integer arrays, compared as one array, with negative entries and
@@ -536,10 +578,11 @@ INT_ARRAYS += [np.array([2**63 - 1, -2**63, 3]), np.array([2**64 - 1, 2], dtype=
                np.array([1, True, np.int64(3), 2.0, "1", np.array(2), 10**30, -1], dtype=object),
                np.array([[1, 2], [3, 7]]), np.array([1.0, 2.0, 7.0])]
 
+FINITE_POINTS = [[0, 4, 5, -1], [1, True, np.int64(3)], [1, 2.0], [np.True_, np.False_],
+                 [10**30, 1], [(1, 2)], ["1"], [2**63, -10**400, 4], [], *ODD_POINTS, *INT_ARRAYS]
 
-@pytest.mark.parametrize("points", [[0, 4, 5, -1], [1, True, np.int64(3)], [1, 2.0],
-                                    [np.True_, np.False_], [10**30, 1], [(1, 2)], ["1"],
-                                    [2**63, -10**400, 4], [], *ODD_POINTS, *INT_ARRAYS])
+
+@pytest.mark.parametrize("points", FINITE_POINTS)
 def test_finite_contains_array_matches_contains(points):
     domain = FiniteDomain.line(5)
     assert domain.contains_array(points).tolist() == [domain.contains(p) for p in points]
@@ -550,6 +593,12 @@ def test_finite_contains_array_past_the_dtype_range():
     domain = FiniteDomain.line(300)
     for points in (np.array([0, 127, -128, -1], dtype=np.int8), np.array([0, 255], np.uint8)):
         assert domain.contains_array(points).tolist() == [domain.contains(p) for p in points]
+
+
+@pytest.mark.parametrize("points", INTERVAL_POINTS + FINITE_POINTS)
+def test_interval_contains_cases_match_general(points):
+    domain = IntervalDomain(0.0, 1.0)
+    assert [domain.contains(p) for p in points] == [general_contains(domain, p) for p in points]
 
 
 # ---------------------------------------------------------------------------

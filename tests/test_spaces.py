@@ -123,7 +123,7 @@ class TestDomains:
 
     @pytest.mark.parametrize("diameter", [float("inf"), float("nan"), -1.0])
     def test_line_keeps_the_other_checks(self, diameter):
-        with pytest.raises(DomainError, match="finite|nonnegative"):
+        with pytest.raises(DomainError, match="finite|must be > 0"):
             FiniteDomain.line(3, diameter)
 
 
