@@ -32,7 +32,9 @@ for (x, y), (y, x), (y, z) and the singles (x, x), and once over the grid
 plus every t+s and max(t, s) for (x, z); v, x and na-* gather rows of those
 (times, tuples) tables instead of grading again.  A chunk covers at most
 2^14 (tuple, t, s) cells (`sampling.chunks`), so no array grows with the
-sample count.
+sample count.  The continuity rows vi and xi come from one pair of (pair,
+t) tables; every table is one call of `spaces.grade_tables`, the one array
+grading call.
 
 Array forms travel with the functions: a grade function or t-(co)norm
 function may carry one as its ``array`` attribute, and the built-ins of
@@ -395,11 +397,11 @@ def audit_space(space: IFSpace, sampler: SamplerConfig) -> AuditReport:
     col = scan.col
     col["iii"].merge(scan.indiscernible["iii"])
     col["viii"].merge(scan.indiscernible["viii"])
-    probed = {"vi": space.mu, "xi": space.nu}
+    probed = _continuity_probe(space, pairs, grid)
     checks = []
     for axiom in AXIOM_ORDER:
         if axiom in probed:
-            checks.append(_continuity_probe(axiom, probed[axiom], pairs, grid))
+            checks.append(probed[axiom])
         elif axiom.startswith("na-") and not scan.non_archimedean:
             checks.append(AxiomCheck(axiom, "SKIPPED",
                                      detail="space is not tagged non-Archimedean"))
@@ -414,7 +416,8 @@ def audit_space(space: IFSpace, sampler: SamplerConfig) -> AuditReport:
     )
 
 
-def _continuity_probe(axiom: str, grade_fn, pairs, grid) -> AxiomCheck:
+def _continuity_probe(space: IFSpace, pairs, grid) -> dict[str, AxiomCheck]:
+    """The rows vi and xi, from one pair of (pair, t) grade tables."""
     lo = min(grid) / 10.0
     hi = max(grid) * 10.0
     log_lo, log_hi = math.log(lo), math.log(hi)
@@ -424,18 +427,14 @@ def _continuity_probe(axiom: str, grade_fn, pairs, grid) -> AxiomCheck:
     ]
     pairs = pairs[:_CONTINUITY_PROBE_PAIRS]
     x, y = np.array(pairs).reshape(-1, 2).T
-    # (pair, t) cells, graded in the order of a pair-by-pair loop
-    values = array_form(grade_fn, 3)(x[:, None], y[:, None], np.array(tgrid))
-    # np.max keeps a NaN delta, which max() would drop
-    max_delta = np.max(np.abs(np.diff(values, axis=-1)), initial=0.0)
-    return AxiomCheck(
-        axiom,
-        "PROBED",
-        0,
-        (),
-        detail=f"max adjacent delta {max_delta:.6g} over {len(pairs)} pairs "
-               f"on a {_CONTINUITY_GRID_POINTS}-point log grid",
-    )
+    # (pair, t) cells, graded in the order of a pair-by-pair loop; np.max
+    # keeps a NaN delta, which max() would drop
+    deltas = [np.max(np.abs(np.diff(values, axis=-1)), initial=0.0)
+              for values in grade_tables(space, x[:, None], y[:, None], np.array(tgrid))]
+    return {axiom: AxiomCheck(axiom, "PROBED",
+                              detail=f"max adjacent delta {delta:.6g} over {len(pairs)} pairs "
+                                     f"on a {_CONTINUITY_GRID_POINTS}-point log grid")
+            for axiom, delta in zip(("vi", "xi"), deltas)}
 
 
 def minimize_witness(space: IFSpace, violation: Witness) -> Witness:

@@ -160,7 +160,7 @@ class SelfMap:
 
     @classmethod
     def table(cls, images) -> "SelfMap":
-        images = tuple(int(i) for i in images)
+        images = tuple(int_field("images", i, 0, DomainError) for i in images)
         if any(not 0 <= i < len(images) for i in images):
             raise DomainError(f"table images {images} must index into the point set")
 
@@ -212,7 +212,8 @@ class SelfMap:
 
     @classmethod
     def affine_clamped(cls, a: float, b: float, lo: float, hi: float) -> "SelfMap":
-        a, b, lo, hi = real_field("a", a), real_field("b", b), float(lo), float(hi)
+        a, b = real_field("a", a), real_field("b", b)
+        lo, hi = real_field("lo", lo), real_field("hi", hi)
 
         def fn(x):
             return min(max(a * x + b, lo), hi)

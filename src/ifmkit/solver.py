@@ -128,7 +128,8 @@ def detect_m_cauchy(trace: IterationTrace, epsilon: float, t: float, window: int
     """
     epsilon = real_field("epsilon", epsilon, 0.0, 1.0, open_lo=True)
     t = real_field("t", t, 0.0, open_lo=True)
-    if window < 1 or window > len(trace.points):
+    window = int_field("window", window, 1)
+    if window > len(trace.points):
         raise PreconditionError(
             f"window must be in [1, {len(trace.points)}], got {window}"
         )
@@ -140,9 +141,11 @@ def detect_m_cauchy(trace: IterationTrace, epsilon: float, t: float, window: int
 def detect_g_cauchy(trace: IterationTrace, m_offset: int, t: float,
                     eps_tail: float = 1e-6) -> bool:
     """Fixed-offset Cauchy probe: the last few pairs (x_n, x_{n+m}) must
-    have mu above 1 - eps_tail and nu below eps_tail at the given t.
+    have mu above 1 - eps_tail and nu below eps_tail at the given t; eps_tail
+    is in [0, 1).
     """
     m_offset = int_field("m_offset", m_offset, 1)
+    eps_tail = real_field("eps_tail", eps_tail, 0.0, 1.0)
     n_points = len(trace.points)
     if n_points <= m_offset + 2:
         raise PreconditionError(
@@ -307,7 +310,9 @@ class ResidualCheck:
 
 
 def verify_fixed_point(space: IFSpace, f: SelfMap, x, t_grid, tol: float) -> ResidualCheck:
-    """Residuals of the fixed-point property at x over the time grid."""
+    """Residuals of the fixed-point property at x over the time grid, to be
+    within a tolerance tol in [0, 1)."""
+    tol = real_field("tol", tol, 0.0, 1.0)
     if not space.domain.contains(x):
         raise DomainError(f"point {x!r} outside domain")
     fx = f.apply_checked(space.domain, x)
@@ -512,33 +517,30 @@ def check_joint_continuity(space: IFSpace, xs, ys, x, y, t: float, tol: float) -
     find the first index past which both sequences are within tol of their
     limits (mu >= 1 - tol and nu <= tol against the limit point) and check
     that from there on |mu(x_n, y_n, t) - mu(x, y, t)| <= tol, and the same
-    for nu.  A NaN gap fails the check and is reported as the max gap.  On
-    spaces without the strong triangle bound the result carries a
+    for nu, with tol in [0, 1).  Both sequences, every point, and the pairs
+    past the threshold are graded as arrays (`grade_tables`).  A NaN grade
+    never settles; a NaN gap fails the check and is reported as the max
+    gap.  On spaces without the strong triangle bound the result carries a
     hypothesis warning rather than failing.
     """
     t = real_field("t", t, 0.0, open_lo=True)
-    xs, ys = list(xs), list(ys)
-    if len(xs) != len(ys) or not xs:
+    tol = real_field("tol", tol, 0.0, 1.0)
+    xs, ys = np.asarray(list(xs)), np.asarray(list(ys))
+    if len(xs) != len(ys) or not len(xs):
         raise PreconditionError("sequences must be nonempty and of equal length")
     warning = None
     if space.triangle_mode != NON_ARCHIMEDEAN:
         warning = "space lacks the strong triangle bound assumed by this check"
-    mu, nu = space.mu, space.nu
+    (mu_x, nu_x), (mu_y, nu_y) = grade_tables(space, xs, x, t), grade_tables(space, ys, y, t)
     lo = 1.0 - tol
-    threshold = None
-    for n in range(len(xs)):
-        if (mu(xs[n], x, t) >= lo and nu(xs[n], x, t) <= tol
-                and mu(ys[n], y, t) >= lo and nu(ys[n], y, t) <= tol):
-            threshold = n
-            break
-    if threshold is None:
+    settled = (mu_x >= lo) & (nu_x <= tol) & (mu_y >= lo) & (nu_y <= tol)
+    if not settled.any():
         return JointContinuityResult(False, None, None, None, warning)
-    mu_target = mu(x, y, t)
-    nu_target = nu(x, y, t)
+    threshold = int(settled.argmax())
+    tables = grade_tables(space, xs[threshold:], ys[threshold:], t)
     # np.max keeps a NaN gap, which fails the check below; max() would drop it
-    gaps = np.array([(abs(mu(xs[n], ys[n], t) - mu_target), abs(nu(xs[n], ys[n], t) - nu_target))
-                     for n in range(threshold, len(xs))])
-    max_mu_gap, max_nu_gap = map(float, gaps.max(axis=0))
+    max_mu_gap, max_nu_gap = (float(np.max(abs(g - target))) for g, target
+                              in zip(tables, grade_tables(space, x, y, t)))
     ok = max_mu_gap <= tol and max_nu_gap <= tol
     return JointContinuityResult(ok, threshold, max_mu_gap, max_nu_gap, warning)
 

@@ -12,12 +12,14 @@ the place where axioms are certified or falsified, and `eval_mu` /
 `eval_nu` validate single queries.
 
 The built-in spaces attach an element-wise form of each grade function as
-``mu.array`` / ``nu.array``.  The auditor, the contraction scan and the
-Picard loop grade point and time arrays through one call, `grade_tables`,
-which uses these forms (`array_form`) or, while mu and nu carry the same
-one (`standard_space`), their joint form; its callers lay their tables out
-as (times, points).  ``distance`` and ``same_point`` of either domain
-also work element-wise.  ``contains_array`` is ``contains`` over a list of points:
+``mu.array`` / ``nu.array``.  Every grade table of the package (the audit
+rows and continuity probe, the contraction scan, the Picard loop, the
+Cauchy probes, `verify_fixed_point` and the joint continuity check) comes
+from one call, `grade_tables`, the only caller of `array_form` on a grade
+function: it uses these forms or, while mu and nu carry the same one
+(`standard_space`), their joint form, for scalar or broadcast arguments.
+``distance`` and ``same_point`` of either domain also work element-wise.
+``contains_array`` is ``contains`` over a list of points:
 one array comparison when every point is exactly a ``float`` (interval; a
 1-d float64 array too) or an ``int`` (finite; a 1-d integer array too),
 where the two agree by construction, else ``contains`` per point.
@@ -25,6 +27,7 @@ where the two agree by construction, else ``contains`` per point.
 
 from __future__ import annotations
 
+import math
 import numbers
 import sys
 from dataclasses import dataclass, field
@@ -139,8 +142,12 @@ class FiniteDomain:
 
     @classmethod
     def line(cls, n: int, diameter: float = 1.0) -> "FiniteDomain":
-        """n >= 1 points labelled '0'..'n-1' spaced evenly over [0, diameter > 0]."""
+        """n >= 1 points labelled '0'..'n-1' spaced evenly over [0, diameter > 0];
+        n * n must fit numpy's index type, since the metric is an n x n matrix."""
         n = int_field("n", n, 1, DomainError)
+        top = math.isqrt(np.iinfo(np.intp).max)  # n itself is not printed: it may be huge
+        if n > top:
+            raise DomainError.about("n", f"must be <= {top}, so that numpy can index n x n cells")
         diameter = real_field("diameter", diameter, 0.0, open_lo=True)
         spacing = diameter / (n - 1) if n > 1 else 0.0
         i = np.arange(n, dtype=float)  # |i - j| is exact, so these are the doubles of a list build
@@ -201,10 +208,15 @@ PointDomain = IntervalDomain | FiniteDomain
 def time_grid(values, increasing: bool = False) -> tuple[float, ...]:
     """A grid of time parameters as a tuple of floats.
 
-    The grid must be nonempty and hold positive, finite real numbers (not
-    booleans), strictly increasing when ``increasing``; otherwise a
+    The grid must be a nonempty iterable of positive, finite real numbers
+    (not booleans), strictly increasing when ``increasing``; otherwise a
     PreconditionError about ``t_grid``.
     """
+    try:
+        values = iter(values)
+    except TypeError:
+        raise PreconditionError.about(
+            "t_grid", f"must be iterable, not {type(values).__name__}") from None
     grid = tuple(values)
     if not grid:
         raise PreconditionError.about("t_grid", "must be nonempty")
@@ -221,12 +233,13 @@ def time_grid(values, increasing: bool = False) -> tuple[float, ...]:
 
 def array_form(fn, nargs: int):
     """The array form attached to ``fn`` as ``fn.array``; without one, fn
-    called element-wise on plain Python scalars, results as a float array."""
+    called element-wise on plain Python scalars, results as a float array
+    (0-d for scalar arguments)."""
     form = getattr(fn, "array", None)
     if form is not None:
         return form
     scalar = np.frompyfunc(fn, nargs, 1)
-    return lambda *args: scalar(*args).astype(float)
+    return lambda *args: np.asarray(scalar(*args), dtype=float)
 
 
 def grade_tables(space: "IFSpace", x, y, t):

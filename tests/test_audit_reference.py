@@ -131,18 +131,19 @@ def scalar_audit_space(space, sampler):
             if not (nlhs <= nbound + tol):
                 col["x"].add(x, y, t, z=z, s=s, lhs=nlhs, rhs=nbound)
 
+    probed = _continuity_probe(space, pairs, grid)
     checks = [
         col["i"].finish(),
         col["ii"].finish(),
         col["iii"].finish(),
         col["iv"].finish(),
         col["v"].finish(),
-        _continuity_probe("vi", mu, pairs, grid),
+        probed["vi"],
         col["vii"].finish(detail="checked for distinct pairs with mu < 1"),
         col["viii"].finish(),
         col["ix"].finish(),
         col["x"].finish(),
-        _continuity_probe("xi", nu, pairs, grid),
+        probed["xi"],
     ]
 
     if space.triangle_mode == NON_ARCHIMEDEAN:

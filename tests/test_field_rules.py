@@ -32,11 +32,16 @@ from ifmkit import (
     TConorm,
     TNorm,
     check_admissible,
+    check_joint_continuity,
     check_k_contractive,
     check_norm_axioms,
     check_psi_phi_contractive,
+    detect_g_cauchy,
+    detect_m_cauchy,
     pair_from_k,
+    picard_iterate,
     standard_space,
+    verify_fixed_point,
 )
 from ifmkit.cli import EXIT_CONFIG, EXIT_OK, main
 
@@ -161,6 +166,14 @@ def test_count_rule_lives_in_its_owner(tmp_dir, field, value):
     _check(tmp_dir, field, value)
 
 
+UNIT = standard_space(IntervalDomain(0.0, 1.0), TNorm.product(), TConorm.probabilistic_sum())
+HALF = SelfMap.scale(0.5)
+
+
+def _halving_trace():
+    return picard_iterate(UNIT, HALF, 1.0, SolverConfig(1e-8, (1.0,)))
+
+
 # The reproductions: each failed late with a raw Python or numpy error, or
 # was accepted, before the owners held the rules.
 @pytest.mark.parametrize("build,error", [
@@ -181,10 +194,32 @@ def test_count_rule_lives_in_its_owner(tmp_dir, field, value):
     (lambda: check_norm_axioms(TNorm.product(), 20, -1), PreconditionError),
     (lambda: check_norm_axioms(TNorm.product(), 2.5, 0), PreconditionError),
     (lambda: check_admissible(pair_from_k(0.5), 2.5), PreconditionError),
+    (lambda: SamplerConfig(RANDOM, 10, 5), PreconditionError),
+    (lambda: SolverConfig(0.1, 1.0), PreconditionError),
+    (lambda: FiniteDomain.line(2**32), DomainError),
+    (lambda: FiniteDomain.line(10**400), DomainError),
+    (lambda: SelfMap.table([0.7, 1]), DomainError),
+    (lambda: SelfMap.table([0, "1"]), DomainError),
+    (lambda: SelfMap.table([True, 0]), DomainError),
+    (lambda: SelfMap.affine_clamped(0.5, 0.1, "0", 1.0), DomainError),
+    (lambda: SelfMap.affine_clamped(0.5, 0.1, 0.0, True), DomainError),
+    # 0.7 is not a fixed point; at tol = 2.0 it passed
+    (lambda: verify_fixed_point(UNIT, HALF, 0.7, (1.0,), 2.0), DomainError),
+    (lambda: verify_fixed_point(UNIT, HALF, 0.0, (1.0,), -0.1), DomainError),
+    (lambda: check_joint_continuity(UNIT, [0.5], [0.5], 0.5, 0.5, 1.0, 1.0), DomainError),
+    (lambda: check_joint_continuity(UNIT, [0.5], [0.5], 0.5, 0.5, 1.0, math.nan), DomainError),
+    # at eps_tail = 2.0 every trace passed
+    (lambda: detect_g_cauchy(_halving_trace(), 2, 1.0, eps_tail=2.0), DomainError),
+    (lambda: detect_m_cauchy(_halving_trace(), 1e-6, 1.0, 2.5), PreconditionError),
+    (lambda: detect_m_cauchy(_halving_trace(), 1e-6, 1.0, True), PreconditionError),
 ], ids=["sample-count-2.5", "seed-1.5", "max-iter-2.5", "cauchy-window-2.5", "point-tol-inf",
         "line-diameter-0", "line-n-2.5", "line-n-bool", "interval-huge-int", "interval-bool",
         "scale-inf", "scale-string", "affine-nan", "k-string", "norm-seed-negative",
-        "norm-count-2.5", "admissible-grid-2.5"])
+        "norm-count-2.5", "admissible-grid-2.5", "sampler-grid-int", "solver-grid-float",
+        "line-n-2**32", "line-n-huge", "table-float", "table-string", "table-bool",
+        "affine-lo-string", "affine-hi-bool", "fixed-point-tol-2", "fixed-point-tol-negative",
+        "joint-tol-1", "joint-tol-nan", "g-cauchy-eps-2", "m-cauchy-window-2.5",
+        "m-cauchy-window-bool"])
 def test_owner_rejects(build, error):
     with pytest.raises(error):
         build()
@@ -198,6 +233,17 @@ def test_numpy_numbers_are_stored_as_python_numbers():
     assert [type(v) for v in (solver.epsilon, solver.max_iter, solver.point_tol)] == [
         float, int, float]
     assert type(IntervalDomain(np.int64(0), 1).lo) is float
+    assert [type(i) for i in SelfMap.table(np.array([1, 0])).images] == [int, int]
+
+
+# A line whose n x n matrix numpy cannot index fails on n, before any
+# arithmetic or allocation; an accepted n is never sent to the CLI here.
+@pytest.mark.parametrize("n", [2**32, 10**400])
+def test_line_past_the_index_range(tmp_dir, n):
+    with pytest.raises(DomainError) as err:
+        FiniteDomain.line(n)
+    assert err.value.field == "n"
+    _check(tmp_dir, "space.domain.n", n)
 
 
 def test_error_names_field_and_reason():
