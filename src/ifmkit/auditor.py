@@ -26,15 +26,15 @@ cannot fail a sound space; a NaN grade fails every condition, so it always
 violates.  Reports are deterministic given the sampler seed, and
 byte-identical when serialized twice.
 
-The rows are array comparisons over grade tables, built one chunk of drawn
-tuples at a time.  Per chunk, mu and nu are tabulated once over the t-grid
-for (x, y), (y, x), (y, z) and the singles (x, x), and once over the grid
-plus every t+s and max(t, s) for (x, z); v, x and na-* gather rows of those
-(times, tuples) tables instead of grading again.  A chunk covers at most
-2^14 (tuple, t, s) cells (`sampling.chunks`), so no array grows with the
-sample count.  The continuity rows vi and xi come from one pair of (pair,
-t) tables; every table is one call of `spaces.grade_tables`, the one array
-grading call.
+The rows are array comparisons over (times, tuples) grade tables, built by
+three loops that both sampler modes share (random mode's pairs and singles
+are the prefixes of its triples).  On a g-value grid, pairs and singles go
+in chunks of 2^14 // g rows and triples in chunks of 2^14 // g^2 rows
+(`sampling.chunks`), so no table exceeds 2^14 cells or grows with the
+sample count.  The triple loop grades (x, y) again, (y, z) over the grid
+and (x, z) once over the grid plus every t+s and max(t, s), whose rows v, x
+and na-* gather.  The continuity rows vi and xi come from one pair of (pair,
+t) tables; every table is one call of `spaces.grade_tables`.
 
 Array forms travel with the functions: a grade function or t-(co)norm
 function may carry one as its ``array`` attribute, and the built-ins of
@@ -273,11 +273,13 @@ def violation_margin(space: IFSpace, w: Witness):
 class _ArrayScan:
     """The audit's predicate rows, evaluated chunk by chunk over grade tables.
 
-    Each scan method takes one chunk of tuples and records its rows'
-    violations in the scalar scan order: (pair, t); single then distinct
-    pair for iii/viii; (triple, t, s) with t outer for v/x; per triple the g
-    single-t entries, then the g^2 (t, s) entries, for na-*.  The
-    comparisons are the row predicates that `violation_margin` uses.
+    Each scan method grades one chunk of its own rows, 2^14 // g of them for
+    `pairs` and `singles` and 2^14 // g^2 for `triples` (which grades (x, y)
+    again), and records its rows' violations in the scalar scan order:
+    (pair, t); single then distinct pair for iii/viii; (triple, t, s) with t
+    outer for v/x; per triple the g single-t entries, then the g^2 (t, s)
+    entries, for na-*.  The comparisons are the row predicates that
+    `violation_margin` uses.
     """
 
     def __init__(self, space: IFSpace, grid: tuple[float, ...]):
@@ -308,8 +310,9 @@ class _ArrayScan:
         times = self.grid if times is None else times
         return grade_tables(self.space, a, b, times)
 
-    def pairs(self, x, y, mxy, nxy):
+    def pairs(self, x, y):
         col, times, pts = self.col, self.single_times, (x, y, None)
+        mxy, nxy = self.grades(x, y)
         myx, nyx = self.grades(y, x)
         col["i"].scan(*_sum_at_most_one(mxy, nxy), pts, times)
         col["ii"].scan(*_positive(mxy), pts, times)
@@ -340,8 +343,9 @@ class _ArrayScan:
         col["iii"].scan(*_equal(mxx, 1.0), pts, times)
         col["viii"].scan(*_equal(nxx, 0.0), pts, times)
 
-    def triples(self, x, y, z, mxy, nxy):
+    def triples(self, x, y, z):
         pts = (x, y, z)
+        mxy, nxy = self.grades(x, y)
         myz, nyz = self.grades(y, z)
         mxz, nxz = self.grades(x, z, self.xz_times[:, None])
         sides = (("v", "na-mu", _mu_triangle, self.tnorm, mxy, myz, mxz),
@@ -369,30 +373,19 @@ def audit_space(space: IFSpace, sampler: SamplerConfig) -> AuditReport:
     domain = space.domain
     grid = sampler.t_grid
     scan = _ArrayScan(space, grid)
-    cells = len(grid) ** 2  # the (t, s) cells of one tuple
 
     triples = draw_array(domain, sampler, 3)
     if sampler.mode == EXHAUSTIVE:
         # enumerate each tuple exactly once so violation counts are exact
-        pairs = draw_array(domain, sampler, 2)
-        for chunk in chunks(pairs, cells):
-            x, y = chunk.T
-            scan.pairs(x, y, *scan.grades(x, y))
-        for chunk in chunks(draw_array(domain, sampler, 1), cells):
-            scan.singles(chunk[:, 0])
-        for chunk in chunks(triples, cells):
-            x, y, z = chunk.T
-            scan.triples(x, y, z, *scan.grades(x, y))
+        pairs, singles = draw_array(domain, sampler, 2), draw_array(domain, sampler, 1)
     else:
-        # pairs and singles are the prefixes of the triples, so one set of
-        # (x, y) tables serves all three scans
-        pairs = triples[:, :2]
-        for chunk in chunks(triples, cells):
-            x, y, z = chunk.T
-            mxy, nxy = scan.grades(x, y)
-            scan.pairs(x, y, mxy, nxy)
-            scan.singles(x)
-            scan.triples(x, y, z, mxy, nxy)
+        # the pairs and singles are the prefixes of the drawn triples
+        pairs, singles = triples[:, :2], triples[:, :1]
+    g = len(grid)
+    for rows, scan_rows, cells in ((pairs, scan.pairs, g), (singles, scan.singles, g),
+                                   (triples, scan.triples, g * g)):
+        for chunk in chunks(rows, cells):
+            scan_rows(*chunk.T)
 
     col = scan.col
     col["iii"].merge(scan.indiscernible["iii"])

@@ -289,6 +289,8 @@ class RunConfig:
             raise ConfigError(
                 str(path), f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
+        except ValueError as exc:  # an integer literal past Python's digit limit
+            raise ConfigError(str(path), f"invalid JSON: {exc}") from exc
         return cls(data)
 
 

@@ -82,6 +82,7 @@ def int_field(name: str, value, lo: int, error=PreconditionError) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise error.about(name, f"expected an integer, got {type(value).__name__}")
     v = int(value)
-    if v < lo:
-        raise error.about(name, f"must be >= {lo}, got {v}")
+    if v < lo:  # a huge value by its size: str() refuses an int past 4,300 digits
+        shown = v if v.bit_length() <= 64 else f"a {v.bit_length()}-bit negative integer"
+        raise error.about(name, f"must be >= {lo}, got {shown}")
     return v

@@ -21,7 +21,8 @@ from ifmkit import (
     minimize_witness,
     standard_space,
 )
-from ifmkit.auditor import AUDIT_TOL, Witness, violation_margin
+from ifmkit.auditor import AUDIT_TOL, Witness, _ArrayScan, violation_margin
+from ifmkit.sampling import _CHUNK_CELLS
 
 
 def clamped_nu_space():
@@ -163,6 +164,25 @@ class TestDeterminism:
         w1 = r1.check("i").witnesses[0]
         w2 = r2.check("i").witnesses[0]
         assert (w1.x, w1.y) != (w2.x, w2.y)
+
+
+# Pair and single rows hold g grade cells each and triple rows g^2, so each
+# family is scanned in chunks of its own width: going back to triple-width
+# pair chunks would multiply the pair and single calls by g.
+@pytest.mark.parametrize("grid", [(0.5, 1.0, 2.0), (0.1, 0.3, 1.0, 3.0, 10.0, 30.0)],
+                         ids=["g3", "g6"])
+def test_each_row_family_is_chunked_by_its_own_width(unit_space, monkeypatch, grid):
+    calls = {"pairs": 0, "singles": 0, "triples": 0}
+    for name in calls:
+        def counted(self, *columns, name=name, scan=getattr(_ArrayScan, name)):
+            calls[name] += 1
+            return scan(self, *columns)
+        monkeypatch.setattr(_ArrayScan, name, counted)
+    n, g = 6000, len(grid)
+    audit_space(unit_space, SamplerConfig(RANDOM, n, grid, seed=0))
+    pair_calls = math.ceil(n / (_CHUNK_CELLS // g))
+    assert calls == {"pairs": pair_calls, "singles": pair_calls,
+                     "triples": math.ceil(n / (_CHUNK_CELLS // g**2))}
 
 
 class TestSoundness:

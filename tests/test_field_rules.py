@@ -212,6 +212,9 @@ def _halving_trace():
     (lambda: detect_g_cauchy(_halving_trace(), 2, 1.0, eps_tail=2.0), DomainError),
     (lambda: detect_m_cauchy(_halving_trace(), 1e-6, 1.0, 2.5), PreconditionError),
     (lambda: detect_m_cauchy(_halving_trace(), 1e-6, 1.0, True), PreconditionError),
+    # past the 4,300 digits that str() converts, so the message cannot print it
+    (lambda: SamplerConfig(RANDOM, -10**5000, (1.0,)), PreconditionError),
+    (lambda: FiniteDomain.line(-10**5000), DomainError),
 ], ids=["sample-count-2.5", "seed-1.5", "max-iter-2.5", "cauchy-window-2.5", "point-tol-inf",
         "line-diameter-0", "line-n-2.5", "line-n-bool", "interval-huge-int", "interval-bool",
         "scale-inf", "scale-string", "affine-nan", "k-string", "norm-seed-negative",
@@ -219,7 +222,7 @@ def _halving_trace():
         "line-n-2**32", "line-n-huge", "table-float", "table-string", "table-bool",
         "affine-lo-string", "affine-hi-bool", "fixed-point-tol-2", "fixed-point-tol-negative",
         "joint-tol-1", "joint-tol-nan", "g-cauchy-eps-2", "m-cauchy-window-2.5",
-        "m-cauchy-window-bool"])
+        "m-cauchy-window-bool", "sample-count-huge-negative", "line-n-huge-negative"])
 def test_owner_rejects(build, error):
     with pytest.raises(error):
         build()
@@ -244,6 +247,18 @@ def test_line_past_the_index_range(tmp_dir, n):
         FiniteDomain.line(n)
     assert err.value.field == "n"
     _check(tmp_dir, "space.domain.n", n)
+
+
+# Python refuses to parse an integer literal of more than 4,300 digits; a
+# config holding one is a config error, not the parser's ValueError.
+@pytest.mark.parametrize("dump", [True, False], ids=["dump-config", "run"])
+def test_config_integer_past_the_digit_limit(tmp_path, capsys, dump):
+    path = tmp_path / "config.json"
+    text = json.dumps(_config(_line(n=4), sampler=SAMPLER))
+    path.write_text(text.replace('"n": 4', '"n": ' + "9" * 5000))
+    argv = ["audit", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv + ["--dump-config"] * dump) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {path}: invalid JSON: ")
 
 
 def test_error_names_field_and_reason():
