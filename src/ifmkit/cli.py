@@ -47,7 +47,7 @@ from .contraction import (
     phi_from_k,
     psi_from_k,
 )
-from .errors import ConfigError, IfmError, NonConvergenceError, real_field
+from .errors import ConfigError, IfmError, NonConvergenceError, real_field, shown
 from .norms import TConorm, TNorm
 from .sampling import EXHAUSTIVE, RANDOM, SamplerConfig
 from .solver import (
@@ -206,8 +206,7 @@ def _read_contraction(cfg: dict, _domain) -> tuple[dict, float | PsiPhiPair]:
         k = KContraction(_required(cfg, "k", "contraction")).k
         return {"check": check, "k": k}, (k if check == "k" else PsiPhiPair.from_k(k))
     (psi_spec, psi), (phi_spec, phi) = (_read_control(cfg, side) for side in ("psi", "phi"))
-    return ({"check": check, "psi": psi_spec, "phi": phi_spec},
-            PsiPhiPair(psi, phi, ("custom", "cli")))
+    return {"check": check, "psi": psi_spec, "phi": phi_spec}, PsiPhiPair(psi, phi)
 
 
 def _read_sampler(cfg: dict, domain) -> tuple[dict, SamplerConfig]:
@@ -259,7 +258,7 @@ class RunConfig:
             raise ConfigError("<root>", "config must be a JSON object")
         version = _required(data, "schema_version", "<root>")
         if type(version) is not int or version != SCHEMA_VERSION:
-            raise ConfigError("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
+            raise ConfigError("schema_version", f"expected {SCHEMA_VERSION}, got {shown(version)}")
         with _field("space"):
             space_dict, self.space = _read_space(_expect(data, "space", "<root>", dict))
         self._normalized = {"schema_version": version, "space": space_dict}

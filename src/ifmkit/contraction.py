@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, int_field, real_field
+from .errors import DomainError, PreconditionError, int_field, items, real_field, shown
 from .norms import _closest_witness
 from .sampling import Recorder, SamplerConfig, chunks, draw_array, shrink, violated
 from .sampling import draw_tuples  # noqa: F401  perfbench/tracer.py patches this name
@@ -127,12 +127,11 @@ class PsiPhiPair:
 
     psi: Callable[[float], float] = field(repr=False)
     phi: Callable[[float], float] = field(repr=False)
-    provenance: tuple = ("custom",)
 
     @classmethod
     def from_k(cls, k: float) -> "PsiPhiPair":
         k = _validated_k(k)
-        return cls(psi_from_k(k), phi_from_k(k), ("from_k", k))
+        return cls(psi_from_k(k), phi_from_k(k))
 
 
 def pair_from_k(k: float) -> PsiPhiPair:
@@ -160,9 +159,8 @@ class SelfMap:
 
     @classmethod
     def table(cls, images) -> "SelfMap":
-        images = tuple(int_field("images", i, 0, DomainError) for i in images)
-        if any(not 0 <= i < len(images) for i in images):
-            raise DomainError(f"table images {images} must index into the point set")
+        images = items("images", images, DomainError)
+        images = tuple(int_field("images", i, 0, DomainError, hi=len(images) - 1) for i in images)
 
         def fn(i):
             return images[i]
@@ -200,7 +198,7 @@ class SelfMap:
             return value
 
         fn.array = lambda xs: np.full(np.shape(xs), value)
-        return cls.closure(fn, name=f"constant({value!r})")
+        return cls.closure(fn, name=f"constant({shown(value)})")
 
     @classmethod
     def identity(cls) -> "SelfMap":
@@ -258,7 +256,7 @@ class SelfMap:
 
     def domain_error(self, x, y) -> DomainError:
         """The error of a step that sends x to y, outside the domain."""
-        return DomainError(f"map {self.name} sends {x!r} to {y!r}, outside the domain")
+        return DomainError(f"map {self.name} sends {shown(x)} to {shown(y)}, outside the domain")
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the rules for numeric arguments."""
+"""Exception types shared across the package, and how a caller's number or
+sequence is read (`real_field`, `int_field`, `items`) and shown (`shown`)."""
 
 import math
 import numbers
@@ -76,13 +77,31 @@ def real_field(name: str, value, lo=None, hi=None, *, open_lo=False,
     return v
 
 
-def int_field(name: str, value, lo: int, error=PreconditionError) -> int:
+def int_field(name: str, value, lo: int, error=PreconditionError, hi: int | None = None) -> int:
     """``value`` as a plain int (numpy's are not JSON): an integral number,
-    not a bool, at least ``lo``.  Otherwise ``error`` about ``name``."""
+    not a bool, in [``lo``, ``hi``].  Otherwise ``error`` about ``name``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise error.about(name, f"expected an integer, got {type(value).__name__}")
     v = int(value)
-    if v < lo:  # a huge value by its size: str() refuses an int past 4,300 digits
-        shown = v if v.bit_length() <= 64 else f"a {v.bit_length()}-bit negative integer"
-        raise error.about(name, f"must be >= {lo}, got {shown}")
+    if v < lo:
+        raise error.about(name, f"must be >= {lo}, got {shown(v)}")
+    if hi is not None and v > hi:
+        raise error.about(name, f"must be <= {hi}, got {shown(v)}")
     return v
+
+
+def items(name: str, values, error=PreconditionError) -> tuple:
+    """The sequence ``values`` as a tuple, else ``error`` about ``name``."""
+    try:  # iter() only: a TypeError raised while iterating is not the caller's type
+        values = iter(values)
+    except TypeError:
+        raise error.about(name, f"must be iterable, not {type(values).__name__}") from None
+    return tuple(values)
+
+
+def shown(value) -> str:
+    """``value`` as a message shows it: its repr, or an int past 64 bits by its
+    size, since str() refuses an int past 4,300 digits."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"a {value.bit_length()}-bit {'negative ' if value < 0 else ''}integer"
+    return repr(value)

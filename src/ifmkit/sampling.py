@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, int_field
+from .errors import DomainError, PreconditionError, int_field, shown
 from .spaces import FiniteDomain, IntervalDomain, PointDomain, time_grid
 
 EXHAUSTIVE = "exhaustive"
@@ -41,7 +41,7 @@ class SamplerConfig:
 
     def __post_init__(self):
         if not (isinstance(self.mode, str) and self.mode in _MODES):
-            raise DomainError.about("mode", f"must be one of {list(_MODES)}, got {self.mode!r}")
+            raise DomainError.about("mode", f"must be one of {list(_MODES)}, got {shown(self.mode)}")
         object.__setattr__(self, "sample_count", int_field("sample_count", self.sample_count, 1))
         object.__setattr__(self, "t_grid", time_grid(self.t_grid))
         object.__setattr__(self, "seed", int_field("seed", self.seed, 0))

@@ -44,8 +44,8 @@ from functools import cache, partial, reduce
 import numpy as np
 
 from .contraction import SelfMap
-from .errors import (DomainError, NonConvergenceError, PreconditionError, int_field,
-                     real_field)
+from .errors import (DomainError, NonConvergenceError, PreconditionError, int_field, items,
+                     real_field, shown)
 from .sampling import MAX_WITNESSES
 from .spaces import (FiniteDomain, IFSpace, IntervalDomain, NON_ARCHIMEDEAN, grade_tables,
                      time_grid)
@@ -74,7 +74,7 @@ class SolverConfig:
         set_("t_grid", time_grid(self.t_grid, increasing=True))
         set_("max_iter", int_field("max_iter", self.max_iter, 1))
         set_("point_tol", real_field("point_tol", self.point_tol, 0.0, error=PreconditionError))
-        set_("seeds", tuple(self.seeds))
+        set_("seeds", items("seeds", self.seeds))
         set_("cauchy_window", int_field("cauchy_window", self.cauchy_window, 2))
 
     def to_dict(self) -> dict:
@@ -125,14 +125,10 @@ def _near_pairs(space: IFSpace, older, newer, t: float, epsilon: float) -> np.nd
 def detect_m_cauchy(trace: IterationTrace, epsilon: float, t: float, window: int) -> bool:
     """Finite-window surrogate for the Cauchy property: every pair among
     the trailing `window` points must satisfy mu > 1-eps and nu < eps at t.
-    """
+    ``window`` is an integer field in [1, len(points)] (`int_field`'s bounds)."""
     epsilon = real_field("epsilon", epsilon, 0.0, 1.0, open_lo=True)
     t = real_field("t", t, 0.0, open_lo=True)
-    window = int_field("window", window, 1)
-    if window > len(trace.points):
-        raise PreconditionError(
-            f"window must be in [1, {len(trace.points)}], got {window}"
-        )
+    window = int_field("window", window, 1, hi=len(trace.points))
     pts = np.asarray(trace.points[-window:])
     older, newer = np.triu_indices(window, 1)  # the pairs in combinations order
     return bool(_near_pairs(trace.space, pts[older], pts[newer], t, epsilon).all())
@@ -142,15 +138,11 @@ def detect_g_cauchy(trace: IterationTrace, m_offset: int, t: float,
                     eps_tail: float = 1e-6) -> bool:
     """Fixed-offset Cauchy probe: the last few pairs (x_n, x_{n+m}) must
     have mu above 1 - eps_tail and nu below eps_tail at the given t; eps_tail
-    is in [0, 1).
-    """
-    m_offset = int_field("m_offset", m_offset, 1)
-    eps_tail = real_field("eps_tail", eps_tail, 0.0, 1.0)
+    is in [0, 1).  ``m_offset`` is an integer field in [1, len(points) - 3]
+    (`int_field`'s bounds), so that the trace holds three such pairs."""
     n_points = len(trace.points)
-    if n_points <= m_offset + 2:
-        raise PreconditionError(
-            f"trace length must exceed m_offset + 2 = {m_offset + 2}, got {n_points}"
-        )
+    m_offset = int_field("m_offset", m_offset, 1, hi=n_points - 3)
+    eps_tail = real_field("eps_tail", eps_tail, 0.0, 1.0)
     t = real_field("t", t, 0.0, open_lo=True)
     first = max(0, n_points - m_offset - _G_CAUCHY_TAIL_PAIRS)
     pts = np.asarray(trace.points[first:])
@@ -187,7 +179,7 @@ def picard_iterate(space: IFSpace, f: SelfMap, x0, config: SolverConfig) -> Iter
     """
     domain = space.domain
     if not domain.contains(x0):
-        raise DomainError(f"starting point {x0!r} outside domain {domain!r}")
+        raise DomainError(f"starting point {shown(x0)} outside domain {domain!r}")
     fx0 = f.apply_checked(domain, x0)
     grid = config.t_grid
     for t in grid:
@@ -196,8 +188,8 @@ def picard_iterate(space: IFSpace, f: SelfMap, x0, config: SolverConfig) -> Iter
                 space=space, map=f, t_grid=grid, points=[x0],
                 mu_diag={t: np.empty(0) for t in grid}, nu_diag={t: np.empty(0) for t in grid},
                 stop_reason="precondition_failed",
-                note=f"mu(x0, f(x0), {t:g}) = {space.mu(x0, fx0, t)!r}, "
-                     f"nu = {space.nu(x0, fx0, t)!r}",
+                note=f"mu(x0, f(x0), {t:g}) = {shown(space.mu(x0, fx0, t))}, "
+                     f"nu = {shown(space.nu(x0, fx0, t))}",
             )
 
     near = partial(_near_pairs, space, t=grid[0], epsilon=config.epsilon)
@@ -310,14 +302,15 @@ class ResidualCheck:
 
 
 def verify_fixed_point(space: IFSpace, f: SelfMap, x, t_grid, tol: float) -> ResidualCheck:
-    """Residuals of the fixed-point property at x over the time grid, to be
-    within a tolerance tol in [0, 1)."""
+    """Residuals of the fixed-point property at x over the time grid (read
+    by `time_grid`), to be within a tolerance tol in [0, 1)."""
     tol = real_field("tol", tol, 0.0, 1.0)
+    grid = np.array(time_grid(t_grid))
     if not space.domain.contains(x):
-        raise DomainError(f"point {x!r} outside domain")
+        raise DomainError(f"point {shown(x)} outside domain")
     fx = f.apply_checked(space.domain, x)
     # np.min/np.max keep a NaN grade, which fails the check; min() would drop it
-    mu, nu = grade_tables(space, x, fx, np.array(t_grid))
+    mu, nu = grade_tables(space, x, fx, grid)
     return ResidualCheck(residual_mu=float(np.min(mu)), residual_nu=float(np.max(nu)), tol=tol)
 
 
@@ -451,7 +444,7 @@ def edelstein_solve(space: IFSpace, f: SelfMap, config: SolverConfig) -> FixedPo
     seeds = config.seeds if config.seeds else tuple(domain.points())
     outside = ~domain.contains_array(list(seeds))
     m = int(outside.argmax()) if outside.any() else len(seeds)  # the seeds that start
-    error = DomainError(f"seed {seeds[m]!r} outside domain {domain!r}") if m < len(seeds) else None
+    error = DomainError(f"seed {shown(seeds[m])} outside domain {domain!r}") if m < len(seeds) else None
     steps = min(config.max_iter, domain.size)
     path = np.zeros((steps + 1, m), dtype=np.intp)  # path[s, i]: seed i's point at step s
     path[0] = seeds[:m]

@@ -23,19 +23,21 @@ function: it uses these forms or, while mu and nu carry the same one
 one array comparison when every point is exactly a ``float`` (interval; a
 1-d float64 array too) or an ``int`` (finite; a 1-d integer array too),
 where the two agree by construction, else ``contains`` per point.
+
+Arguments are read by the rules of `errors` (`int_field` also bounds
+``line``'s n), and a caller's value appears in a message through `shown`.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, int_field, real_field
+from .errors import DomainError, PreconditionError, int_field, items, real_field, shown
 from .norms import TConorm, TNorm, UnitValue
 
 POINT_EQ_TOL = 1e-12
@@ -104,7 +106,7 @@ class FiniteDomain:
     """
 
     def __init__(self, labels, metric, *, _metric_by_construction: bool = False):
-        labels = tuple(str(lab) for lab in labels)
+        labels = tuple(str(lab) for lab in items("labels", labels, DomainError))
         try:
             # float() takes numeric strings and booleans; a numeric array holds neither
             numeric = isinstance(metric, np.ndarray) and metric.dtype.kind in "iuf"
@@ -142,12 +144,10 @@ class FiniteDomain:
 
     @classmethod
     def line(cls, n: int, diameter: float = 1.0) -> "FiniteDomain":
-        """n >= 1 points labelled '0'..'n-1' spaced evenly over [0, diameter > 0];
-        n * n must fit numpy's index type, since the metric is an n x n matrix."""
-        n = int_field("n", n, 1, DomainError)
-        top = math.isqrt(np.iinfo(np.intp).max)  # n itself is not printed: it may be huge
-        if n > top:
-            raise DomainError.about("n", f"must be <= {top}, so that numpy can index n x n cells")
+        """n >= 1 points labelled '0'..'n-1' spaced evenly over [0, diameter > 0].
+        n is at most isqrt(np.iinfo(np.intp).max), `int_field`'s upper bound:
+        the metric is an n x n matrix, and numpy indexes its cells with intp."""
+        n = int_field("n", n, 1, DomainError, hi=math.isqrt(np.iinfo(np.intp).max))
         diameter = real_field("diameter", diameter, 0.0, open_lo=True)
         spacing = diameter / (n - 1) if n > 1 else 0.0
         i = np.arange(n, dtype=float)  # |i - j| is exact, so these are the doubles of a list build
@@ -206,26 +206,13 @@ PointDomain = IntervalDomain | FiniteDomain
 
 
 def time_grid(values, increasing: bool = False) -> tuple[float, ...]:
-    """A grid of time parameters as a tuple of floats.
-
-    The grid must be a nonempty iterable of positive, finite real numbers
-    (not booleans), strictly increasing when ``increasing``; otherwise a
-    PreconditionError about ``t_grid``.
-    """
-    try:
-        values = iter(values)
-    except TypeError:
-        raise PreconditionError.about(
-            "t_grid", f"must be iterable, not {type(values).__name__}") from None
-    grid = tuple(values)
+    """A grid of time parameters as a tuple of floats: a nonempty sequence
+    (`items`) of real fields above 0 (`real_field`), strictly increasing
+    when ``increasing``; otherwise a PreconditionError about ``t_grid``."""
+    grid = tuple(real_field("t_grid", t, 0.0, open_lo=True, error=PreconditionError)
+                 for t in items("t_grid", values))
     if not grid:
         raise PreconditionError.about("t_grid", "must be nonempty")
-    # the upper bound rejects inf, and integers too large for a float;
-    # NaN fails every comparison
-    if any(isinstance(t, bool) or not isinstance(t, numbers.Real)
-           or not 0 < t <= sys.float_info.max for t in grid):
-        raise PreconditionError.about("t_grid", "values must be positive and finite numbers")
-    grid = tuple(float(t) for t in grid)
     if increasing and any(a >= b for a, b in zip(grid, grid[1:])):
         raise PreconditionError.about("t_grid", "must be strictly increasing")
     return grid
@@ -335,12 +322,13 @@ def _eval_grade(space: IFSpace, name: str, x, y, t) -> UnitValue:
     t = real_field("t", t, 0.0, open_lo=True)
     for p in (x, y):
         if not space.domain.contains(p):
-            raise DomainError(f"point {p!r} outside domain {space.domain!r}")
+            raise DomainError(f"point {shown(p)} outside domain {space.domain!r}")
     v = getattr(space, name)(x, y, t)
     try:
         return UnitValue(v)
     except Exception as exc:
-        raise DomainError(f"{name}({x!r}, {y!r}, {t!r}) = {v!r} is not a unit value") from exc
+        raise DomainError(f"{name}({shown(x)}, {shown(y)}, {t!r}) = {shown(v)} "
+                          "is not a unit value") from exc
 
 
 def eval_mu(space: IFSpace, x, y, t) -> UnitValue:

@@ -42,7 +42,7 @@ def clamped_nu_space():
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
 def test_sampler_grid_must_be_positive_and_finite(bad):
-    with pytest.raises(PreconditionError, match="positive and finite"):
+    with pytest.raises(PreconditionError, match=r"^t_grid must be (finite|> 0\.0), got "):
         SamplerConfig(RANDOM, 10, (0.5, bad))
 
 

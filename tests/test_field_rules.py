@@ -38,12 +38,15 @@ from ifmkit import (
     check_psi_phi_contractive,
     detect_g_cauchy,
     detect_m_cauchy,
+    edelstein_solve,
+    eval_mu,
     pair_from_k,
     picard_iterate,
     standard_space,
     verify_fixed_point,
 )
-from ifmkit.cli import EXIT_CONFIG, EXIT_OK, main
+from ifmkit.cli import EXIT_CONFIG, EXIT_OK, RunConfig, main
+from ifmkit.errors import ConfigError, shown
 
 SAMPLER = {"mode": "random", "sample_count": 10, "t_grid": [0.5, 1.0], "seed": 0}
 SOLVER = {"epsilon": 1e-6, "t_grid": [0.5, 1.0], "max_iter": 100, "point_tol": 1e-8,
@@ -174,6 +177,9 @@ def _halving_trace():
     return picard_iterate(UNIT, HALF, 1.0, SolverConfig(1e-8, (1.0,)))
 
 
+HUGE = 10**5000  # past the 4,300 digits that str() converts
+
+
 # The reproductions: each failed late with a raw Python or numpy error, or
 # was accepted, before the owners held the rules.
 @pytest.mark.parametrize("build,error", [
@@ -215,6 +221,16 @@ def _halving_trace():
     # past the 4,300 digits that str() converts, so the message cannot print it
     (lambda: SamplerConfig(RANDOM, -10**5000, (1.0,)), PreconditionError),
     (lambda: FiniteDomain.line(-10**5000), DomainError),
+    (lambda: detect_m_cauchy(_halving_trace(), 1e-6, 1.0, HUGE), PreconditionError),
+    (lambda: detect_g_cauchy(_halving_trace(), HUGE, 1.0), PreconditionError),
+    (lambda: RunConfig({"schema_version": HUGE}), ConfigError),
+    (lambda: SamplerConfig(HUGE, 1, (1.0,)), DomainError),
+    (lambda: SelfMap.table([HUGE]), DomainError),
+    (lambda: SelfMap.table(5), DomainError),
+    # the constant map's name showed the value
+    (lambda: SelfMap.constant(HUGE).apply_checked(UNIT.domain, 0.5), DomainError),
+    (lambda: SolverConfig(1e-6, (1.0,), seeds=5), PreconditionError),
+    (lambda: FiniteDomain(5, [[0]]), DomainError),
 ], ids=["sample-count-2.5", "seed-1.5", "max-iter-2.5", "cauchy-window-2.5", "point-tol-inf",
         "line-diameter-0", "line-n-2.5", "line-n-bool", "interval-huge-int", "interval-bool",
         "scale-inf", "scale-string", "affine-nan", "k-string", "norm-seed-negative",
@@ -222,10 +238,86 @@ def _halving_trace():
         "line-n-2**32", "line-n-huge", "table-float", "table-string", "table-bool",
         "affine-lo-string", "affine-hi-bool", "fixed-point-tol-2", "fixed-point-tol-negative",
         "joint-tol-1", "joint-tol-nan", "g-cauchy-eps-2", "m-cauchy-window-2.5",
-        "m-cauchy-window-bool", "sample-count-huge-negative", "line-n-huge-negative"])
+        "m-cauchy-window-bool", "sample-count-huge-negative", "line-n-huge-negative",
+        "m-cauchy-window-huge", "g-cauchy-offset-huge", "schema-version-huge", "mode-huge",
+        "table-image-huge", "table-int", "constant-huge", "solver-seeds-int", "labels-int"])
 def test_owner_rejects(build, error):
     with pytest.raises(error):
         build()
+
+
+# A value past 64 bits appears in a message by its size (`shown`); a
+# field rule's error names its field.
+LINE5 = standard_space(FiniteDomain.line(5), TNorm.product(), TConorm.probabilistic_sum())
+
+
+@pytest.mark.parametrize("build,error,field", [
+    (lambda: detect_m_cauchy(_halving_trace(), 1e-6, 1.0, HUGE), PreconditionError, "window"),
+    (lambda: detect_g_cauchy(_halving_trace(), HUGE, 1.0), PreconditionError, "m_offset"),
+    (lambda: RunConfig({"schema_version": HUGE}), ConfigError, "schema_version"),
+    (lambda: SamplerConfig(HUGE, 1, (1.0,)), DomainError, "mode"),
+    (lambda: SelfMap.table([HUGE]), DomainError, "images"),
+    (lambda: SelfMap.constant(HUGE).apply_checked(UNIT.domain, 0.5), DomainError, None),
+    (lambda: edelstein_solve(LINE5, SelfMap.table([0, 0, 1, 2, 3]),
+                             SolverConfig(1e-6, (1.0,), seeds=(HUGE,))), DomainError, None),
+    (lambda: verify_fixed_point(UNIT, HALF, HUGE, (1.0,), 0.1), DomainError, None),
+    (lambda: eval_mu(UNIT, HUGE, 0.5, 1.0), DomainError, None),
+    (lambda: picard_iterate(UNIT, HALF, HUGE, SolverConfig(1e-6, (1.0,))), DomainError, None),
+    (lambda: SelfMap.closure(lambda x: HUGE).apply_checked(UNIT.domain, 0.5), DomainError, None),
+], ids=["m-cauchy-window", "g-cauchy-offset", "schema-version", "sampler-mode", "table-image",
+        "constant-name", "edelstein-seed", "fixed-point", "eval-mu", "picard-start",
+        "closure-image"])
+def test_huge_value_is_shown_by_its_size(build, error, field):
+    with pytest.raises(error, match="a 16610-bit integer") as err:
+        build()
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("build,error,field", [
+    (lambda: SelfMap.table(5), DomainError, "images"),
+    (lambda: SolverConfig(1e-6, (1.0,), seeds=5), PreconditionError, "seeds"),
+    (lambda: FiniteDomain(5, [[0]]), DomainError, "labels"),
+], ids=["table-images", "solver-seeds", "labels"])
+def test_sequence_argument_must_be_iterable(build, error, field):
+    with pytest.raises(error) as err:
+        build()
+    assert (err.value.field, err.value.reason) == (field, "must be iterable, not int")
+
+
+def test_type_error_while_iterating_is_not_relabelled():
+    def images():
+        yield 0
+        raise TypeError("from the caller's generator")
+
+    with pytest.raises(TypeError, match="from the caller's generator"):
+        SelfMap.table(images())
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=st.integers(-2**64 + 1, 2**64 - 1) | st.booleans() | NUMPY | st.floats()
+       | st.text(max_size=8) | st.none())
+def test_shown_is_repr_within_64_bits(value):
+    assert shown(value) == repr(value)
+
+
+@given(bits=st.integers(65, 20000), negative=st.booleans())
+def test_shown_gives_the_size_past_64_bits(bits, negative):
+    value = (-1) ** negative * 2 ** (bits - 1)
+    sign = "negative " if negative else ""
+    assert shown(value) == f"a {bits}-bit {sign}integer"
+
+
+# verify_fixed_point reads its grid as a time grid: -1.0 passed with a
+# residual nu of -0.0, () raised numpy's zero-size error, 5 was one t.
+@pytest.mark.parametrize("t_grid,reason", [
+    ((-1.0,), "must be > 0.0, got -1.0"),
+    ((), "must be nonempty"),
+    (5, "must be iterable, not int"),
+], ids=["negative", "empty", "int"])
+def test_fixed_point_grid_is_a_time_grid(t_grid, reason):
+    with pytest.raises(PreconditionError) as err:
+        verify_fixed_point(UNIT, HALF, 0.0, t_grid, 0.1)
+    assert (err.value.field, err.value.reason) == ("t_grid", reason)
 
 
 def test_numpy_numbers_are_stored_as_python_numbers():
@@ -275,6 +367,15 @@ def test_max_iter_config_error(tmp_path, capsys):
     assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert capsys.readouterr().err == (
         "config error: solver.max_iter: expected an integer, got float\n")
+
+
+def test_t_grid_config_error(tmp_path, capsys):
+    config = _config(solver={**SOLVER, "t_grid": [0.1, -1.0], "seeds": [0.5]},
+                     map={"name": "identity"})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: solver.t_grid: must be > 0.0, got -1.0\n"
 
 
 # The witness shrinker keeps the self-map rule: no sampled point of this
