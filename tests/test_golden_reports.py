@@ -50,6 +50,10 @@ CASES = {
     # scale(0.8) on [0, 1]: seed 1.0 stops at step 95, in the third Picard
     # block (steps 49-112); the subnormal and zero seeds stop at step 1
     "solve_scale_blocks": (["solve", "--config"], EXIT_OK),
+    # affine_clamped(0.9, 0.05) on [0, 1] with cauchy_window 8: the seeds stop
+    # at steps 191, 191 and 185, in the fourth Picard block (steps 113-240),
+    # so the stopping window crosses a block edge
+    "solve_affine_window8": (["solve", "--config"], EXIT_OK),
     # the crisp contract grades dead antecedents (the masked control calls),
     # and the finite scenario runs the orbit engine; CI diffs `ifmkit demo` too
     "demo": (["demo", "--seed", "0"], EXIT_OK),
