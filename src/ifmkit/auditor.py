@@ -302,8 +302,6 @@ class _ArrayScan:
         self.single_times = [(t, None) for t in grid]
         self.split_times = [(t, s) for t in grid for s in grid]
         self.col = {axiom: _Collector(axiom) for axiom in AXIOM_ORDER}
-        # the all-grid identity rows come after every single in scan order
-        self.indiscernible = {"iii": _Collector("iii"), "viii": _Collector("viii")}
 
     def grades(self, a, b, times=None):
         """(mu, nu) tables of shape (len(times), len(a)); the grid by default."""
@@ -335,7 +333,7 @@ class _ArrayScan:
             g, t = (math.nan, min(nan_times)) if nan_times else worst(cells)
             return Witness(axiom, x[r].tolist(), y[r].tolist(), t, lhs=g, rhs=rhs)
 
-        self.indiscernible[axiom].record(distinct & bad.all(axis=0), witness)
+        self.col[axiom].record(distinct & bad.all(axis=0), witness)
 
     def singles(self, x):
         col, times, pts = self.col, self.single_times, (x, x, None)
@@ -382,14 +380,12 @@ def audit_space(space: IFSpace, sampler: SamplerConfig) -> AuditReport:
         # the pairs and singles are the prefixes of the drawn triples
         pairs, singles = triples[:, :2], triples[:, :1]
     g = len(grid)
-    for rows, scan_rows, cells in ((pairs, scan.pairs, g), (singles, scan.singles, g),
+    # singles first: the distinct-pair iii/viii rows follow the diagonal ones
+    for rows, scan_rows, cells in ((singles, scan.singles, g), (pairs, scan.pairs, g),
                                    (triples, scan.triples, g * g)):
         for chunk in chunks(rows, cells):
             scan_rows(*chunk.T)
 
-    col = scan.col
-    col["iii"].merge(scan.indiscernible["iii"])
-    col["viii"].merge(scan.indiscernible["viii"])
     probed = _continuity_probe(space, pairs, grid)
     checks = []
     for axiom in AXIOM_ORDER:
@@ -399,7 +395,7 @@ def audit_space(space: IFSpace, sampler: SamplerConfig) -> AuditReport:
             checks.append(AxiomCheck(axiom, "SKIPPED",
                                      detail="space is not tagged non-Archimedean"))
         else:
-            checks.append(col[axiom].finish(detail=_DETAILS.get(axiom)))
+            checks.append(scan.col[axiom].finish(detail=_DETAILS.get(axiom)))
     return AuditReport(
         space_name=space.name,
         triangle_mode=space.triangle_mode,

@@ -374,9 +374,11 @@ def check_admissible(pair: PsiPhiPair, grid_size: int) -> AdmissibilityReport:
     discontinuity.  The observed monotonicity direction is recorded but not
     enforced: the fixed-point arguments only use continuity and strictness,
     and the useful pairs in practice are non-decreasing on both sides.
-    Boundary values psi(1)=1 and phi(0)=0 are admissible.
+    Boundary values psi(1)=1 and phi(0)=0 are admissible.  ``grid_size`` is
+    an integer field in [2, intp max] (`int_field`'s bounds), the most items
+    a Python list holds: each probe lists the grid's values.
     """
-    grid_size = int_field("grid_size", grid_size, 2)
+    grid_size = int_field("grid_size", grid_size, 2, hi=np.iinfo(np.intp).max)
     return AdmissibilityReport(
         psi=_probe_function("psi", pair.psi, grid_size, strict_below=True),
         phi=_probe_function("phi", pair.phi, grid_size, strict_below=False),

@@ -297,9 +297,11 @@ def check_norm_axioms(op, sample_count: int, seed: int) -> NormAxiomReport:
     when its comparison holds, so a NaN result fails every axiom it enters.
 
     Deterministic given `seed`.  Witnesses are the violating tuples closest
-    to the (0.5, ...) anchor, so failures read naturally.
+    to the (0.5, ...) anchor, so failures read naturally.  ``sample_count``
+    is an integer field in [1, intp max // 4] (`int_field`'s bounds): the
+    monotonicity samples are one (count, 4) numpy array.
     """
-    sample_count = int_field("sample_count", sample_count, 1)
+    sample_count = int_field("sample_count", sample_count, 1, hi=np.iinfo(np.intp).max // 4)
     seed = int_field("seed", seed, 0)
     e = op.identity_element
     fn = op.fn

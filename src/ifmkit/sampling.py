@@ -107,11 +107,6 @@ class Recorder:
             for index in zip(*(i.tolist() for i in np.unravel_index(flat, mask.shape))):
                 self.witnesses.append(witness(*index))
 
-    def merge(self, later: "Recorder"):
-        """Append the violations of a later scan of the same check."""
-        self.count += later.count
-        self.witnesses += later.witnesses[:MAX_WITNESSES - len(self.witnesses)]
-
 
 def shrink(domain: PointDomain, coords: dict, targets, violated_at, lhs, rhs):
     """Halve a violating witness's coordinates toward targets while it still

@@ -7,17 +7,16 @@ to `_BLOCK_CAP` = 1024: a plain loop of scalar map calls, or, for
 `SelfMap.scale` from a float point, one call of its orbit form
 ``fn.orbit`` (a running product in numpy, the same doubles).  One array
 op checks every point of the block against the domain, and the points
-inside become one array.  The window check then grades lag by lag: lag 1
-for every step of the block, on slices, and lag L only for the steps whose
-pairs at every smaller lag were near.  A step's smallest lag whose pair is
-not near gives the newest older point of such a pair, hence the first step
-whose whole window is near, and the points past it are dropped; a block
-with no near lag-1 pair (most blocks) cannot stop and returns at once.  It then
-records, at every grid time t, the consecutive-step grades
-mu(x_n, x_{n+1}, t) and nu(x_n, x_{n+1}, t), tabulated in one pass over
-the block arrays, concatenated, and kept as float64 arrays.  Both passes
-grade through `spaces.grade_tables` (a grade function without an array
-form is called element-wise).  For a psi-phi
+inside become one array.  The window check is `detect_m_cauchy`'s rule,
+`_near_windows`, over the block and the `cauchy_window` - 1 points before
+it: each lag up to that is graded on slices, a step's window is near when
+all of its pairs are, and the points past the first such step are dropped.
+A block with no near lag-1 pair (most blocks) cannot stop, and its check
+ends after that one lag.  The loop then records, at every grid time t,
+the consecutive-step grades mu(x_n, x_{n+1}, t) and nu(x_n, x_{n+1}, t),
+tabulated in one pass over the block arrays, concatenated, and kept as
+float64 arrays.  Both passes grade through `spaces.grade_tables` (a grade
+function without an array form is called element-wise).  For a psi-phi
 contractive map the mu diagnostic is non-decreasing and the nu diagnostic
 non-increasing in n.
 
@@ -122,16 +121,43 @@ def _near_pairs(space: IFSpace, older, newer, t: float, epsilon: float) -> np.nd
     return (mu > 1.0 - epsilon) & (nu < epsilon)
 
 
+def _near_windows(near, tail: np.ndarray, block: np.ndarray, back: int) -> np.ndarray:
+    """Whether each point of `block` has a pairwise near window: the point
+    and the up to `back` points before it, taken from `tail` and then from
+    `block`.
+
+    Lag 1 is graded first, on slices; if no lag-1 pair is near, only a
+    window of one point is.  Otherwise each lag L <= `back` is graded on
+    slices, from the largest down, and ``newest[j]`` becomes j - L for each
+    pair (x_{j-L}, x_j) that is not near, so the smallest such lag wins.
+    The window at position p is near when no such pair up to p has its
+    older point at or after the window's first position, max(p - back, 0).
+    """
+    if not len(block):  # an empty float block would turn an int tail into float indices
+        return np.zeros(0, dtype=bool)
+    pts = np.concatenate((tail, block))
+    at = np.arange(len(tail), len(pts))  # the block's positions in pts
+    lag1 = near(pts[:-1], pts[1:])
+    if not lag1.any():
+        return np.minimum(at, back) == 0
+    newest = np.full(len(pts), -1)
+    for lag in range(min(back, len(pts) - 1), 0, -1):
+        fail = ~(lag1 if lag == 1 else near(pts[:-lag], pts[lag:]))
+        newest[lag:][fail] = np.flatnonzero(fail)
+    return np.maximum.accumulate(newest)[at] < np.maximum(at - back, 0)
+
+
 def detect_m_cauchy(trace: IterationTrace, epsilon: float, t: float, window: int) -> bool:
     """Finite-window surrogate for the Cauchy property: every pair among
     the trailing `window` points must satisfy mu > 1-eps and nu < eps at t.
-    ``window`` is an integer field in [1, len(points)] (`int_field`'s bounds)."""
+    ``window`` is an integer field in [1, len(points)] (`int_field`'s bounds).
+    The Picard stop applies the same rule (`_near_windows`) after each step."""
     epsilon = real_field("epsilon", epsilon, 0.0, 1.0, open_lo=True)
     t = real_field("t", t, 0.0, open_lo=True)
     window = int_field("window", window, 1, hi=len(trace.points))
     pts = np.asarray(trace.points[-window:])
-    older, newer = np.triu_indices(window, 1)  # the pairs in combinations order
-    return bool(_near_pairs(trace.space, pts[older], pts[newer], t, epsilon).all())
+    near = partial(_near_pairs, trace.space, t=t, epsilon=epsilon)
+    return bool(_near_windows(near, pts[:-1], pts[-1:], window - 1)[0])
 
 
 def detect_g_cauchy(trace: IterationTrace, m_offset: int, t: float,
@@ -173,9 +199,10 @@ def picard_iterate(space: IFSpace, f: SelfMap, x0, config: SolverConfig) -> Iter
     A map with an orbit form ``f.fn.orbit(x, n)`` (`SelfMap.scale`) takes a
     block in one call while the current point is exactly a Python float,
     and `points` gets the block's Python floats; any other map or point
-    runs the scalar loop.  The window check grades lag L of a step only if
-    every smaller lag of it was near: the grade functions see fewer pairs
-    than the full windows hold, and the stop is the same.
+    runs the scalar loop.  The window check grades the pairs of the block
+    and the points before it lag by lag, so the grade functions see the
+    older points' pairs again in each block, and the stop is that of a
+    step-by-step check.
     """
     domain = space.domain
     if not domain.contains(x0):
@@ -195,10 +222,9 @@ def picard_iterate(space: IFSpace, f: SelfMap, x0, config: SolverConfig) -> Iter
     near = partial(_near_pairs, space, t=grid[0], epsilon=config.epsilon)
     step, orbit = f.fn, getattr(f.fn, "orbit", None)
     back = config.cauchy_window - 1  # the older points a window holds
-    last_fail = -1
     points, arrays = [x0], [np.asarray([x0])]  # the orbit, and its blocks as arrays
     x, block = fx0, [fx0]  # the first step ran in the precondition check
-    size = min(_FIRST_BLOCK, _BLOCK_CAP)
+    size = _FIRST_BLOCK
     stop_reason = "max_iter"
     while True:
         error = None
@@ -219,9 +245,9 @@ def picard_iterate(space: IFSpace, f: SelfMap, x0, config: SolverConfig) -> Iter
         if end < len(block):
             error = f.domain_error(block[end - 1] if end else points[-1], block[end])
         values = np.asarray(values[:end])  # the points inside: a list is converted here, once
-        stop, last_fail = _window_stop(near, np.asarray(points[-back:]), values, len(points),
-                                       back, last_fail)
-        if stop is not None:
+        near_window = _near_windows(near, np.asarray(points[-back:]), values, back)
+        if near_window.any():
+            stop = int(near_window.argmax())
             points += block[:stop + 1]
             arrays.append(values[:stop + 1])
             stop_reason = "converged"
@@ -240,46 +266,6 @@ def picard_iterate(space: IFSpace, f: SelfMap, x0, config: SolverConfig) -> Iter
         space=space, map=f, t_grid=grid, points=points,
         mu_diag=mu_diag, nu_diag=nu_diag, stop_reason=stop_reason,
     )
-
-
-def _window_stop(near, tail: np.ndarray, block: np.ndarray, first: int, back: int,
-                 last_fail: int):
-    """The index in `block` of the first step whose trailing window is near,
-    or None, and the newest older step of a pair that is not near, up to
-    the block's end (-1 if none).
-
-    `block` holds steps `first`, `first` + 1, ... of the orbit, and `tail`
-    the up to `back` = cauchy_window - 1 points before them.  The window at
-    step k holds x_i for lo(k) <= i <= k, lo(k) = max(0, k - back),
-    so it is near exactly when every pair (x_i, x_j) with i < j <= k and
-    j - i < cauchy_window that is not near has i < lo(k).  Step j's newest
-    such i is j - L for the smallest lag L whose pair is not near, so lag L
-    is graded only for the steps whose smaller lags were all near.  Lag 1
-    is graded on slices; a block whose every step has a lag-1 pair (`tail`
-    is not empty) and none of them near cannot stop, and returns at once.
-    """
-    if not block.size:
-        return None, last_fail
-    pts, k, n = np.concatenate((tail, block)), len(tail), len(block)
-    lo = max(k, 1)  # without a tail, the first step has no lag-1 pair
-    lag1 = ~near(pts[lo - 1:k + n - 1], pts[lo:k + n])
-    if k and lag1.all():
-        return None, max(last_fail, first + n - 2)
-    newest = np.full(n, -1)
-    rows = np.arange(n)  # the steps whose pairs at every smaller lag are near
-    for lag in range(1, back + 1):
-        rows = rows[rows + k >= lag]  # in the first steps, x_{j - lag} may not exist
-        if not rows.size:
-            break
-        at = rows + k
-        fail = lag1 if lag == 1 else ~near(pts[at - lag], pts[at])
-        newest[rows[fail]] = rows[fail] + (first - lag)
-        rows = rows[~fail]
-    steps = np.arange(first, first + len(block))
-    last = np.maximum(np.maximum.accumulate(newest), last_fail)
-    near_window = last < np.maximum(steps - back, 0)
-    stop = int(near_window.argmax()) if near_window.any() else None
-    return stop, int(last[-1])
 
 
 @dataclass(frozen=True)
@@ -510,7 +496,8 @@ def check_joint_continuity(space: IFSpace, xs, ys, x, y, t: float, tol: float) -
     find the first index past which both sequences are within tol of their
     limits (mu >= 1 - tol and nu <= tol against the limit point) and check
     that from there on |mu(x_n, y_n, t) - mu(x, y, t)| <= tol, and the same
-    for nu, with tol in [0, 1).  Both sequences, every point, and the pairs
+    for nu, with tol in [0, 1).  Every point of both sequences and both
+    limits must lie in the domain.  Both sequences, every point, and the pairs
     past the threshold are graded as arrays (`grade_tables`).  A NaN grade
     never settles; a NaN gap fails the check and is reported as the max
     gap.  On spaces without the strong triangle bound the result carries a
@@ -518,9 +505,14 @@ def check_joint_continuity(space: IFSpace, xs, ys, x, y, t: float, tol: float) -
     """
     t = real_field("t", t, 0.0, open_lo=True)
     tol = real_field("tol", tol, 0.0, 1.0)
-    xs, ys = np.asarray(list(xs)), np.asarray(list(ys))
-    if len(xs) != len(ys) or not len(xs):
+    xs, ys = items("xs", xs), items("ys", ys)
+    if len(xs) != len(ys) or not xs:
         raise PreconditionError("sequences must be nonempty and of equal length")
+    points = xs + ys + (x, y)
+    inside = space.domain.contains_array(points)
+    if not inside.all():
+        raise DomainError(f"point {shown(points[int(inside.argmin())])} outside domain")
+    xs, ys = np.asarray(xs), np.asarray(ys)
     warning = None
     if space.triangle_mode != NON_ARCHIMEDEAN:
         warning = "space lacks the strong triangle bound assumed by this check"

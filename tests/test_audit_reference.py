@@ -202,6 +202,8 @@ def _planted(kind, domain, norms, mode):
         mu, nu = mu_std, lambda x, y, t: min(1.2 * dist(x, y) / (t + dist(x, y)), 1.0)
     elif kind == "asymmetric":
         mu, nu = (lambda x, y, t: mu_std(x, y, t) * 0.9 if x > y else mu_std(x, y, t)), nu_std
+    elif kind == "asymmetric-nu":
+        mu, nu = mu_std, (lambda x, y, t: nu_std(x, y, t) * 0.9 if x > y else nu_std(x, y, t))
     elif kind == "indiscrete":
         mu = lambda x, y, t: 0.5 if x == y and x > cut else 1.0  # noqa: E731
         nu = lambda x, y, t: 0.0  # noqa: E731
@@ -223,7 +225,8 @@ def _planted(kind, domain, norms, mode):
     return IFSpace(domain, mu, nu, *norms, triangle_mode=mode, name=kind)
 
 
-PLANTED = ("clamped-nu", "asymmetric", "indiscrete", "overshoot", "zero-nu", "squared", "nan")
+PLANTED = ("clamped-nu", "asymmetric", "asymmetric-nu", "indiscrete", "overshoot", "zero-nu",
+           "squared", "nan")
 
 # Grids drawn from these values often contain t + s (0.25 + 0.25 = 0.5,
 # 0.5 + 0.5 = 1, 1 + 2 = 3, ...) as a grid value of their own.
@@ -273,11 +276,15 @@ def test_chunked_audit_matches_scalar_reference(kind, norm, finite, monkeypatch)
     sampler = SamplerConfig(EXHAUSTIVE if finite else RANDOM, 1300, (0.25, 0.5, 1.0), seed=11)
     report = audit_space(space, sampler)
     assert report.to_json() == scalar_audit_space(space, sampler).to_json()
-    planted_rows = {"clamped-nu": ["i"], "asymmetric": ["iv"], "indiscrete": ["iii", "viii"],
-                    "overshoot": ["iii", "viii"], "zero-nu": ["vii"],
-                    "squared": ["na-mu", "na-nu"], "nan": ["i", "ii", "iii", "iv", "v", "na-mu"]}
+    planted_rows = {"clamped-nu": ["i"], "asymmetric": ["iv"], "asymmetric-nu": ["ix"],
+                    "indiscrete": ["iii", "viii"], "overshoot": ["iii", "viii"],
+                    "zero-nu": ["vii"], "squared": ["na-mu", "na-nu"],
+                    "nan": ["i", "ii", "iii", "iv", "v", "na-mu"]}
     for axiom in planted_rows[kind]:
-        assert report.check(axiom).violation_count > MAX_WITNESSES, axiom
+        check = report.check(axiom)
+        assert check.violation_count > MAX_WITNESSES, axiom
+        for w in check.witnesses:  # each re-checks by the row that found it
+            assert repr(violation_margin(space, w)) == repr((True, w.lhs, w.rhs)), axiom
 
 
 @settings(max_examples=60, deadline=None)

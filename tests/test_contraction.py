@@ -170,6 +170,15 @@ class TestAdmissibility:
         with pytest.raises(PreconditionError):
             check_admissible(pair_from_k(0.5), 1)
 
+    def test_constant_and_non_increasing_directions(self):
+        # the direction is recorded, not enforced: psi = 0 stays below the
+        # identity, phi = 1 - s falls to it at s = 0.5
+        report = check_admissible(PsiPhiPair(lambda s: 0.0, lambda s: 1.0 - s), 11)
+        assert report.psi.monotone_direction == "constant" and report.psi.strict_ok
+        assert report.phi.monotone_direction == "non-increasing" and not report.phi.strict_ok
+        assert report.phi.strict_witness == (0.5, 0.5)
+        assert report.psi.continuity_ok and report.phi.continuity_ok
+
     @pytest.mark.parametrize("at", [0.0, 0.5])
     def test_nan_value_flagged_discontinuous(self, at):
         pair = PsiPhiPair(psi=lambda s: math.nan if s == at else s / 2, phi=phi_from_k(0.5))

@@ -231,6 +231,14 @@ HUGE = 10**5000  # past the 4,300 digits that str() converts
     (lambda: SelfMap.constant(HUGE).apply_checked(UNIT.domain, 0.5), DomainError),
     (lambda: SolverConfig(1e-6, (1.0,), seeds=5), PreconditionError),
     (lambda: FiniteDomain(5, [[0]]), DomainError),
+    # the admissibility probe never returned; numpy refused the norm samples' shape
+    (lambda: check_admissible(pair_from_k(0.5), HUGE), PreconditionError),
+    (lambda: check_norm_axioms(TNorm.product(), HUGE, 0), PreconditionError),
+    # raw TypeError, OverflowError and UFuncTypeError; a point off [0, 1] gave ok=False
+    (lambda: check_joint_continuity(UNIT, 5, 5, 0.5, 0.5, 1.0, 0.1), PreconditionError),
+    (lambda: check_joint_continuity(UNIT, [HUGE], [0.5], 0.5, 0.5, 1.0, 0.1), DomainError),
+    (lambda: check_joint_continuity(UNIT, [2.0], [0.5], 0.5, 0.5, 1.0, 0.1), DomainError),
+    (lambda: check_joint_continuity(UNIT, [0.5], [0.5], "a", 0.5, 1.0, 0.1), DomainError),
 ], ids=["sample-count-2.5", "seed-1.5", "max-iter-2.5", "cauchy-window-2.5", "point-tol-inf",
         "line-diameter-0", "line-n-2.5", "line-n-bool", "interval-huge-int", "interval-bool",
         "scale-inf", "scale-string", "affine-nan", "k-string", "norm-seed-negative",
@@ -240,7 +248,9 @@ HUGE = 10**5000  # past the 4,300 digits that str() converts
         "joint-tol-1", "joint-tol-nan", "g-cauchy-eps-2", "m-cauchy-window-2.5",
         "m-cauchy-window-bool", "sample-count-huge-negative", "line-n-huge-negative",
         "m-cauchy-window-huge", "g-cauchy-offset-huge", "schema-version-huge", "mode-huge",
-        "table-image-huge", "table-int", "constant-huge", "solver-seeds-int", "labels-int"])
+        "table-image-huge", "table-int", "constant-huge", "solver-seeds-int", "labels-int",
+        "admissible-grid-huge", "norm-count-huge", "joint-xs-int", "joint-point-huge",
+        "joint-point-outside", "joint-limit-string"])
 def test_owner_rejects(build, error):
     with pytest.raises(error):
         build()
@@ -264,9 +274,12 @@ LINE5 = standard_space(FiniteDomain.line(5), TNorm.product(), TConorm.probabilis
     (lambda: eval_mu(UNIT, HUGE, 0.5, 1.0), DomainError, None),
     (lambda: picard_iterate(UNIT, HALF, HUGE, SolverConfig(1e-6, (1.0,))), DomainError, None),
     (lambda: SelfMap.closure(lambda x: HUGE).apply_checked(UNIT.domain, 0.5), DomainError, None),
+    (lambda: check_admissible(pair_from_k(0.5), HUGE), PreconditionError, "grid_size"),
+    (lambda: check_norm_axioms(TNorm.product(), HUGE, 0), PreconditionError, "sample_count"),
+    (lambda: check_joint_continuity(UNIT, [0.5], [HUGE], 0.5, 0.5, 1.0, 0.1), DomainError, None),
 ], ids=["m-cauchy-window", "g-cauchy-offset", "schema-version", "sampler-mode", "table-image",
         "constant-name", "edelstein-seed", "fixed-point", "eval-mu", "picard-start",
-        "closure-image"])
+        "closure-image", "admissible-grid", "norm-count", "joint-point"])
 def test_huge_value_is_shown_by_its_size(build, error, field):
     with pytest.raises(error, match="a 16610-bit integer") as err:
         build()
@@ -277,7 +290,8 @@ def test_huge_value_is_shown_by_its_size(build, error, field):
     (lambda: SelfMap.table(5), DomainError, "images"),
     (lambda: SolverConfig(1e-6, (1.0,), seeds=5), PreconditionError, "seeds"),
     (lambda: FiniteDomain(5, [[0]]), DomainError, "labels"),
-], ids=["table-images", "solver-seeds", "labels"])
+    (lambda: check_joint_continuity(UNIT, [0.5], 5, 0.5, 0.5, 1.0, 0.1), PreconditionError, "ys"),
+], ids=["table-images", "solver-seeds", "labels", "joint-ys"])
 def test_sequence_argument_must_be_iterable(build, error, field):
     with pytest.raises(error) as err:
         build()

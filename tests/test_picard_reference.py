@@ -6,9 +6,10 @@ whether the trailing window is Cauchy at the smallest grid t.  It stays
 here as the reference: `picard_iterate` must give the same points (the
 same objects, of the same types), stop reason, note and diagnostics, and
 raise the same exception type with the same message, whatever the block
-cap.  `lagwise_window_stop` is the window check as it was before its lag-1
-pairs were graded on slices and blocks that cannot stop returned early;
-`solver._window_stop` must return what it returns and grade the same pairs.
+cap.  The window rule that both the Picard stop and `detect_m_cauchy`
+apply, `solver._near_windows`, must agree with its definition: a window is
+near when every pair of its points is, for every split of the points into
+the block and the points before it.
 
 `scalar_trace_to_csv` is the trace CSV writer with one format() call per
 value.  It stays here as the reference for `trace_to_csv`, whose numbers
@@ -25,7 +26,6 @@ import sys
 import warnings
 from dataclasses import replace
 from fractions import Fraction
-from functools import partial
 from itertools import combinations
 from pathlib import Path
 from unittest import mock
@@ -61,7 +61,7 @@ from ifmkit.solver import (
     IterationTrace,
     _FieldWriter,
     _fixed_decimal,
-    _window_stop,
+    _near_windows,
 )
 from ifmkit.spaces import POINT_EQ_TOL
 
@@ -117,29 +117,6 @@ def scalar_picard_iterate(space, f, x0, config):
         space=space, map=f, t_grid=grid, points=points,
         mu_diag=mu_diag, nu_diag=nu_diag, stop_reason=stop_reason,
     )
-
-
-def lagwise_window_stop(near, tail, block, first, back, last_fail):
-    """The window check with fancy-index gathers at every lag, lag 1
-    included, and the prefix-max bookkeeping on every block."""
-    if not block.size:
-        return None, last_fail
-    pts = np.concatenate((tail, block))
-    newest = np.full(len(block), -1)
-    rows = np.arange(len(block))  # the steps whose pairs at every smaller lag are near
-    for lag in range(1, back + 1):
-        rows = rows[rows + len(tail) >= lag]  # in the first steps, x_{j - lag} may not exist
-        if not rows.size:
-            break
-        at = rows + len(tail)
-        fail = ~near(pts[at - lag], pts[at])
-        newest[rows[fail]] = rows[fail] + (first - lag)
-        rows = rows[~fail]
-    steps = np.arange(first, first + len(block))
-    last = np.maximum(np.maximum.accumulate(newest), last_fail)
-    near_window = last < np.maximum(steps - back, 0)
-    stop = int(near_window.argmax()) if near_window.any() else None
-    return stop, int(last[-1])
 
 
 def scalar_trace_to_csv(trace: IterationTrace) -> str:
@@ -448,41 +425,36 @@ def test_cauchy_detectors_match_scalar_pairs(case, window, m_offset, epsilon):
 
 @st.composite
 def window_checks(draw):
-    """A block of orbit steps with its tail and `last_fail`, and nearness
-    per pair of step indices: seeded noise at a drawn density, optionally
-    overruled by every pair from a drawn step on being near."""
-    back = draw(st.integers(1, 6))
-    k = draw(st.integers(0, back))
-    first = k + draw(st.integers(0, 3) | st.integers(0, 10_000))
-    n = draw(st.integers(1, 64))
-    last_fail = draw(st.integers(-1, first + n))
+    """A window length `back` + 1 and nearness per pair of points 0 .. m-1:
+    seeded noise at a drawn density, optionally overruled by every pair
+    from a drawn point on being near."""
+    back = draw(st.integers(0, 7))
+    m = draw(st.integers(1, 40))
     density = draw(st.sampled_from((0.0, 0.0, 0.05, 0.5, 0.95, 1.0)))
-    near_from = draw(st.none() | st.integers(first - k, first + n))
+    near_from = draw(st.none() | st.integers(0, m))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    table = rng.random((k + n, k + n)) < density
+    table = rng.random((m, m)) < density
     if near_from is not None:
-        table[near_from - (first - k):, near_from - (first - k):] = True
-    steps = np.arange(first - k, first + n, dtype=np.float64)  # x_i holds i
-    return back, steps[:k], steps[k:], first, last_fail, table, first - k
+        table[near_from:, near_from:] = True
+    return back, table
 
 
 @settings(max_examples=500, deadline=None)
 @given(window_checks())
-def test_window_stop_matches_the_lagwise_reference(case):
-    back, tail, block, first, last_fail, table, base = case
-    graded = {}
+def test_near_windows_is_the_pairwise_definition(case):
+    back, table = case
+    m = len(table)
+    windows = [range(max(p - back, 0), p + 1) for p in range(m)]
+    expected = [all(table[i, j] for i, j in combinations(w, 2)) for w in windows]
+    points = np.arange(m)  # index points, as on a finite domain
 
-    def near(older, newer, calls):
-        i, j = older.astype(np.intp) - base, newer.astype(np.intp) - base
-        calls += list(zip(i.tolist(), j.tolist()))
-        return table[i, j]
+    def near(older, newer):  # indexing fails on float indices
+        return table[older, newer]
 
-    results = [check(partial(near, calls=graded.setdefault(check, [])), tail, block, first,
-                     back, last_fail)
-               for check in (_window_stop, lagwise_window_stop)]
-    assert results[0] == results[1]
-    assert [type(v) for v in results[0]] == [type(v) for v in results[1]]
-    assert graded[_window_stop] == graded[lagwise_window_stop]  # the same pairs, in order
+    for split in range(m + 1):  # the tail is the last `back` points before the block
+        block = points[split:] if split < m else np.asarray([])  # empty, as Picard's is
+        got = _near_windows(near, points[max(split - back, 0):split], block, back)
+        assert got.dtype == bool and got.tolist() == expected[split:]
 
 
 def test_zero_dim_array_orbit_matches_per_step_loop():
