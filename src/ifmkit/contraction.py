@@ -243,10 +243,11 @@ class SelfMap:
         form = getattr(self.fn, "array", None)
         if form is not None:
             return form(xs)
-        # the dtype follows the images; an array image stays an object, outside every domain
+        # the dtype follows the images; an array or bool image stays an object, outside
+        # every finite domain, instead of becoming an array or the point 0 or 1
         images = [self.fn(x) for x in xs.tolist()]
-        return np.array(images, dtype=object if any(isinstance(i, np.ndarray) for i in images)
-                        else None)
+        return np.array(images, dtype=object if any(isinstance(i, (np.ndarray, bool, np.bool_))
+                                                    for i in images) else None)
 
     def apply_checked(self, domain, x):
         y = self(x)

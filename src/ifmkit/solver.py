@@ -30,15 +30,17 @@ allocates once.
 must repeat within |X| steps, so convergence questions reduce to exact
 cycle detection.  Cycles of length one are fixed points; longer cycles are
 reported, not raised — they certify that the contraction hypothesis fails.
-All seeds advance at once: per step one `SelfMap.array` and one `contains_array`
-call, into a (seeds x |X|) first-seen-step table and a (steps x seeds) history.
+The map's array form runs once over every point (a map without one is
+called element-wise on every point); each seed then walks its orbit
+through that table of images, and a point whose image is missing or
+outside the domain steps through `SelfMap.apply_checked`.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cache, partial, reduce
+from functools import cache, partial
 
 import numpy as np
 
@@ -421,56 +423,44 @@ def edelstein_solve(space: IFSpace, f: SelfMap, config: SolverConfig) -> FixedPo
     to treat it), since longer cycles certify the contraction hypothesis
     fails rather than signalling a numerical error.
 
-    A failure (a seed or an image outside the domain, or an exception from
-    f) raises what a seed-by-seed loop would raise first.
+    `SelfMap.array` runs once over every point (element-wise for a map
+    without an array form) and gives the images the orbits step through;
+    a point whose image is missing or outside the domain steps through
+    `SelfMap.apply_checked`.  The seeds walk one after another, so a
+    failure (a seed or an image outside the domain, or an exception from
+    f) raises when the first failing orbit reaches it.
     """
     domain = space.domain
     if not isinstance(domain, FiniteDomain):
         raise PreconditionError("edelstein_solve requires a finite domain")
     seeds = config.seeds if config.seeds else tuple(domain.points())
-    outside = ~domain.contains_array(list(seeds))
-    m = int(outside.argmax()) if outside.any() else len(seeds)  # the seeds that start
-    error = DomainError(f"seed {shown(seeds[m])} outside domain {domain!r}") if m < len(seeds) else None
+    try:  # every point's image, None where it is missing or outside
+        out = f.array(np.arange(domain.size))
+        if np.shape(out) != (domain.size,):
+            raise ValueError("not one image per point")
+        images = [y if ok else None for y, ok in zip(out.tolist(), domain.contains_array(out))]
+    except Exception:  # noqa: BLE001  each point then steps through apply_checked
+        images = [None] * domain.size
     steps = min(config.max_iter, domain.size)
-    path = np.zeros((steps + 1, m), dtype=np.intp)  # path[s, i]: seed i's point at step s
-    path[0] = seeds[:m]
-    first_seen = np.full((m, domain.size), -1, dtype=np.intp)
-    first_seen[np.arange(m), path[0]] = 0
-    ends = np.full(m, steps, dtype=np.intp)
-    active, x = np.arange(m), path[0]  # the seeds still walking, and their points
-    for step in range(1, steps + 1):
-        if not active.size:
-            break
-        try:
-            images = f.array(x)
-            ok = domain.contains_array(images).all()
-        except Exception:  # noqa: BLE001  replayed below, seed by seed
-            ok = False
-        if not ok:  # each seed's orbit again in checked steps, up to the first failure
-            images = []
-            for i in active.tolist():
-                try:
-                    images.append(reduce(lambda p, _: f.apply_checked(domain, p), range(step),
-                                         seeds[i]))
-                except Exception as exc:  # noqa: BLE001  raised unless an earlier seed fails later
-                    error, active = exc, active[:len(images)]
-                    break
-        path[step, active] = images
-        x = path[step, active]
-        closed = first_seen[active, x] >= 0
-        ends[active[closed]] = step
-        active, x = active[~closed], x[~closed]
-        first_seen[active, x] = step
-    if error is not None:
-        raise error
-    traces = [[x0] + o[1:e + 1] for x0, o, e in zip(seeds, path.T.tolist(), ends.tolist())]
-    # a closed orbit's last point was first seen a cycle earlier; an open one's, at its end
-    cycle = ends - first_seen[np.arange(m), path[ends, np.arange(m)]]
-    cycle_lengths = [c or None for c in cycle.tolist()]
+    traces, cycle_lengths = [], []
+    for x0 in seeds:
+        if not domain.contains(x0):
+            raise DomainError(f"seed {shown(x0)} outside domain {domain!r}")
+        orbit, seen, x, cycle = [x0], {x0: 0}, x0, None  # seen: each point's first step
+        for step in range(1, steps + 1):
+            y = images[x]
+            x = f.apply_checked(domain, x) if y is None else y
+            orbit.append(x)
+            if x in seen:
+                cycle = step - seen[x]
+                break
+            seen[x] = step
+        traces.append(orbit)
+        cycle_lengths.append(cycle)
     return _cross_checked(
         "edelstein", space, f, config,
         [orbit[-1] if c == 1 else None for orbit, c in zip(traces, cycle_lengths)],
-        iterations_per_seed=ends.tolist(),
+        iterations_per_seed=[len(orbit) - 1 for orbit in traces],
         stop_reasons=["cycle" if c is not None else "max_iter" for c in cycle_lengths],
         cycle_lengths=cycle_lengths,
         traces=traces,

@@ -110,6 +110,16 @@ class TestConfigValidation:
         assert code == EXIT_CONFIG
         assert "map.images" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("images", [[0, 5, 1, 2, 3], [0, True, 1, 2, 3], [0, 1.0, 2, 3, 4]],
+                             ids=["out-of-range", "bool", "float"])
+    def test_table_image_named(self, tmp_path, capsys, images):
+        cfg = crisp_config(map={"name": "table", "images": images})
+        code = main(["contract", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: map.images: ")
+        assert not (tmp_path / "out").exists()
+
     def test_bad_metric_named(self, tmp_path, capsys):
         cfg = standard_config(space={
             "construction": "standard",

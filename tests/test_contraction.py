@@ -231,6 +231,14 @@ class TestPsiPhiCheck:
             report = check_psi_phi_contractive(crisp5, table, pair_from_k(0.5), sampler)
             assert report.passed, table.images
 
+    def test_bool_image_is_no_point(self, crisp5):
+        # without an array form the images are gathered element-wise; a
+        # bool among ints must not become the point 1
+        f = SelfMap.closure(lambda x: True if x == 2 else 0)
+        sampler = SamplerConfig(EXHAUSTIVE, 1, (0.5, 2.0), seed=0)
+        with pytest.raises(DomainError, match="^map closure sends 2 to True, outside the domain$"):
+            check_psi_phi_contractive(crisp5, f, pair_from_k(0.5), sampler)
+
     def test_deterministic_given_seed(self, unit_space):
         sampler = SamplerConfig(RANDOM, 400, (1.0,), seed=21)
         r1 = check_psi_phi_contractive(unit_space, SelfMap.identity(), pair_from_k(0.5), sampler)

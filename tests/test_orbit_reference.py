@@ -1,11 +1,12 @@
-"""The lockstep orbit engine against the seed-by-seed loop it replaced.
+"""The orbit engine against a loop of checked scalar steps.
 
 `scalar_edelstein_solve` walks one seed at a time with checked scalar
 steps and a dict of the points seen.  It stays here as the reference:
-`edelstein_solve` must give the same report (`to_dict()`, compared by
-repr so that types count), the same traces, and raise the same exception
-type with the same message, on table, identity, constant and closure maps
-whose images may leave the domain or raise.
+`edelstein_solve`, which steps through a table of every point's images
+from one `SelfMap.array` call, must give the same report (`to_dict()`,
+compared by repr so that types count), the same traces, and raise the
+same exception type with the same message, on table, identity, constant
+and closure maps whose images may leave the domain, be bools, or raise.
 
 `FiniteDomain.line` builds its metric in numpy and skips the triangle
 pass; its matrix must be the one the old nested-list build gave, bit for
@@ -80,8 +81,8 @@ def _outcome(solve, space, f, config):
 @st.composite
 def maps(draw, n):
     """A table, identity, constant or closure map on line(n); the constant
-    and closure images may fall outside the domain, and a closure image of
-    None raises."""
+    and closure images may fall outside the domain, a closure image may be
+    a bool, which is no point, and a closure image of None raises."""
     kind = draw(st.sampled_from(["table", "identity", "constant", "closure"]))
     if kind == "table":
         return SelfMap.table(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
@@ -90,7 +91,8 @@ def maps(draw, n):
     if kind == "constant":
         return SelfMap.constant(draw(st.integers(-1, n)))
     # mostly inside, so that failures come late in some orbits
-    image = st.integers(0, n - 1) | st.integers(-1, n) | st.none()
+    image = (st.integers(0, n - 1) | st.integers(-1, n) | st.none()
+             | st.sampled_from([True, False, np.True_]))
     images = draw(st.lists(image, min_size=n, max_size=n))
 
     def fn(x):
@@ -127,6 +129,17 @@ def test_bool_images_leave_the_domain(image):
     assert outcome == _outcome(scalar_edelstein_solve, space, f, config)
     assert outcome == (DomainError, f"map closure sends 2 to {image}, outside the domain")
     assert not space.domain.contains(image)
+
+
+def test_bool_among_int_images_is_no_point():
+    # element-wise images of a map without an array form: the bool stays
+    # an object, not the point 1, so seed 2's first step leaves the domain
+    space = standard_space(FiniteDomain.line(5), TNorm.product(), TConorm.probabilistic_sum())
+    f = SelfMap.closure(lambda x: True if x == 2 else 0)
+    config = SolverConfig(epsilon=1e-6, t_grid=(0.1, 1.0), seeds=(1, 2))
+    outcome = _outcome(edelstein_solve, space, f, config)
+    assert outcome == _outcome(scalar_edelstein_solve, space, f, config)
+    assert outcome == (DomainError, "map closure sends 2 to True, outside the domain")
 
 
 @pytest.mark.parametrize("image", [np.array(0), np.array(3), np.array([1])])

@@ -437,6 +437,22 @@ class TestEdelstein:
         assert report.limits == [0] * 4 and report.unique
         assert (report.limit_pairs, report.max_limit_distance) == (6, 0.0)
 
+    def test_memory_is_bounded_by_the_output(self):
+        # every point of line(2000) as a seed: the engine holds the orbits
+        # it reports, nothing of size seeds x |X| or steps x seeds
+        space = standard_space(FiniteDomain.line(2000), TNorm.product(),
+                               TConorm.probabilistic_sum())
+        f = SelfMap.table([i // 2 for i in range(2000)])
+        tracemalloc.start()
+        try:
+            report = edelstein_solve(space, f, _cfg(point_tol=0.0, seeds=()))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        assert report.fixed_point == 0 and report.unique
+        assert max(report.iterations_per_seed) == 12  # 1999 reaches 0 in 11 steps
+
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), n=st.integers(1, 12))
