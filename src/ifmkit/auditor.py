@@ -18,8 +18,8 @@ strong-triangle inequalities on spaces that claim them:
     ix    nu symmetric
     x     nu(x, z, t+s) <= nu(x, y, t) <> nu(y, z, s)
     xi    continuity of nu in t — probed
-    na-mu, na-nu: the single-t triangle bounds (and their max(t,s) variant),
-          checked only on spaces tagged non-Archimedean, SKIPPED otherwise.
+    na-mu, na-nu: the max(t,s) bounds, whose t = s entries count apart as the
+          single-t bounds; on spaces tagged non-Archimedean, SKIPPED otherwise.
 
 A violation must exceed 1e-12 on the violating side, so rounding noise
 cannot fail a sound space; a NaN grade fails every condition, so it always
@@ -32,9 +32,10 @@ are the prefixes of its triples).  On a g-value grid, pairs and singles go
 in chunks of 2^14 // g rows and triples in chunks of 2^14 // g^2 rows
 (`sampling.chunks`), so no table exceeds 2^14 cells or grows with the
 sample count.  The triple loop grades (x, y) again, (y, z) over the grid
-and (x, z) once over the grid plus every t+s and max(t, s), whose rows v, x
-and na-* gather.  The continuity rows vi and xi come from one pair of (pair,
-t) tables; every table is one call of `spaces.grade_tables`.
+and (x, z) once over every t+s and max(t, s), whose rows v, x and na-*
+gather (the single-t na entries are the max(t, s) rows at t = s).  The
+continuity rows vi and xi come from one pair of (pair, t) tables; every
+table is one call of `spaces.grade_tables`.
 
 Array forms travel with the functions: a grade function or t-(co)norm
 function may carry one as its ``array`` attribute, and the built-ins of
@@ -245,12 +246,9 @@ def violation_margin(space: IFSpace, w: Witness):
             grade, op, row = mu, space.tnorm.fn, _mu_triangle
         else:
             grade, op, row = nu, space.tconorm.fn, _nu_triangle
-        if a in ("v", "x"):
-            at = t + s
-        elif s is None:  # the single-t na bound
-            at = s = t
-        else:
-            at = max(t, s)
+        if s is None:  # the single-t na bound, the t = s case of max(t, s)
+            s = t
+        at = t + s if a in ("v", "x") else max(t, s)
         return row(grade(x, z, at), op(grade(x, y, t), grade(y, z, s)))
     same = space.domain.same_point(x, y)
     if a == "i":
@@ -292,13 +290,12 @@ class _ArrayScan:
         self.t_grid = grid
         self.grid = t = np.array(grid)[:, None]  # a column: tables are (times, tuples)
         s = t.T
-        # (x, z) is graded once over grid | {t+s} | {max(t, s)}; these index its
-        # rows: t+s, then t and max(t, s) for na-*, max as Python's max picks.
+        # (x, z) is graded once, over {t+s} | {max(t, s)} (max as Python's max picks);
+        # the t = s rows of max(t, s) (`diag`) are the single-t na entries, counted apart
         self.xz_times, at = np.unique(
-            np.concatenate([t.ravel(), (t + s).ravel(), np.where(s > t, s, t).ravel()]),
-            return_inverse=True,
-        )
-        self.at_sum, self.at_single = at[g:g + g * g], np.concatenate([at[:g], at[g + g * g:]])
+            np.concatenate([(t + s).ravel(), np.where(s > t, s, t).ravel()]), return_inverse=True)
+        self.at_sum, self.at_max = at[:g * g], at[g * g:]
+        self.diag = slice(None, None, g + 1)
         self.single_times = [(t, None) for t in grid]
         self.split_times = [(t, s) for t in grid for s in grid]
         self.col = {axiom: _Collector(axiom) for axiom in AXIOM_ORDER}
@@ -353,9 +350,10 @@ class _ArrayScan:
             bound = op(gxy[:, None, :], gyz[None, :, :]).reshape(-1, len(x))
             self.col[split].scan(*row(gxz[self.at_sum], bound), pts, self.split_times)
             if self.non_archimedean:
-                bound = np.concatenate([op(gxy, gyz), bound])
-                self.col[single].scan(*row(gxz[self.at_single], bound), pts,
-                                      self.single_times + self.split_times)
+                rows = row(gxz[self.at_max], bound)
+                if rows[0].any():  # the single-t entries (`diag`) go first, per triple
+                    self.col[single].scan(*(np.concatenate([a[self.diag], a]) for a in rows),
+                                          pts, self.single_times + self.split_times)
 
 
 def audit_space(space: IFSpace, sampler: SamplerConfig) -> AuditReport:
@@ -363,10 +361,10 @@ def audit_space(space: IFSpace, sampler: SamplerConfig) -> AuditReport:
 
     Triangle bounds with a split time argument (v, x) sample (t, s) as
     independent grid pairs.  Spaces tagged non-Archimedean additionally get
-    the single-t bounds and their max(t,s) variant (na-mu, na-nu); on other
-    spaces those rows are SKIPPED.  Continuity rows (vi, xi) are probed on
-    a 64-point logarithmic grid and never PASS or FAIL: finitely many
-    samples cannot decide continuity.
+    the max(t,s) bounds (na-mu, na-nu), whose t = s entries count apart as
+    the single-t bounds; on other spaces those rows are SKIPPED.  Continuity
+    rows (vi, xi) are probed on a 64-point logarithmic grid and never PASS
+    or FAIL: finitely many samples cannot decide continuity.
     """
     domain = space.domain
     grid = sampler.t_grid

@@ -13,12 +13,13 @@ subclass lists its built-in kinds in ``BUILTINS``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, UnitRangeError, int_field
+from .errors import DomainError, UnitRangeError, int_field, shown
 
 ALGEBRA_TOL = 1e-12
 
@@ -41,7 +42,9 @@ class UnitValue:
 
 
 def as_unit(x) -> float:
-    """Validate *x* as a unit-interval value and return it as a plain float."""
+    """*x*, a real number but not a bool (as `errors.real_field` reads), in [0, 1], as a float."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise UnitRangeError(f"unit value must be a real number, got {shown(x)}")
     v = float(x)
     if math.isnan(v):
         raise UnitRangeError("unit value is NaN")

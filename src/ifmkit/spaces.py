@@ -30,7 +30,6 @@ Arguments are read by the rules of `errors` (`int_field` also bounds
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable
@@ -145,9 +144,9 @@ class FiniteDomain:
     @classmethod
     def line(cls, n: int, diameter: float = 1.0) -> "FiniteDomain":
         """n >= 1 points labelled '0'..'n-1' spaced evenly over [0, diameter > 0].
-        n is at most isqrt(np.iinfo(np.intp).max), `int_field`'s upper bound:
-        the metric is an n x n matrix, and numpy indexes its cells with intp."""
-        n = int_field("n", n, 1, DomainError, hi=math.isqrt(np.iinfo(np.intp).max))
+        n is at most 8192, `int_field`'s upper bound: the metric is an n x n
+        float64 matrix, so it stays within 512 MiB (2^26 cells)."""
+        n = int_field("n", n, 1, DomainError, hi=8192)
         diameter = real_field("diameter", diameter, 0.0, open_lo=True)
         spacing = diameter / (n - 1) if n > 1 else 0.0
         i = np.arange(n, dtype=float)  # |i - j| is exact, so these are the doubles of a list build

@@ -181,6 +181,9 @@ NORM_PAIRS = {
     "product": (TNorm.product(), TConorm.probabilistic_sum()),
     "minimum": (TNorm.minimum(), TConorm.maximum()),
     "lukasiewicz": (TNorm.lukasiewicz(), TConorm.bounded_sum()),
+    # no array form: the triangle rows go through `spaces.array_form`'s
+    # element-wise fallback
+    "custom": (TNorm.custom(lambda a, b: a * b), TConorm.custom(lambda a, b: a + b - a * b)),
 }
 
 

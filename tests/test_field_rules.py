@@ -12,12 +12,17 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ifmkit
 from ifmkit import (
     RANDOM,
     DomainError,
@@ -204,6 +209,8 @@ HUGE = 10**5000  # past the 4,300 digits that str() converts
     (lambda: SolverConfig(0.1, 1.0), PreconditionError),
     (lambda: FiniteDomain.line(2**32), DomainError),
     (lambda: FiniteDomain.line(10**400), DomainError),
+    # a 537 MB metric, one past the 512 MiB budget
+    (lambda: FiniteDomain.line(8193), DomainError),
     (lambda: SelfMap.table([0.7, 1]), DomainError),
     (lambda: SelfMap.table([0, "1"]), DomainError),
     (lambda: SelfMap.table([True, 0]), DomainError),
@@ -243,7 +250,7 @@ HUGE = 10**5000  # past the 4,300 digits that str() converts
         "line-diameter-0", "line-n-2.5", "line-n-bool", "interval-huge-int", "interval-bool",
         "scale-inf", "scale-string", "affine-nan", "k-string", "norm-seed-negative",
         "norm-count-2.5", "admissible-grid-2.5", "sampler-grid-int", "solver-grid-float",
-        "line-n-2**32", "line-n-huge", "table-float", "table-string", "table-bool",
+        "line-n-2**32", "line-n-huge", "line-n-8193", "table-float", "table-string", "table-bool",
         "affine-lo-string", "affine-hi-bool", "fixed-point-tol-2", "fixed-point-tol-negative",
         "joint-tol-1", "joint-tol-nan", "g-cauchy-eps-2", "m-cauchy-window-2.5",
         "m-cauchy-window-bool", "sample-count-huge-negative", "line-n-huge-negative",
@@ -353,6 +360,24 @@ def test_line_past_the_index_range(tmp_dir, n):
         FiniteDomain.line(n)
     assert err.value.field == "n"
     _check(tmp_dir, "space.domain.n", n)
+
+
+# line(10**5) asked numpy for an 80 GB metric before any check.  The CLI
+# runs in a child under a 1 GiB address-space limit, so a lost bound is a
+# MemoryError there, never an allocation of that size.
+def test_line_past_the_metric_budget(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_config(_line(n=100000), sampler=SAMPLER)))
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from ifmkit.cli import main\n"
+            "sys.exit(main(['audit', '--config', sys.argv[1], '--dump-config']))")
+    env_path = os.pathsep.join(filter(None, [str(Path(ifmkit.__file__).parents[1]),
+                                             os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": env_path}, timeout=120)
+    assert (run.returncode, run.stderr) == (
+        EXIT_CONFIG, "config error: space.domain.n: must be <= 8192, got 100000\n")
 
 
 # Python refuses to parse an integer literal of more than 4,300 digits; a

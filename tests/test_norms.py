@@ -1,20 +1,27 @@
 import math
+import re
+from decimal import Decimal
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ifmkit import (
     DomainError,
+    FiniteDomain,
+    IFSpace,
     TConorm,
     TNorm,
     UnitRangeError,
     UnitValue,
     check_norm_axioms,
     dual_of,
+    eval_mu,
     tconorm_apply,
     tnorm_apply,
 )
+from ifmkit.norms import as_unit
 
 TOL = 1e-12
 
@@ -37,6 +44,27 @@ class TestUnitValue:
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(UnitRangeError):
             UnitValue(bad)
+
+    # a unit value is what `errors.real_field` reads: a real number, not a
+    # bool; float() took the strings, bytes and bools as 0.5 and 1.0
+    @pytest.mark.parametrize("bad", ["0.5", True, np.True_, b"1", Decimal("0.5"), None],
+                             ids=["str", "bool", "numpy-bool", "bytes", "decimal", "none"])
+    def test_rejects_what_is_not_a_real_number(self, bad):
+        with pytest.raises(UnitRangeError, match=re.escape(f"must be a real number, got {bad!r}")):
+            as_unit(bad)
+        with pytest.raises(UnitRangeError):
+            UnitValue(bad)
+
+    def test_real_numbers_read_as_floats(self):
+        values = [0, 1, np.int64(1), np.float32(0.5), np.float64(0.25)]
+        assert [type(as_unit(v)) for v in values] == [float] * 5
+        assert [as_unit(v) for v in values] == [0.0, 1.0, 1.0, 0.5, 0.25]
+
+    def test_nan_and_range_messages_kept(self):
+        with pytest.raises(UnitRangeError, match="^unit value is NaN$"):
+            as_unit(math.nan)
+        with pytest.raises(UnitRangeError, match=r"^unit value 1\.5 outside \[0, 1\]$"):
+            as_unit(1.5)
 
 
 class TestApply:
@@ -69,6 +97,17 @@ class TestApply:
     def test_operands_validated(self):
         with pytest.raises(UnitRangeError):
             tnorm_apply(TNorm.product(), 1.5, 0.5)
+
+    def test_operands_are_real_numbers(self):  # returned UnitValue(0.5)
+        with pytest.raises(UnitRangeError):
+            tnorm_apply(TNorm.product(), True, "0.5")
+
+    def test_string_grade_is_not_a_unit_value(self):  # eval_mu returned UnitValue(0.9)
+        line = FiniteDomain.line(3)
+        space = IFSpace(line, lambda x, y, t: "0.9", lambda x, y, t: 0.1,
+                        TNorm.product(), TConorm.probabilistic_sum())
+        with pytest.raises(DomainError, match="is not a unit value"):
+            eval_mu(space, 0, 1, 1.0)
 
 
 class TestDual:
