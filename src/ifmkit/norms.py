@@ -42,10 +42,14 @@ class UnitValue:
 
 
 def as_unit(x) -> float:
-    """*x*, a real number but not a bool (as `errors.real_field` reads), in [0, 1], as a float."""
+    """*x*, a real number but not a bool that fits a float (as `errors.real_field`
+    reads), in [0, 1], as a float."""
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
         raise UnitRangeError(f"unit value must be a real number, got {shown(x)}")
-    v = float(x)
+    try:
+        v = float(x)
+    except OverflowError:
+        raise UnitRangeError.about("unit value", "integer too large for a float") from None
     if math.isnan(v):
         raise UnitRangeError("unit value is NaN")
     if not 0.0 <= v <= 1.0:

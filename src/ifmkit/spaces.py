@@ -217,15 +217,43 @@ def time_grid(values, increasing: bool = False) -> tuple[float, ...]:
     return grid
 
 
+def _real(v) -> bool:
+    """Whether ``v`` reads as a real number: not a bool, and it fits a float."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    try:
+        float(v)
+    except OverflowError:
+        return False
+    return True
+
+
 def array_form(fn, nargs: int):
     """The array form attached to ``fn`` as ``fn.array``; without one, fn
     called element-wise on plain Python scalars, results as a float array
-    (0-d for scalar arguments)."""
+    (0-d for scalar arguments).  There a result that is not a real number
+    (a string, a bool, an integer past the floats) is a DomainError naming
+    the first such call, not a value that float() parses."""
     form = getattr(fn, "array", None)
     if form is not None:
         return form
     scalar = np.frompyfunc(fn, nargs, 1)
-    return lambda *args: np.asarray(scalar(*args), dtype=float)
+
+    def elementwise(*args):
+        values = np.asarray(scalar(*args), dtype=object)
+        try:
+            if all(issubclass(k, numbers.Real) and not issubclass(k, bool)
+                   for k in set(map(type, values.flat))):
+                return values.astype(float)
+        except OverflowError:
+            pass
+        at, v = next((i, v) for i, v in enumerate(values.flat) if not _real(v))
+        cell = ", ".join(shown(np.broadcast_to(np.asarray(a, dtype=object), values.shape).flat[at])
+                         for a in args)
+        name = getattr(fn, "__name__", "fn")
+        raise DomainError(f"{name}({cell}) = {shown(v)} is not a real number")
+
+    return elementwise
 
 
 def grade_tables(space: "IFSpace", x, y, t):

@@ -60,6 +60,13 @@ class TestUnitValue:
         assert [type(as_unit(v)) for v in values] == [float] * 5
         assert [as_unit(v) for v in values] == [0.0, 1.0, 1.0, 0.5, 0.25]
 
+    # float() of an integer past the floats raised a raw OverflowError
+    @pytest.mark.parametrize("huge", [10**400, -10**400])
+    def test_integer_past_the_floats_is_a_unit_range_error(self, huge):
+        for read in (as_unit, UnitValue, lambda v: tnorm_apply(TNorm.product(), v, 0.5)):
+            with pytest.raises(UnitRangeError, match="^unit value integer too large for a float$"):
+                read(huge)
+
     def test_nan_and_range_messages_kept(self):
         with pytest.raises(UnitRangeError, match="^unit value is NaN$"):
             as_unit(math.nan)

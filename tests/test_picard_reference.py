@@ -12,9 +12,12 @@ near when every pair of its points is, for every split of the points into
 the block and the points before it.
 
 `scalar_trace_to_csv` is the trace CSV writer with one format() call per
-value.  It stays here as the reference for `trace_to_csv`, whose numbers
-are laid out as byte arrays: the two must give the same text on every
-trace, and `_FieldWriter` must spell each float as format(x, ".17g").
+value.  It stays here as the reference for `trace_to_csv` and
+`write_trace_csv`, whose numbers are laid out as byte arrays and, past
+one chunk, written by a worker thread: they must give the same text on
+every trace, and
+`_FieldWriter` must spell each float as format(x, ".17g").  The writer's
+thread must end with every call, after an error too.
 """
 
 import json
@@ -23,6 +26,7 @@ import numbers
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -836,3 +840,130 @@ def test_csv_write_faults_do_not_grow_with_chunk_count(tmp_path):
     few, many = faults(3), faults(12)
     # the slack absorbs a stray fault; per-chunk faulting takes thousands
     assert many <= 1.25 * few + 100
+
+
+# ---------------------------------------------------------------------------
+# The pipelined writer: the caller lays out chunk k + 1 while one worker
+# thread deletes chunk k's gap bytes and writes it
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("space", [SYMMETRIC, LABELLED], ids=["interval", "labels"])
+@pytest.mark.parametrize("rows", [100, 3 * CHUNK_ROWS + 1], ids=["one-chunk", "four-chunks"])
+def test_written_file_matches_scalar(tmp_path, space, rows):
+    # a label row is n, two label slots and six diagnostics: 1,820 rows a
+    # chunk, so 6,145 rows take four chunks on either domain
+    trace = _random_trace(space, rows, seed=rows)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    assert path.read_bytes() == scalar_trace_to_csv(trace).encode()
+
+
+class _FailingFile:
+    """A binary file whose write number `fails` (from 1) raises."""
+
+    def __init__(self, fails: int):
+        self.fails, self.writes = fails, 0
+
+    def write(self, data) -> int:
+        self.writes += 1
+        if self.writes == self.fails:
+            raise OSError(28, "No space left on device")
+        return len(data)
+
+
+def _within(seconds: float, call):
+    """The error call() raises, or None, run in a daemon thread that must
+    end within `seconds`: a writer that waits forever fails the test."""
+    raised = []
+
+    def run():
+        try:
+            call()
+        except BaseException as exc:
+            raised.append(exc)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(seconds)
+    assert not runner.is_alive(), "the write did not end"
+    return raised[0] if raised else None
+
+
+# the header is write 1 and the first piece of chunk 0 write 2; a chunk of
+# 2,048 rows is eight 64 KiB pieces, so write 20 falls in chunk 2; a trace
+# of one chunk is written without a worker
+@pytest.mark.parametrize("rows, fails", [(100, 2), (6 * CHUNK_ROWS, 1), (6 * CHUNK_ROWS, 2),
+                                         (6 * CHUNK_ROWS, 20)])
+def test_a_failed_write_reaches_the_caller_and_ends_the_worker(rows, fails):
+    trace = _random_trace(SYMMETRIC, rows)
+    threads = threading.active_count()
+    fh = _FailingFile(fails)
+    error = _within(60, lambda: solver._write_csv(trace, fh))
+    assert isinstance(error, OSError) and error.strerror == "No space left on device"
+    assert fh.writes == fails  # nothing is written after the failure
+    assert threading.active_count() == threads
+
+
+def test_a_failed_layout_ends_the_worker(tmp_path):
+    trace = _random_trace(SYMMETRIC, 6 * CHUNK_ROWS)
+    render, calls = _FieldWriter.render, []
+
+    def failing(writer, size):
+        calls.append(size)
+        if len(calls) == 3:
+            raise MemoryError("layout")
+        return render(writer, size)
+
+    threads = threading.active_count()
+    with mock.patch.object(_FieldWriter, "render", failing):
+        error = _within(60, lambda: write_trace_csv(trace, tmp_path / "trace.csv"))
+    assert isinstance(error, MemoryError)
+    assert threading.active_count() == threads
+    # the two chunks laid out before the failure were written whole
+    written = (tmp_path / "trace.csv").read_text()
+    assert written == "".join(scalar_trace_to_csv(trace).splitlines(True)[:1 + 2 * CHUNK_ROWS])
+
+
+def test_concurrent_writes_keep_their_chunks_in_order():
+    # three writes at once, each with its worker: six threads on however
+    # many CPUs, switching every 10 us; a buffer handed back before its
+    # chunk was written, or written twice, changes some text
+    traces = [_random_trace(space, 3 * CHUNK_ROWS + 1, seed=seed)
+              for seed, space in enumerate([SYMMETRIC, LABELLED, SYMMETRIC])]
+    texts = [None] * len(traces)
+
+    def write(i):
+        texts[i] = trace_to_csv(traces[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        writers = [threading.Thread(target=write, args=(i,), daemon=True) for i in range(len(traces))]
+        for w in writers:
+            w.start()
+        for w in writers:
+            w.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in writers)
+    assert texts == [scalar_trace_to_csv(tr) for tr in traces]
+
+
+def test_pipeline_buffers_stay_within_their_bytes(tmp_path):
+    # what a trace write adds to peak memory: the work block (950,272 bytes
+    # at 16,384 fields a chunk), two 524,288-byte slot buffers and the
+    # worker's 524,288-byte mask, then 8 bytes a row for the x_n column and
+    # at most 256 KiB for a 64 KiB piece of text and the layout's temporaries
+    tracemalloc = pytest.importorskip("tracemalloc")
+    rows = 12 * CHUNK_ROWS
+    trace = _random_trace(SYMMETRIC, rows)
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 950_272 + 3 * 524_288 + 8 * (rows + 1) + (256 << 10)

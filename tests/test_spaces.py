@@ -3,6 +3,7 @@ import importlib
 import itertools
 import sys
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,15 +15,21 @@ from ifmkit import (
     NON_ARCHIMEDEAN,
     DomainError,
     FiniteDomain,
+    IFSpace,
     IntervalDomain,
     PreconditionError,
+    SamplerConfig,
+    SelfMap,
     TConorm,
     TNorm,
+    audit_space,
+    check_k_contractive,
     crisp_threshold_space,
     eval_mu,
     eval_nu,
     standard_space,
 )
+from ifmkit.spaces import grade_tables
 
 TOL = 1e-12
 INDEX_TYPES = (int, np.int8, np.uint8, np.int32, np.int64, np.uint64, np.intp)
@@ -277,6 +284,54 @@ class TestEvalValidation:
         with pytest.raises(DomainError, match="not a unit value"):
             eval_mu(broken, 0.1, 0.2, 1.0)
 
+
+
+def _space_of(grade):
+    """A space over [0, 1] whose mu and nu, without array forms, pass
+    mu = t / (t + d) and nu = d / (t + d) through ``grade``."""
+    def mu(x, y, t):
+        return grade(t / (t + abs(x - y)))
+
+    def nu(x, y, t):
+        return grade(abs(x - y) / (t + abs(x - y)))
+
+    return IFSpace(IntervalDomain(0.0, 1.0), mu, nu, TNorm.product(), TConorm.probabilistic_sum())
+
+
+NOT_REAL = {"str": repr, "bool": lambda v: v > 0.5, "numpy-bool": lambda v: np.bool_(v > 0.5),
+            "huge-int": lambda v: 10**400, "none": lambda v: None}
+
+
+class TestElementWiseGrades:
+    # the element-wise fallback of `array_form` read its results with
+    # np.asarray(..., dtype=float), which parses "0.5" and takes True as 1.0
+    @pytest.mark.parametrize("grade", NOT_REAL.values(), ids=NOT_REAL.keys())
+    def test_a_grade_that_is_not_a_real_number_is_a_domain_error(self, grade):
+        space = _space_of(grade)
+        sampler = SamplerConfig("random", 50, (0.5, 1.0))
+        with pytest.raises(DomainError, match=r"^mu\(.*\) = .* is not a real number$"):
+            audit_space(space, sampler)
+        with pytest.raises(DomainError, match=r"^mu\(.*\) = .* is not a real number$"):
+            check_k_contractive(space, SelfMap.scale(0.5), 0.5, sampler)
+
+    def test_the_message_names_the_first_such_call(self):
+        space = _space_of(lambda v: "one" if v == 1.0 else v)
+        x, y = np.array([0.25, 0.5]), np.array([0.75, 0.5])
+        with pytest.raises(DomainError, match=r"^mu\(0\.5, 0\.5, 2\.0\) = 'one' is not a real number$"):
+            grade_tables(space, x, y, 2.0)
+
+    def test_real_numbers_read_as_before(self):
+        # ints, Fractions and numpy floats are real numbers: read as float64
+        reads = {"int": lambda v: int(v > 0.5), "fraction": Fraction,
+                 "float32": np.float32, "float": float}
+        x, y = np.linspace(0.0, 1.0, 7), np.linspace(1.0, 0.0, 7)[:, None]
+        for name, grade in reads.items():
+            mu, nu = grade_tables(_space_of(grade), x, y, 0.5)
+            d = abs(x - y)
+            want = [np.asarray([[grade(v) for v in row] for row in m], dtype=float)
+                    for m in (0.5 / (0.5 + d), d / (0.5 + d))]
+            assert mu.dtype == nu.dtype == np.float64, name
+            assert np.array_equal(mu, want[0]) and np.array_equal(nu, want[1]), name
 
 def test_reimport_releases_old_module_graph():
     # Nothing may keep an earlier import of the package alive once it has
