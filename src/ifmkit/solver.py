@@ -24,8 +24,8 @@ non-increasing in n.
 the orbit converted to float64 once, without a round trip through Python
 lists: chunk by chunk, every number of the rows, n included, is laid out
 in one flat run of 32-byte slots, in work buffers that each trace
-allocates once; past one chunk, one worker thread deletes the unused
-bytes of the chunk before and writes it meanwhile.
+allocates once, while a one-thread executor deletes the unused bytes of
+the chunk before and writes it; the caller writes the last chunk.
 
 `edelstein_solve` is the finite-domain engine: orbits on a finite point set
 must repeat within |X| steps, so convergence questions reduce to exact
@@ -40,9 +40,8 @@ outside the domain steps through `SelfMap.apply_checked`.
 from __future__ import annotations
 
 import io
-import queue
-import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache, partial
 
@@ -186,9 +185,10 @@ def picard_iterate(space: IFSpace, f: SelfMap, x0, config: SolverConfig) -> Iter
     is Cauchy at the smallest grid t or the iteration budget runs out.
 
     The hypothesis mu(x0, f(x0), t) > 0 and nu(x0, f(x0), t) < 1 is checked
-    on every grid t up front; failure is a distinguished non-error outcome
-    (stop_reason = "precondition_failed") so degenerate spaces can still be
-    exercised.
+    on every grid t up front, in one table (`grade_tables`, so a grade that
+    is not a real number is a DomainError); failure is a distinguished
+    non-error outcome (stop_reason = "precondition_failed") so degenerate
+    spaces can still be exercised.
 
     The stopping rule checks the window at the smallest grid t only.  That
     is enough when mu is non-decreasing and nu non-increasing in t, which
@@ -215,15 +215,17 @@ def picard_iterate(space: IFSpace, f: SelfMap, x0, config: SolverConfig) -> Iter
         raise DomainError(f"starting point {shown(x0)} outside domain {domain!r}")
     fx0 = f.apply_checked(domain, x0)
     grid = config.t_grid
-    for t in grid:
-        if not (space.mu(x0, fx0, t) > 0.0 and space.nu(x0, fx0, t) < 1.0):
-            return IterationTrace(
-                space=space, map=f, t_grid=grid, points=[x0],
-                mu_diag={t: np.empty(0) for t in grid}, nu_diag={t: np.empty(0) for t in grid},
-                stop_reason="precondition_failed",
-                note=f"mu(x0, f(x0), {t:g}) = {shown(space.mu(x0, fx0, t))}, "
-                     f"nu = {shown(space.nu(x0, fx0, t))}",
-            )
+    mu0, nu0 = grade_tables(space, x0, fx0, np.array(grid))
+    held = (mu0 > 0.0) & (nu0 < 1.0)
+    if not held.all():  # the note shows the scalar grades at the first failing t
+        t = grid[int(np.argmin(held))]
+        return IterationTrace(
+            space=space, map=f, t_grid=grid, points=[x0],
+            mu_diag={t: np.empty(0) for t in grid}, nu_diag={t: np.empty(0) for t in grid},
+            stop_reason="precondition_failed",
+            note=f"mu(x0, f(x0), {t:g}) = {shown(space.mu(x0, fx0, t))}, "
+                 f"nu = {shown(space.nu(x0, fx0, t))}",
+        )
 
     near = partial(_near_pairs, space, t=grid[0], epsilon=config.epsilon)
     step, orbit = f.fn, getattr(f.fn, "orbit", None)
@@ -540,7 +542,8 @@ def _fixed_decimal(t: float) -> str:
 # A chunk holds about this many fields (2,048 rows of n, x_n and a three-value
 # t grid's six diagnostics; 2**13 and 2**15 were slower), for which one
 # trace's buffers take 2.41 MiB: the work block, two slot buffers and the
-# mask of gap bytes (a trace of one chunk needs one slot buffer).
+# mask of gap bytes (a trace of one chunk never writes to the second slot
+# buffer).
 _CSV_CHUNK_FIELDS = 16 << 10
 # A chunk's text is written in pieces of this many layout bytes, so that no
 # allocation per chunk reaches the 128 KiB at which glibc's malloc maps
@@ -762,31 +765,15 @@ def _write_text(fh, raw, mask, end: int) -> None:
         fh.write(text[i:i + _PIECE][keep[i:i + _PIECE]])
 
 
-def _drain(fh, mask, full, free, failed: list) -> None:
-    """The worker of `_write_csv`: for each (slot buffer, byte count) that
-    `full` hands over, write the buffer's text (`_write_text`), then hand
-    the buffer back through `free`; stop at None.  Any error, an interrupt
-    too, goes into `failed` for the caller to raise, and None back through
-    `free`, so that the caller never waits on a buffer that will not come."""
-    try:
-        while (job := full.get()) is not None:
-            raw, end = job
-            _write_text(fh, raw, mask, end)
-            free.put(raw)
-    except BaseException as exc:
-        failed.append(exc)
-        free.put(None)
-
-
 def _write_csv(trace: IterationTrace, fh) -> None:
     """Write the trace CSV to the binary file `fh`: the header, blocks of
-    diagnostic rows, and the final row.  Past one chunk, the caller lays
-    out each chunk in one of two slot buffers that take turns, while one
-    worker thread (`_drain`) writes the chunk before it; the worker is
-    joined before this returns or raises, an error of its own is raised
-    here, and nothing more is written after one.  A trace of one chunk has
-    nothing to overlap, and the caller writes it without a thread (which
-    cost about 0.5 ms a trace on a 2-CPU Xeon)."""
+    diagnostic rows, and the final row.  One loop writes every trace: the
+    caller lays out each chunk in one of two slot buffers that take turns,
+    waits on the future of the chunk before, which frees the other buffer
+    or raises the worker's error (nothing more is written after one), and
+    hands every chunk but the last to a one-thread executor.  The last
+    chunk the caller writes itself, once the worker is joined; the thread
+    starts at the first hand-over, so a trace of one chunk starts none."""
     header = ["n", "x_n"]
     columns = []
     for t in trace.t_grid:
@@ -831,24 +818,16 @@ def _write_csv(trace: IterationTrace, fh) -> None:
             return lines.size
 
         mask = np.empty(len(writer.raw), dtype=bool)
-        if rows == n_diag:
-            _write_text(fh, writer.raw, mask, lay_out(0))
-        else:
-            full, free, failed = queue.SimpleQueue(), queue.SimpleQueue(), []
-            free.put(np.empty_like(writer.raw))
-            worker = threading.Thread(target=_drain, args=(fh, mask, full, free, failed))
-            worker.start()
-            try:
-                for lo in range(0, n_diag, rows):
-                    full.put((writer.raw, lay_out(lo)))
-                    if (raw := free.get()) is None:
-                        break
-                    writer.take(raw)
-            finally:
-                full.put(None)
-                worker.join()
-            if failed:
-                raise failed.pop()
+        buffers, written = (writer.raw, np.empty_like(writer.raw)), None
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            for k, lo in enumerate(range(0, n_diag, rows)):
+                writer.take(buffers[k % 2])
+                end = lay_out(lo)
+                if written is not None:  # raises the worker's error; frees the other buffer
+                    written.result()
+                if lo + rows < n_diag:
+                    written = worker.submit(_write_text, fh, writer.raw, mask, end)
+        _write_text(fh, writer.raw, mask, end)
     fh.write(final)
 
 
@@ -880,15 +859,16 @@ def trace_to_csv(trace: IterationTrace) -> str:
 def write_trace_csv(trace: IterationTrace, path) -> None:
     """Write `trace_to_csv`'s text to the file at `path`, chunk by chunk.
 
-    While the caller lays out chunk k + 1, one worker thread deletes the
-    gap bytes of chunk k and writes it; a trace of one chunk is written
-    by the caller alone.  Gap bytes are deleted with a numpy boolean mask,
-    which releases the GIL, so the two threads run at once;
-    `bytes.translate` holds the GIL, and two threads of it ran slower than
-    one.  The second slot buffer and the mask add 1 MiB to the buffers of
-    a write, 2.41 MiB in all.  On one CPU nothing runs beside the mask,
-    and it costs about twice what `bytes.translate` did (about 1.8 against
-    0.9 ns a layout byte on a 2-CPU Xeon), so a pinned run writes more
-    slowly."""
+    While the caller lays out chunk k + 1, one worker thread (a
+    one-thread `ThreadPoolExecutor`) deletes the gap bytes of chunk k and
+    writes it; the caller writes the last chunk itself, so a trace of one
+    chunk starts no thread (`_write_csv`).  Gap bytes are deleted with a
+    numpy boolean mask, which releases the GIL, so the two threads run at
+    once; `bytes.translate` holds the GIL, and two threads of it ran
+    slower than one.  The second slot buffer and the mask add 1 MiB to
+    the buffers of a write, 2.41 MiB in all.  On one CPU nothing runs
+    beside the mask, and it costs about twice what `bytes.translate` did
+    (about 1.8 against 0.9 ns a layout byte on a 2-CPU Xeon), so a pinned
+    run writes more slowly."""
     with open(path, "wb") as fh:
         _write_csv(trace, fh)

@@ -259,11 +259,18 @@ def array_form(fn, nargs: int):
 def grade_tables(space: "IFSpace", x, y, t):
     """(mu, nu) of the space at the broadcast arrays of points x, y and
     times t: one pass of the joint form ``.joint`` when mu and nu carry the
-    same one, else their array forms (`array_form`)."""
+    same one, else their array forms (`array_form`), each table of which
+    must hold integers or floats: strings, bools or objects are a
+    DomainError naming the grade function."""
     joint = getattr(space.mu, "joint", None)
     if joint is not None and joint is getattr(space.nu, "joint", None):
         return joint(x, y, t)
-    return array_form(space.mu, 3)(x, y, t), array_form(space.nu, 3)(x, y, t)
+    tables = array_form(space.mu, 3)(x, y, t), array_form(space.nu, 3)(x, y, t)
+    for fn, table in zip((space.mu, space.nu), tables):
+        if (dtype := np.asarray(table).dtype).kind not in "iuf":
+            name = getattr(fn, "__name__", "fn")
+            raise DomainError(f"{name}.array returns {dtype} values, not real numbers")
+    return tables
 
 
 @dataclass(frozen=True, eq=False)

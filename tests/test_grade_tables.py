@@ -105,13 +105,11 @@ def test_every_array_grade_goes_through_grade_tables(monkeypatch):
     interval = _plain_space(INTERVAL, count)
     line = _plain_space(FiniteDomain.line(4), count)
     halving = SelfMap.scale(0.5)
-    # the Picard precondition grades its single pair with scalar calls, so the
-    # trace is built before counting starts
-    trace = picard_iterate(interval, halving, 1.0, SolverConfig(1e-8, (0.1, 1.0)))
-    calls.update(mu=0, nu=0)
     for module in (auditor, contraction, solver):
         monkeypatch.setattr(module, "grade_tables", counted_tables)
 
+    # the Picard precondition grades its pair through grade_tables too
+    trace = picard_iterate(interval, halving, 1.0, SolverConfig(1e-8, (0.1, 1.0)))
     audit_space(interval, SamplerConfig(RANDOM, 20, (0.5, 1.0), seed=0))
     audit_space(line, SamplerConfig(EXHAUSTIVE, 1, (0.5, 1.0)))
     report = check_k_contractive(interval, halving, 0.5, SamplerConfig(RANDOM, 20, (0.5, 1.0)))

@@ -13,11 +13,11 @@ the block and the points before it.
 
 `scalar_trace_to_csv` is the trace CSV writer with one format() call per
 value.  It stays here as the reference for `trace_to_csv` and
-`write_trace_csv`, whose numbers are laid out as byte arrays and, past
-one chunk, written by a worker thread: they must give the same text on
-every trace, and
-`_FieldWriter` must spell each float as format(x, ".17g").  The writer's
-thread must end with every call, after an error too.
+`write_trace_csv`, whose numbers are laid out as byte arrays and written
+by one worker thread, all but the last chunk, which the caller writes:
+they must give the same text on every trace, and `_FieldWriter` must
+spell each float as format(x, ".17g").  The writer's thread must start
+only past one chunk and end with every call, after an error too.
 """
 
 import json
@@ -810,17 +810,19 @@ def test_diagnostics_are_float64_columns():
 
 
 def test_writer_buffers_stay_within_their_bytes():
-    # a chunk's work block and slots bound what a trace write adds to peak
-    # memory: at most the 1,769,472 bytes they took at 8,192 fields per chunk
+    # one `_FieldWriter`'s work block and slot buffer stay within the
+    # 1,769,472 bytes they took at 8,192 fields per chunk; a write of more
+    # than one chunk adds a second slot buffer and the mask, 2.41 MiB in all
+    # (test_pipeline_buffers_stay_within_their_bytes bounds the whole write)
     writer = _FieldWriter(_CSV_CHUNK_FIELDS)
     assert writer.block.nbytes + len(writer.raw) <= 1_769_472
 
 
 def test_csv_write_faults_do_not_grow_with_chunk_count(tmp_path):
-    # the writer's buffers (1.41 MiB at 2,048 rows a chunk, its narrow
-    # arrays in the bytes of the wide ones) are allocated once per trace,
-    # so a second write of a 12-chunk trace takes about the page faults of
-    # a 3-chunk one
+    # a write's buffers (2.41 MiB at 2,048 rows a chunk: the work block,
+    # its narrow arrays in the bytes of the wide ones, two slot buffers and
+    # the mask) are allocated once per trace, so a second write of a
+    # 12-chunk trace takes about the page faults of a 3-chunk one
     resource = pytest.importorskip("resource")
     space = standard_space(IntervalDomain(0.0, 1.0), *NORMS)
     path = tmp_path / "trace.csv"
@@ -902,6 +904,32 @@ def test_a_failed_write_reaches_the_caller_and_ends_the_worker(rows, fails):
     error = _within(60, lambda: solver._write_csv(trace, fh))
     assert isinstance(error, OSError) and error.strerror == "No space left on device"
     assert fh.writes == fails  # nothing is written after the failure
+    assert threading.active_count() == threads
+
+
+class _CountingFile:
+    """A binary file that records `threading.active_count()` at each write."""
+
+    def __init__(self):
+        self.counts = []
+
+    def write(self, data) -> int:
+        self.counts.append(threading.active_count())
+        return len(data)
+
+
+@pytest.mark.parametrize("rows, workers", [(100, 0), (4 * CHUNK_ROWS, 1), (6 * CHUNK_ROWS + 1, 1)],
+                         ids=["one-chunk", "four-chunks", "seven-chunks"])
+def test_a_write_runs_one_worker_thread_past_one_chunk(rows, workers):
+    # the header goes out before the worker starts, the worker's chunks while
+    # exactly `workers` more threads run, and the caller's last chunk and the
+    # final row after the worker is joined
+    trace = _random_trace(SYMMETRIC, rows)
+    threads = threading.active_count()
+    fh = _CountingFile()
+    solver._write_csv(trace, fh)
+    assert set(fh.counts) == {threads, threads + workers}
+    assert fh.counts[0] == fh.counts[-1] == threads
     assert threading.active_count() == threads
 
 

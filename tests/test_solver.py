@@ -4,14 +4,17 @@ import math
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ifmkit import (
     EXHAUSTIVE,
+    NON_ARCHIMEDEAN,
     DomainError,
     FiniteDomain,
+    IFSpace,
     IntervalDomain,
     NonConvergenceError,
     PreconditionError,
@@ -110,6 +113,38 @@ class TestPicard:
         assert trace.stop_reason == "precondition_failed"
         assert trace.points == [0]
         assert trace.mu_diag[0.5].tolist() == []
+
+    def test_string_grades_fail_the_precondition_with_a_domain_error(self, unit_interval):
+        # the precondition compared each scalar grade with 0 and 1, so a
+        # string grade ended in "'>' not supported between 'str' and 'float'"
+        def mu(x, y, t):
+            return repr(t / (t + abs(x - y)))
+
+        def nu(x, y, t):
+            return repr(abs(x - y) / (t + abs(x - y)))
+
+        space = IFSpace(unit_interval, mu, nu, TNorm.product(), TConorm.probabilistic_sum(),
+                        NON_ARCHIMEDEAN)
+        message = r"^mu\(1\.0, 0\.5, 0\.1\) = '0\.16666666666666669' is not a real number$"
+        config = _cfg(t_grid=(0.1, 1.0), seeds=(1.0,))
+        with pytest.raises(DomainError, match=message):
+            picard_iterate(space, SelfMap.scale(0.5), 1.0, config)
+        with pytest.raises(DomainError, match=message):
+            solve_fixed_point(space, SelfMap.scale(0.5), config)
+
+    def test_the_precondition_note_shows_the_scalar_grades(self, unit_interval):
+        # the first failing t is found in one table; the note shows what the
+        # scalar calls return there, a numpy scalar's repr included
+        def mu(x, y, t):
+            return np.float64(0.0 if t < 1.0 else 1.0)
+
+        def nu(x, y, t):
+            return np.float64(1.0 - float(mu(x, y, t)))
+
+        space = IFSpace(unit_interval, mu, nu, TNorm.product(), TConorm.probabilistic_sum())
+        trace = picard_iterate(space, SelfMap.scale(0.5), 1.0, _cfg(t_grid=(0.1, 0.5, 2.0)))
+        assert trace.stop_reason == "precondition_failed"
+        assert trace.note == f"mu(x0, f(x0), 0.1) = {np.float64(0.0)!r}, nu = {np.float64(1.0)!r}"
 
     def test_escaping_map_raises(self, unit_space):
         with pytest.raises(DomainError, match="outside the domain"):

@@ -28,6 +28,7 @@ from ifmkit import (
     eval_mu,
     eval_nu,
     standard_space,
+    verify_fixed_point,
 )
 from ifmkit.spaces import grade_tables
 
@@ -332,6 +333,47 @@ class TestElementWiseGrades:
                     for m in (0.5 / (0.5 + d), d / (0.5 + d))]
             assert mu.dtype == nu.dtype == np.float64, name
             assert np.array_equal(mu, want[0]) and np.array_equal(nu, want[1]), name
+
+
+class TestArrayFormGrades:
+    # an array form's table went into the audit, the scan and the residual
+    # as it came: a string table ended in numpy's UFuncTypeError, and a bool
+    # one in a TypeError in the audit and a PASS from the scan and residual
+    NOT_REAL_TABLES = {"str": lambda a: a.astype(str), "bool": lambda a: a > 0.5,
+                       "object": lambda a: a.astype(object), "complex": lambda a: a + 0j}
+
+    @staticmethod
+    def _space(table):
+        """The space of `_space_of(float)` with array forms that pass mu
+        and nu's float tables through ``table``."""
+        space = _space_of(float)
+        space.mu.array = lambda x, y, t: table(np.asarray(t / (t + np.abs(x - y))))
+        space.nu.array = lambda x, y, t: table(np.asarray(np.abs(x - y) / (t + np.abs(x - y))))
+        return space
+
+    @pytest.mark.parametrize("table", NOT_REAL_TABLES.values(), ids=NOT_REAL_TABLES.keys())
+    def test_a_table_that_is_not_numeric_is_a_domain_error(self, table):
+        space = self._space(table)
+        sampler = SamplerConfig("random", 50, (0.5, 1.0))
+        calls = [lambda: audit_space(space, sampler),
+                 lambda: check_k_contractive(space, SelfMap.scale(0.5), 0.5, sampler),
+                 lambda: verify_fixed_point(space, SelfMap.scale(0.5), 0.0, (0.1, 1.0), 1e-6)]
+        for call in calls:
+            with pytest.raises(DomainError, match=r"^mu\.array returns \S+ values, not real numbers$"):
+                call()
+
+    def test_the_message_names_the_grade_function(self):
+        space = self._space(lambda a: a)
+        space.nu.array = lambda x, y, t: np.full(np.broadcast(x, y, t).shape, "0.5")
+        with pytest.raises(DomainError, match=r"^nu\.array returns <U3 values"):
+            grade_tables(space, np.array([0.25, 0.5]), 0.75, 2.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64, np.uint8])
+    def test_integer_and_float_tables_pass_as_they_are(self, dtype):
+        space = self._space(lambda a: a.astype(dtype))
+        mu, nu = grade_tables(space, np.array([0.0, 0.5]), 1.0, 1.0)
+        assert mu.dtype == nu.dtype == dtype
+
 
 def test_reimport_releases_old_module_graph():
     # Nothing may keep an earlier import of the package alive once it has
