@@ -49,7 +49,8 @@ Each row's comparison is one predicate over grade values, the negation of
 the condition that must hold, written so that it works on Python floats
 and numpy arrays alike: `_ArrayScan` applies it to grade tables and
 `violation_margin` to the grades of one witness, so a reported witness
-re-checks by the very comparison that found it.
+re-checks by the very comparison that found it.  Both read each grade and
+t-(co)norm result by the one rule, `errors.real_number`.
 `minimize_witness` shrinks witnesses through `sampling.shrink`.
 
 Each row keeps (`sampling.Recorder`, on the transposed view of each mask)
@@ -68,10 +69,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
-from .errors import PreconditionError, WitnessIntegrityError
+from .errors import PreconditionError, WitnessIntegrityError, real_call
 from .sampling import EXHAUSTIVE, Recorder, SamplerConfig, chunks, draw_array, shrink, violated
 from .sampling import draw_tuples  # noqa: F401  perfbench/tracer.py patches this name
 from .spaces import IFSpace, NON_ARCHIMEDEAN, array_form, grade_tables
@@ -238,14 +240,14 @@ def violation_margin(space: IFSpace, w: Witness):
     soundness tests.  On iii and viii a witness with x = y is checked
     against the diagonal row, any other against the distinct-pair row.
     """
-    mu, nu = space.mu, space.nu
+    mu, nu = partial(real_call, space.mu), partial(real_call, space.nu)
     x, y, z, t, s = w.x, w.y, w.z, w.t, w.s
     a = w.axiom
     if a in ("v", "na-mu", "x", "na-nu"):
         if a in ("v", "na-mu"):
-            grade, op, row = mu, space.tnorm.fn, _mu_triangle
+            grade, op, row = mu, partial(real_call, space.tnorm.fn), _mu_triangle
         else:
-            grade, op, row = nu, space.tconorm.fn, _nu_triangle
+            grade, op, row = nu, partial(real_call, space.tconorm.fn), _nu_triangle
         if s is None:  # the single-t na bound, the t = s case of max(t, s)
             s = t
         at = t + s if a in ("v", "x") else max(t, s)

@@ -20,7 +20,8 @@ JSON types of sections, catalogue names and what needs the space.  Any
 malformed or out-of-range field, a non-finite number or a negative seed
 exits with code 2 and a message naming the field; an error raised while a
 command computes (a map leaving its domain, say) exits with code 6.  The
-IFM_LOG environment variable selects log verbosity (debug/info/warning/error).
+IFM_LOG environment variable selects log verbosity (debug/info/warning/error;
+any other value means warning).
 """
 
 from __future__ import annotations
@@ -119,8 +120,8 @@ def _fields(cfg: dict, path: str, required, optional=()) -> dict:
 
 
 def _point(domain, p, field: str, noun: str):
-    """A config point inside the domain (not a bool); an interval's as a float."""
-    if isinstance(p, bool) or not domain.contains(p):
+    """A config point inside the domain; an interval's as a float."""
+    if not domain.contains(p):
         raise ConfigError(field, f"{noun} {p!r} outside the domain")
     return float(p) if isinstance(domain, IntervalDomain) else p
 
@@ -479,9 +480,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("IFM_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
+    level = os.environ.get("IFM_LOG", "").upper()
+    level = level if level in ("DEBUG", "INFO", "ERROR") else "WARNING"
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "demo":

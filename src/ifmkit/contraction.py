@@ -41,7 +41,8 @@ travel with the functions, as in the auditor: grade functions and the
 ``fn`` of every built-in `SelfMap` (an image table's indexes its images
 as one numpy array); any other callable (a custom control, a user
 closure) is evaluated element-wise on plain Python scalars.  A control
-function is only called where its antecedent holds.
+function is only called where its antecedent holds.  Every grade and
+control result is read by the one rule, `errors.real_number`.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, int_field, items, real_field, shown
+from .errors import (DomainError, PreconditionError, int_field, items, real_call,
+                     real_field, real_result, shown)
 from .norms import _closest_witness
 from .sampling import Recorder, SamplerConfig, chunks, draw_array, shrink, violated
 from .sampling import draw_tuples  # noqa: F401  perfbench/tracer.py patches this name
@@ -318,7 +320,7 @@ class AdmissibilityReport:
 def _persistent_jump(fn, a: float, b: float, depth: int = 40) -> bool:
     """True when a gap larger than the jump threshold survives bisection
     down to negligible width — the sampled signature of a discontinuity."""
-    if abs(fn(b) - fn(a)) <= _JUMP_THRESHOLD:  # a NaN gap is a jump
+    if abs(real_call(fn, b) - real_call(fn, a)) <= _JUMP_THRESHOLD:  # a NaN gap is a jump
         return False
     if depth == 0 or b - a <= 1e-9:
         return True
@@ -328,7 +330,7 @@ def _persistent_jump(fn, a: float, b: float, depth: int = 40) -> bool:
 
 def _probe_function(label: str, fn, grid_size: int, strict_below: bool) -> FunctionAdmissibility:
     grid = [i / (grid_size - 1) for i in range(grid_size)]
-    values = [fn(t) for t in grid]
+    values = [real_call(fn, t) for t in grid]
 
     # violations as (operands, results) for `_closest_witness`
     range_viol = [((t,), (v,)) for t, v in zip(grid, values)
@@ -458,8 +460,9 @@ def _unless(dead, fn, arg, fallback):
     in row-major order, so a control function is never called where its
     antecedent fails.  The result is float64, shaped like ``dead``; with
     every entry live (the common case), no mask, gather or scatter."""
-    if not isinstance(dead, np.ndarray):
-        return fallback if dead else fn(arg)
+    if not isinstance(dead, np.ndarray):  # one value, read as a real number
+        v = fallback if dead else fn(arg)
+        return v if type(v) is float else real_result(fn, (arg,), v)
     every = not dead.any()
     live = slice(None) if every else ~dead.reshape(-1)
     values = array_form(fn, 1)(arg.reshape(-1)[live])
@@ -535,7 +538,10 @@ def _minimize_contraction_witness(space, f, side_check, witness: ContractionWitn
             raise f.domain_error(x, fx)
         if not domain.contains(fy):
             raise f.domain_error(y, fy)
-        return side_check(witness.side, grade(x, y, t), grade(fx, fy, t))
+        g, g_f = grade(x, y, t), grade(fx, fy, t)
+        if type(g) is not float or type(g_f) is not float:  # read as real numbers
+            g, g_f = real_result(grade, (x, y, t), g), real_result(grade, (fx, fy, t), g_f)
+        return side_check(witness.side, g, g_f)
 
     coords = {"x": witness.x, "y": witness.y, "t": witness.t}
     c, lhs, rhs = shrink(domain, coords, targets, violated_at, witness.lhs, witness.rhs)

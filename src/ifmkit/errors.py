@@ -1,5 +1,7 @@
 """Exception types shared across the package, and how a caller's number or
-sequence is read (`real_field`, `int_field`, `items`) and shown (`shown`)."""
+sequence is read (`real_field`, `int_field`, `items`) and shown (`shown`).
+`real_number` is the one rule for a real number, and `real_result` reads
+every result of a caller's grade, t-(co)norm or control function by it."""
 
 import math
 import numbers
@@ -57,17 +59,39 @@ class ConfigError(IfmError, ValueError):
         self.field = field
 
 
-def real_field(name: str, value, lo=None, hi=None, *, open_lo=False,
-               error=DomainError) -> float:
-    """``value`` as a plain float: a real number, not a bool, that fits a
-    float, is finite, at least ``lo`` (above it if ``open_lo``) and below
-    ``hi``.  Otherwise ``error`` about ``name``."""
+def real_number(value, name: str = "value", error=DomainError) -> float:
+    """``value`` as a plain float if it is a real number (`numbers.Real`), not
+    a bool, that fits a float (NaN and ±inf too); else ``error`` about ``name``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise error.about(name, f"expected a number, got {type(value).__name__}")
+        raise error.about(name, f"must be a real number, got {shown(value)}")
     try:
-        v = float(value)
+        return float(value)
     except OverflowError:
         raise error.about(name, "integer too large for a float") from None
+
+
+def real_result(fn, args: tuple, value) -> float:
+    """``value``, what ``fn(*args)`` returned, as a `real_number`; else a
+    DomainError naming the call: ``mu(0.5, 1.0, 2.0) = '1' is not a real number``."""
+    try:
+        return real_number(value)
+    except DomainError:
+        call = f"{getattr(fn, '__name__', 'fn')}({', '.join(map(shown, args))})"
+        raise DomainError(f"{call} = {shown(value)} is not a real number") from None
+
+
+def real_call(fn, *args) -> float:
+    """``fn(*args)``, read by `real_result` unless it is a float."""
+    value = fn(*args)
+    return value if type(value) is float else real_result(fn, args, value)
+
+
+def real_field(name: str, value, lo=None, hi=None, *, open_lo=False,
+               error=DomainError) -> float:
+    """``value`` as a plain float: a `real_number` that is finite, at least
+    ``lo`` (above it if ``open_lo``) and below ``hi``.  Otherwise ``error``
+    about ``name``."""
+    v = real_number(value, name, error)
     if not math.isfinite(v):  # NaN would pass every range check
         raise error.about(name, f"must be finite, got {v}")
     if lo is not None and (v <= lo if open_lo else v < lo):

@@ -26,17 +26,20 @@ where the two agree by construction, else ``contains`` per point.
 
 Arguments are read by the rules of `errors` (`int_field` also bounds
 ``line``'s n), and a caller's value appears in a message through `shown`.
+Interval points, metric entries and grade results are real numbers by the
+one rule, `errors.real_number`, so a bool or a numeric string is none.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, int_field, items, real_field, shown
+from .errors import (DomainError, PreconditionError, int_field, items, real_call, real_field,
+                     real_number, shown)
 from .norms import TConorm, TNorm, UnitValue
 
 POINT_EQ_TOL = 1e-12
@@ -59,16 +62,12 @@ class IntervalDomain:
             raise DomainError(f"interval requires lo < hi, got [{self.lo}, {self.hi}]")
 
     def contains(self, p) -> bool:
-        if type(p) is float:  # the common case, compared as is
-            return self.lo - POINT_EQ_TOL <= p <= self.hi + POINT_EQ_TOL
-        # real numbers only, numpy's bools included: a numeric string is not a point
-        if not isinstance(p, (numbers.Real, np.bool_)):
-            return False
-        try:
-            v = float(p)
-        except OverflowError:
-            return False
-        return self.lo - POINT_EQ_TOL <= v <= self.hi + POINT_EQ_TOL
+        if type(p) is not float:  # a float, the common case, is compared as is
+            try:
+                p = real_number(p)  # not a bool, nor a numeric string
+            except DomainError:
+                return False
+        return self.lo - POINT_EQ_TOL <= p <= self.hi + POINT_EQ_TOL
 
     def contains_array(self, points) -> np.ndarray:
         if isinstance(points, np.ndarray) and points.dtype == np.float64 and points.ndim == 1:
@@ -107,13 +106,12 @@ class FiniteDomain:
     def __init__(self, labels, metric, *, _metric_by_construction: bool = False):
         labels = tuple(str(lab) for lab in items("labels", labels, DomainError))
         try:
-            # float() takes numeric strings and booleans; a numeric array holds neither
-            numeric = isinstance(metric, np.ndarray) and metric.dtype.kind in "iuf"
-            if not numeric and any(isinstance(v, (str, bytes, bool, np.bool_))
-                                   for v in np.array(metric, dtype=object).flat):
-                raise TypeError("entries must be numbers, not strings or booleans")
+            # float() takes numeric strings and bools; an integer or float array holds neither
+            if not (isinstance(metric, np.ndarray) and metric.dtype.kind in "iuf"):
+                for v in np.array(metric, dtype=object).flat:
+                    real_number(v, "an entry")
             m = np.array(metric, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError) as exc:  # a DomainError is a ValueError
             raise DomainError(f"metric must be a matrix of numbers: {exc}") from None
         n = len(labels)
         if m.shape != (n, n):
@@ -217,43 +215,15 @@ def time_grid(values, increasing: bool = False) -> tuple[float, ...]:
     return grid
 
 
-def _real(v) -> bool:
-    """Whether ``v`` reads as a real number: not a bool, and it fits a float."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real):
-        return False
-    try:
-        float(v)
-    except OverflowError:
-        return False
-    return True
-
-
 def array_form(fn, nargs: int):
     """The array form attached to ``fn`` as ``fn.array``; without one, fn
-    called element-wise on plain Python scalars, results as a float array
-    (0-d for scalar arguments).  There a result that is not a real number
-    (a string, a bool, an integer past the floats) is a DomainError naming
-    the first such call, not a value that float() parses."""
+    called element-wise on plain Python scalars, each result read by
+    `real_call`, as a float array (0-d for scalar arguments)."""
     form = getattr(fn, "array", None)
     if form is not None:
         return form
-    scalar = np.frompyfunc(fn, nargs, 1)
-
-    def elementwise(*args):
-        values = np.asarray(scalar(*args), dtype=object)
-        try:
-            if all(issubclass(k, numbers.Real) and not issubclass(k, bool)
-                   for k in set(map(type, values.flat))):
-                return values.astype(float)
-        except OverflowError:
-            pass
-        at, v = next((i, v) for i, v in enumerate(values.flat) if not _real(v))
-        cell = ", ".join(shown(np.broadcast_to(np.asarray(a, dtype=object), values.shape).flat[at])
-                         for a in args)
-        name = getattr(fn, "__name__", "fn")
-        raise DomainError(f"{name}({cell}) = {shown(v)} is not a real number")
-
-    return elementwise
+    scalar = np.frompyfunc(partial(real_call, fn), nargs, 1)
+    return lambda *args: np.asarray(scalar(*args), dtype=float)
 
 
 def grade_tables(space: "IFSpace", x, y, t):

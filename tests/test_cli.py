@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -315,6 +318,24 @@ class TestDumpConfig:
               "--out", str(tmp_path / "out"), "--dump-config"])
         assert json.loads(capsys.readouterr().out) == dumped
         assert not (tmp_path / "out").exists()
+
+
+class TestLogLevel:
+    # IFM_LOG=basic_format was getattr(logging, "BASIC_FORMAT"), a format
+    # string, on which basicConfig raised "Unknown level" with exit 1
+    @pytest.mark.parametrize("value,logged", [
+        ("basic_format", False), ("bogus", False), ("info", True), ("ERROR", False),
+    ])
+    def test_ifm_log_reads_the_documented_names(self, tmp_path, value, logged):
+        # a new process: under pytest the root logger has handlers, and
+        # basicConfig then sets no level
+        env = {**os.environ, "IFM_LOG": value, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-m", "ifmkit.cli", "audit", "--config",
+                              write_config(tmp_path, crisp_config()), "--out", str(tmp_path)],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == EXIT_VIOLATIONS, run.stderr  # the crisp space fails ii
+        assert ("INFO ifmkit: axiom ii" in run.stderr) is logged
+        assert "Traceback" not in run.stderr
 
 
 class TestAuditCommand:

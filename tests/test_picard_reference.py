@@ -471,19 +471,26 @@ def test_zero_dim_array_orbit_matches_per_step_loop():
     assert outcome[0] is DomainError and "array(0.125)" in outcome[1]
 
 
-@pytest.mark.parametrize("image", [True, False])
-def test_bool_images_leave_a_finite_domain(image):
-    # numpy reads a bool index as a mask: the Picard solver on a finite
-    # domain raises the seed-by-seed loop's error at the first step
-    space = standard_space(FiniteDomain.line(5), *NORMS)
+@pytest.mark.parametrize("domain, seed, image", [
+    pytest.param(FiniteDomain.line(5), 2, True, id="True"),
+    pytest.param(FiniteDomain.line(5), 2, False, id="False"),
+    pytest.param(IntervalDomain(0.0, 1.0), 0.5, True, id="interval-True"),
+    pytest.param(IntervalDomain(0.0, 1.0), 0.5, np.False_, id="interval-numpy-False"),
+])
+def test_bool_images_leave_a_finite_domain(domain, seed, image):
+    # numpy reads a bool index as a mask, and a bool is no real number: the
+    # Picard solver on either domain raises the seed-by-seed loop's error at
+    # the first step
+    space = standard_space(domain, *NORMS)
     f = SelfMap.closure(lambda x: image)
-    config = SolverConfig(epsilon=1e-6, t_grid=(0.1, 1.0), seeds=(2, 3))
-    expected = (DomainError, f"map closure sends 2 to {image}, outside the domain")
-    assert _outcome(lambda: scalar_picard_iterate(space, f, 2, config)) == expected
-    assert _outcome(lambda: picard_iterate(space, f, 2, config)) == expected
+    config = SolverConfig(epsilon=1e-6, t_grid=(0.1, 1.0), seeds=(seed, seed))
+    expected = (DomainError, f"map closure sends {seed} to {image!r}, outside the domain")
+    assert _outcome(lambda: scalar_picard_iterate(space, f, seed, config)) == expected
+    assert _outcome(lambda: picard_iterate(space, f, seed, config)) == expected
     with pytest.raises(DomainError) as err:
         solve_fixed_point(space, f, config)
     assert (DomainError, str(err.value)) == expected
+    assert not domain.contains(image) and not domain.contains_array([image, seed])[0]
 
 
 # float64 arrays: the interval compares them as one array
@@ -511,8 +518,10 @@ def test_interval_contains_array_matches_contains(points):
 
 
 def general_contains(domain, p) -> bool:
-    """`IntervalDomain.contains` without its exact-float fast path."""
-    if not isinstance(p, (numbers.Real, np.bool_)):
+    """`IntervalDomain.contains` without its exact-float fast path: a real
+    number that is not a bool (numpy's bools are no real numbers) and fits
+    a float."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Real):
         return False
     try:
         v = float(p)

@@ -18,16 +18,23 @@ from ifmkit import (
     IFSpace,
     IntervalDomain,
     PreconditionError,
+    PsiPhiPair,
     SamplerConfig,
     SelfMap,
     TConorm,
     TNorm,
+    Witness,
     audit_space,
+    check_admissible,
     check_k_contractive,
+    check_norm_axioms,
+    check_psi_phi_contractive,
     crisp_threshold_space,
     eval_mu,
     eval_nu,
+    minimize_witness,
     standard_space,
+    tnorm_apply,
     verify_fixed_point,
 )
 from ifmkit.spaces import grade_tables
@@ -320,6 +327,84 @@ class TestElementWiseGrades:
         x, y = np.array([0.25, 0.5]), np.array([0.75, 0.5])
         with pytest.raises(DomainError, match=r"^mu\(0\.5, 0\.5, 2\.0\) = 'one' is not a real number$"):
             grade_tables(space, x, y, 2.0)
+
+    # the shrinkers compared what a grade returned at a shrunk point as it
+    # came: a string was a raw TypeError, True was 1.0
+    @pytest.mark.parametrize("grade", NOT_REAL.values(), ids=NOT_REAL.keys())
+    def test_a_grade_not_real_at_shrunk_points_is_a_domain_error(self, grade):
+        # real on every sampled pair, not real below a gap of 1e-6, where only
+        # the shrinkers look; nu = mu fails axiom i wherever mu > 0.5
+        def mu(x, y, t):
+            v = t / (t + abs(x - y))
+            return grade(v) if abs(x - y) < 1e-6 else v
+
+        space = IFSpace(IntervalDomain(0.0, 1.0), mu, mu, TNorm.product(),
+                        TConorm.probabilistic_sum())
+        sampler = SamplerConfig("random", 50, (0.5, 1.0))
+        calls = [lambda: check_k_contractive(space, SelfMap.identity(), 0.5, sampler),
+                 lambda: check_psi_phi_contractive(space, SelfMap.identity(),
+                                                   PsiPhiPair.from_k(0.5), sampler),
+                 lambda: minimize_witness(space, Witness("i", 0.25, 0.75, 1.0))]
+        for call in calls:
+            with pytest.raises(DomainError, match=r"^mu\(.*\) = .* is not a real number$"):
+                call()
+
+    # a custom t-norm's or control's results were compared as they came: a
+    # string was a raw TypeError, and bools passed the range check
+    @pytest.mark.parametrize("read", NOT_REAL.values(), ids=NOT_REAL.keys())
+    def test_a_norm_or_control_result_not_real_is_a_domain_error(self, read):
+        def product(a, b):
+            return read(a * b)
+
+        def psi(s):
+            return read(s / 2)
+
+        calls = {"product": [lambda: check_norm_axioms(TNorm.custom(product), 20, 0),
+                             lambda: tnorm_apply(TNorm.custom(product), 0.5, 0.5)],
+                 "psi": [lambda: check_admissible(PsiPhiPair(psi, psi), 11)]}
+        for name, named in calls.items():
+            for call in named:
+                with pytest.raises(DomainError, match=rf"^{name}\(.*\) = .* is not a real number$"):
+                    call()
+
+    @settings(max_examples=60, deadline=None)
+    @given(bad=st.sampled_from(list(NOT_REAL.values())), side=st.sampled_from(["mu", "nu"]),
+           gap=st.sampled_from([1e-7, 1e-3, 0.2]), x=coords,
+           f=st.sampled_from([SelfMap.identity(), SelfMap.scale(0.5)]), seed=st.integers(0, 99))
+    def test_a_grade_not_real_at_any_graded_cell_never_passes(self, bad, side, gap, x, f, seed):
+        # the grade is not real below a drawn gap: on sampled pairs, the
+        # diagonal, or only at the points a shrinker reaches; whichever call
+        # grades such a cell raises, and no call returns past one
+        graded = []
+
+        def grade_of(name, form):
+            def grade(p, q, t):
+                v = form(t, abs(p - q))
+                if name == side and abs(p - q) < gap:
+                    graded.append(v)
+                    return bad(v)
+                return v
+
+            grade.__name__ = name
+            return grade
+
+        space = IFSpace(IntervalDomain(0.0, 1.0), grade_of("mu", lambda t, d: t / (t + d)),
+                        grade_of("nu", lambda t, d: d / (t + d)), TNorm.product(),
+                        TConorm.probabilistic_sum(), NON_ARCHIMEDEAN)
+        sampler = SamplerConfig("random", 20, (0.5, 1.0), seed=seed)
+        calls = [lambda: audit_space(space, sampler),
+                 lambda: check_k_contractive(space, f, 0.5, sampler),
+                 lambda: check_psi_phi_contractive(space, f, PsiPhiPair.from_k(0.5), sampler),
+                 lambda: verify_fixed_point(space, f, x, (0.5, 1.0), 0.5)]
+        for call in calls:
+            graded.clear()
+            try:
+                call()
+            except DomainError as exc:
+                assert graded and str(exc).startswith(f"{side}(")
+                assert str(exc).endswith("is not a real number")
+            else:
+                assert not graded
 
     def test_real_numbers_read_as_before(self):
         # ints, Fractions and numpy floats are real numbers: read as float64
