@@ -50,7 +50,8 @@ the condition that must hold, written so that it works on Python floats
 and numpy arrays alike: `_ArrayScan` applies it to grade tables and
 `violation_margin` to the grades of one witness, so a reported witness
 re-checks by the very comparison that found it.  Both read each grade and
-t-(co)norm result by the one rule, `errors.real_number`.
+t-(co)norm result by the one rule, `errors.real_number`, and the scan each
+table an array form returns by `errors.real_array`.
 `minimize_witness` shrinks witnesses through `sampling.shrink`.
 
 Each row keeps (`sampling.Recorder`, on the transposed view of each mask)
@@ -73,7 +74,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import PreconditionError, WitnessIntegrityError, real_call
+from .errors import PreconditionError, WitnessIntegrityError, real_array, real_call
 from .sampling import EXHAUSTIVE, Recorder, SamplerConfig, chunks, draw_array, shrink, violated
 from .sampling import draw_tuples  # noqa: F401  perfbench/tracer.py patches this name
 from .spaces import IFSpace, NON_ARCHIMEDEAN, array_form, grade_tables
@@ -345,11 +346,11 @@ class _ArrayScan:
         mxy, nxy = self.grades(x, y)
         myz, nyz = self.grades(y, z)
         mxz, nxz = self.grades(x, z, self.xz_times[:, None])
-        sides = (("v", "na-mu", _mu_triangle, self.tnorm, mxy, myz, mxz),
-                 ("x", "na-nu", _nu_triangle, self.tconorm, nxy, nyz, nxz))
-        for split, single, row, op, gxy, gyz, gxz in sides:
+        sides = (("v", "na-mu", _mu_triangle, self.space.tnorm.fn, self.tnorm, mxy, myz, mxz),
+                 ("x", "na-nu", _nu_triangle, self.space.tconorm.fn, self.tconorm, nxy, nyz, nxz))
+        for split, single, row, fn, op, gxy, gyz, gxz in sides:
             # (g, g, tuples) bounds flattened with t outer, s inner
-            bound = op(gxy[:, None, :], gyz[None, :, :]).reshape(-1, len(x))
+            bound = real_array(fn, op(gxy[:, None, :], gyz[None, :, :])).reshape(-1, len(x))
             self.col[split].scan(*row(gxz[self.at_sum], bound), pts, self.split_times)
             if self.non_archimedean:
                 rows = row(gxz[self.at_max], bound)

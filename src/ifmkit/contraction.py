@@ -42,7 +42,8 @@ travel with the functions, as in the auditor: grade functions and the
 as one numpy array); any other callable (a custom control, a user
 closure) is evaluated element-wise on plain Python scalars.  A control
 function is only called where its antecedent holds.  Every grade and
-control result is read by the one rule, `errors.real_number`.
+control result is read by the one rule, `errors.real_number`, and every
+table an array form returns by `errors.real_array`.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .errors import (DomainError, PreconditionError, int_field, items, real_call,
-                     real_field, real_result, shown)
+from .errors import (DomainError, PreconditionError, int_field, items, real_array,
+                     real_call, real_field, real_result, shown)
 from .norms import _closest_witness
 from .sampling import Recorder, SamplerConfig, chunks, draw_array, shrink, violated
 from .sampling import draw_tuples  # noqa: F401  perfbench/tracer.py patches this name
@@ -458,14 +459,14 @@ def _unless(dead, fn, arg, fallback):
     """fn(arg), or ``fallback`` where ``dead`` holds.  On arrays fn runs
     through its array form (`array_form`) on the live entries only, flat
     in row-major order, so a control function is never called where its
-    antecedent fails.  The result is float64, shaped like ``dead``; with
-    every entry live (the common case), no mask, gather or scatter."""
+    antecedent fails, and its table is read by `real_array`.  The result is
+    float64, shaped like ``dead``; with every entry live, no scatter."""
     if not isinstance(dead, np.ndarray):  # one value, read as a real number
         v = fallback if dead else fn(arg)
         return v if type(v) is float else real_result(fn, (arg,), v)
     every = not dead.any()
     live = slice(None) if every else ~dead.reshape(-1)
-    values = array_form(fn, 1)(arg.reshape(-1)[live])
+    values = real_array(fn, array_form(fn, 1)(arg.reshape(-1)[live]))
     as_is = every and type(values) is np.ndarray and values.dtype == np.float64
     if as_is and values.shape == (dead.size,):
         return values.reshape(dead.shape)

@@ -1,10 +1,13 @@
 """Exception types shared across the package, and how a caller's number or
 sequence is read (`real_field`, `int_field`, `items`) and shown (`shown`).
-`real_number` is the one rule for a real number, and `real_result` reads
-every result of a caller's grade, t-(co)norm or control function by it."""
+`real_number` is the one rule for a real number: `real_result` reads every
+result of a caller's grade, t-(co)norm or control by it, `real_array` every
+table of its array form."""
 
 import math
 import numbers
+
+import numpy as np
 
 
 class IfmError(Exception):
@@ -84,6 +87,14 @@ def real_call(fn, *args) -> float:
     """``fn(*args)``, read by `real_result` unless it is a float."""
     value = fn(*args)
     return value if type(value) is float else real_result(fn, args, value)
+
+
+def real_array(fn, table):
+    """``table``, what ``fn``'s array form returned, if it holds integers or
+    floats; else a DomainError: ``psi.array returns <U3 values, not real numbers``."""
+    if (dtype := np.asarray(table).dtype).kind not in "iuf":
+        raise DomainError(f"{getattr(fn, '__name__', 'fn')}.array returns {dtype} values, not real numbers")
+    return table
 
 
 def real_field(name: str, value, lo=None, hi=None, *, open_lo=False,

@@ -21,11 +21,11 @@ contractive map the mu diagnostic is non-decreasing and the nu diagnostic
 non-increasing in n.
 
 `write_trace_csv` and `trace_to_csv` write those arrays, and on an interval
-the orbit converted to float64 once, without a round trip through Python
-lists: chunk by chunk, every number of the rows, n included, is laid out
-in one flat run of 32-byte slots, in work buffers that each trace
-allocates once, while a one-thread executor deletes the unused bytes of
-the chunk before and writes it; the caller writes the last chunk.
+the float64 orbit that `picard_iterate` keeps, without a round trip through
+Python lists: chunk by chunk, every number of the rows, n included, is
+laid out in one flat run of 32-byte slots, in the process's one set of
+work buffers, while a one-thread executor deletes the unused bytes of the
+chunk before and writes it; the caller translates and writes the last one.
 
 `edelstein_solve` is the finite-domain engine: orbits on a finite point set
 must repeat within |X| steps, so convergence questions reduce to exact
@@ -40,8 +40,10 @@ outside the domain steps through `SelfMap.apply_checked`.
 from __future__ import annotations
 
 import io
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache, partial
 
@@ -98,7 +100,8 @@ class IterationTrace:
 
     ``mu_diag[t][n] = mu(x_n, x_{n+1}, t)`` and likewise for nu: float64
     arrays, one shorter than ``points``, which holds the orbit's own
-    objects.
+    objects; ``orbit``, their float64 array from `picard_iterate`, is what
+    the trace writer reads for x_n.
     """
 
     space: IFSpace = field(repr=False)
@@ -109,6 +112,7 @@ class IterationTrace:
     nu_diag: dict[float, np.ndarray]
     stop_reason: str  # "converged" | "max_iter" | "precondition_failed"
     note: str | None = None
+    orbit: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def iterations(self) -> int:
@@ -270,10 +274,12 @@ def picard_iterate(space: IFSpace, f: SelfMap, x0, config: SolverConfig) -> Iter
     pts = np.concatenate(arrays)
     mu_diag, nu_diag = (dict(zip(grid, np.asarray(table, dtype=np.float64))) for table in
                         grade_tables(space, pts[:-1], pts[1:], np.array(grid)[:, None]))
-    return IterationTrace(
+    trace = IterationTrace(
         space=space, map=f, t_grid=grid, points=points,
         mu_diag=mu_diag, nu_diag=nu_diag, stop_reason=stop_reason,
     )
+    trace.orbit = pts
+    return trace
 
 
 @dataclass(frozen=True)
@@ -540,10 +546,9 @@ def _fixed_decimal(t: float) -> str:
 # are numpy scalars, so no step depends on how a numpy version promotes
 # Python ints.
 # A chunk holds about this many fields (2,048 rows of n, x_n and a three-value
-# t grid's six diagnostics; 2**13 and 2**15 were slower), for which one
-# trace's buffers take 2.41 MiB: the work block, two slot buffers and the
-# mask of gap bytes (a trace of one chunk never writes to the second slot
-# buffer).
+# t grid's six diagnostics; 2**13 and 2**15 were slower), for which the
+# writer's buffers take 2.41 MiB: the work block, two slot buffers and the
+# mask of gap bytes.
 _CSV_CHUNK_FIELDS = 16 << 10
 # A chunk's text is written in pieces of this many layout bytes, so that no
 # allocation per chunk reaches the 128 KiB at which glibc's malloc maps
@@ -650,9 +655,10 @@ def _scaled(m, exp2, e10, work):
 
 
 class _FieldWriter:
-    """Work buffers, allocated once, that lay out up to `size` float64
-    values at a time, put in `x` in text order, as .17g fields: one 32-byte
-    slot per value, gaps included, in the slot buffer `raw`."""
+    """Work buffers that lay out up to `size` float64 values at a time, put
+    in `x` in text order, as .17g fields: one 32-byte slot per value, gaps
+    included, in `raw`, one of two slot `buffers` that take turns; and the
+    worker's `mask` of gap bytes."""
 
     # E + 11, the mantissa of |x|, five uint64 temporaries and two flags;
     # after the scaling, the temporaries hold the digit groups and the
@@ -662,10 +668,12 @@ class _FieldWriter:
     def __init__(self, size: int):
         # one block for the per-value arrays, so the allocator keeps or reuses it whole
         widths = [size * np.dtype(t).itemsize for t in self._WORK]
-        self.block = np.empty(sum(widths), dtype=np.uint8)
+        self.size, self.block = size, np.empty(sum(widths), dtype=np.uint8)
         self.work = [self.block[end - width:end].view(t)
                      for t, width, end in zip(self._WORK, widths, np.cumsum(widths))]
-        self.take(np.empty(size * _SLOT, dtype=np.uint8))
+        self.buffers = [np.empty(size * _SLOT, dtype=np.uint8) for _ in range(2)]
+        self.mask = np.empty(size * _SLOT, dtype=bool)
+        self.take(self.buffers[0])
 
     def take(self, raw: np.ndarray) -> None:
         """Lay out the next values in `raw`, a uint8 slot buffer of 32 bytes
@@ -756,24 +764,45 @@ def _padded(encoded, width: int) -> np.ndarray:
                          dtype=np.uint8).reshape(-1, width)
 
 
-def _write_text(fh, raw, mask, end: int) -> None:
-    """Write the first `end` bytes of the slot buffer `raw` to `fh`, gap
-    bytes deleted through `mask`, in pieces of at most `_PIECE` of them."""
-    text = raw[:end]
-    keep = np.not_equal(text, _GAP, out=mask[:end])
-    for i in range(0, end, _PIECE):
-        fh.write(text[i:i + _PIECE][keep[i:i + _PIECE]])
+def _write_text(fh, text, mask=None) -> None:
+    """Write the slot bytes `text` to `fh` in pieces of `_PIECE`, gap bytes
+    deleted through `mask` (numpy's masked copy releases the GIL), else by
+    `bytes.translate`, which holds it but takes about half the time."""
+    keep = None if mask is None else np.not_equal(text, _GAP, out=mask[:len(text)])
+    for i in range(0, len(text), _PIECE):
+        piece = text[i:i + _PIECE]
+        fh.write(piece.tobytes().translate(None, b"\xff") if keep is None else piece[keep[i:i + _PIECE]])
+
+
+_SHARED, _shared = threading.Lock(), None  # the process's writer, grown to the largest chunk
+
+
+@contextmanager
+def _writer(size: int):
+    """A `_FieldWriter` of at least `size` values: the process's, grown if
+    need be, unless another write holds it; then one of its own."""
+    global _shared
+    if not _SHARED.acquire(blocking=False):
+        yield _FieldWriter(size)
+        return
+    try:
+        if _shared is None or _shared.size < size:
+            _shared = _FieldWriter(size)
+        yield _shared
+    finally:
+        _SHARED.release()
 
 
 def _write_csv(trace: IterationTrace, fh) -> None:
     """Write the trace CSV to the binary file `fh`: the header, blocks of
-    diagnostic rows, and the final row.  One loop writes every trace: the
-    caller lays out each chunk in one of two slot buffers that take turns,
-    waits on the future of the chunk before, which frees the other buffer
-    or raises the worker's error (nothing more is written after one), and
-    hands every chunk but the last to a one-thread executor.  The last
-    chunk the caller writes itself, once the worker is joined; the thread
-    starts at the first hand-over, so a trace of one chunk starts none."""
+    diagnostic rows, and the final row.  One loop writes every trace, in
+    the buffers of `_writer`: the caller lays out each chunk in one of two
+    slot buffers that take turns, waits on the future of the chunk before,
+    which frees the other buffer or raises the worker's error (nothing more
+    is written after one), and hands every chunk but the last to a
+    one-thread executor.  The last chunk the caller writes itself, once the
+    worker is joined; the thread starts at the first hand-over, so a trace
+    of one chunk starts none."""
     header = ["n", "x_n"]
     columns = []
     for t in trace.t_grid:
@@ -796,17 +825,18 @@ def _write_csv(trace: IterationTrace, fh) -> None:
             lead = -(-max(map(len, shown)) // _SLOT)
             label_slots = _padded(shown, _SLOT * lead)
         else:
-            columns.insert(0, np.asarray(points, dtype=np.float64))
+            orbit = trace.orbit
+            fits = orbit is not None and orbit.dtype == np.float64 and len(orbit) == len(points)
+            columns.insert(0, orbit if fits else np.asarray(points, dtype=np.float64))
         cols = 1 + lead + len(columns)
         rows = min(n_diag, max(1, _CSV_CHUNK_FIELDS // cols))
-        writer = _FieldWriter(rows * cols)
-        n = np.arange(rows, dtype=np.float64)
+        n, written = np.arange(rows, dtype=np.float64), None
 
         def lay_out(lo: int) -> int:
             """Lay out the chunk of rows from `lo` in the writer's slot
             buffer, and return its byte count."""
             r = min(rows, n_diag - lo)
-            x = writer.x.reshape(rows, cols)
+            x = writer.x[:rows * cols].reshape(rows, cols)
             np.add(n[:r], lo, out=x[:r, 0])
             x[:r, 1:1 + lead] = 1.0  # rendered, then overwritten by the label
             for j, column in enumerate(columns, 1 + lead):
@@ -817,17 +847,16 @@ def _write_csv(trace: IterationTrace, fh) -> None:
             lines[:, 28 - _SLOT] = ord("\n")  # over the last field's ","
             return lines.size
 
-        mask = np.empty(len(writer.raw), dtype=bool)
-        buffers, written = (writer.raw, np.empty_like(writer.raw)), None
-        with ThreadPoolExecutor(max_workers=1) as worker:
-            for k, lo in enumerate(range(0, n_diag, rows)):
-                writer.take(buffers[k % 2])
-                end = lay_out(lo)
-                if written is not None:  # raises the worker's error; frees the other buffer
-                    written.result()
-                if lo + rows < n_diag:
-                    written = worker.submit(_write_text, fh, writer.raw, mask, end)
-        _write_text(fh, writer.raw, mask, end)
+        with _writer(rows * cols) as writer:
+            with ThreadPoolExecutor(max_workers=1) as worker:
+                for k, lo in enumerate(range(0, n_diag, rows)):
+                    writer.take(writer.buffers[k % 2])
+                    end = lay_out(lo)
+                    if written is not None:  # raises the worker's error; frees the other buffer
+                        written.result()
+                    if lo + rows < n_diag:
+                        written = worker.submit(_write_text, fh, writer.raw[:end], writer.mask)
+            _write_text(fh, writer.raw[:end])
     fh.write(final)
 
 
@@ -839,8 +868,8 @@ def trace_to_csv(trace: IterationTrace) -> str:
     Every number reads exactly as format(value, ".17g") would give it, and
     a `FiniteDomain` point as its label.  The rows are laid out as one
     flat run of 32-byte slots, one per number in text order, in chunks of
-    about 16,384 (2,048 rows at a three-value t grid), through work buffers
-    allocated once per trace: digits come from exact 128-bit integer
+    about 16,384 (2,048 rows at a three-value t grid), through the work
+    buffers of `write_trace_csv`: digits come from exact 128-bit integer
     scaling of the float's mantissa and exponent bits (the integer route of
     Gay 1990 and Adams's Ryu, 2018), not from one dtoa call per value, and
     are added four at a time from a table.  n is a float column too: .17g
@@ -860,15 +889,16 @@ def write_trace_csv(trace: IterationTrace, path) -> None:
     """Write `trace_to_csv`'s text to the file at `path`, chunk by chunk.
 
     While the caller lays out chunk k + 1, one worker thread (a
-    one-thread `ThreadPoolExecutor`) deletes the gap bytes of chunk k and
-    writes it; the caller writes the last chunk itself, so a trace of one
-    chunk starts no thread (`_write_csv`).  Gap bytes are deleted with a
-    numpy boolean mask, which releases the GIL, so the two threads run at
-    once; `bytes.translate` holds the GIL, and two threads of it ran
-    slower than one.  The second slot buffer and the mask add 1 MiB to
-    the buffers of a write, 2.41 MiB in all.  On one CPU nothing runs
-    beside the mask, and it costs about twice what `bytes.translate` did
-    (about 1.8 against 0.9 ns a layout byte on a 2-CPU Xeon), so a pinned
-    run writes more slowly."""
+    one-thread `ThreadPoolExecutor`) deletes the gap bytes of chunk k with
+    a numpy boolean mask, which releases the GIL, and writes it; the caller
+    deletes those of the last chunk with `bytes.translate`, which holds the
+    GIL but costs about half as much (0.9 against 1.8 ns a layout byte on
+    a 2-CPU Xeon), and writes it, so a trace of one chunk starts no thread.
+    Every write runs in the process's one set of buffers (2.41 MiB at a
+    full chunk: the work block, two slot buffers and the mask), grown to
+    the largest chunk written so far and never shrunk, so a write of a
+    shape seen before allocates none of them.  A non-blocking lock guards
+    them, held for the whole write, an error included; a write that finds
+    it held, in another thread, allocates its own."""
     with open(path, "wb") as fh:
         _write_csv(trace, fh)

@@ -38,8 +38,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (DomainError, PreconditionError, int_field, items, real_call, real_field,
-                     real_number, shown)
+from .errors import (DomainError, PreconditionError, int_field, items, real_array, real_call,
+                     real_field, real_number, shown)
 from .norms import TConorm, TNorm, UnitValue
 
 POINT_EQ_TOL = 1e-12
@@ -148,7 +148,8 @@ class FiniteDomain:
         diameter = real_field("diameter", diameter, 0.0, open_lo=True)
         spacing = diameter / (n - 1) if n > 1 else 0.0
         i = np.arange(n, dtype=float)  # |i - j| is exact, so these are the doubles of a list build
-        metric = np.abs(i[:, None] - i) * spacing
+        with np.errstate(over="ignore"):  # past the largest double is inf, refused as not finite
+            metric = np.abs(i[:, None] - i) * spacing
         # a metric in exact arithmetic, whose rounding can fail the 1e-12 triangle pass
         return cls([str(k) for k in range(n)], metric, _metric_by_construction=True)
 
@@ -230,17 +231,13 @@ def grade_tables(space: "IFSpace", x, y, t):
     """(mu, nu) of the space at the broadcast arrays of points x, y and
     times t: one pass of the joint form ``.joint`` when mu and nu carry the
     same one, else their array forms (`array_form`), each table of which
-    must hold integers or floats: strings, bools or objects are a
-    DomainError naming the grade function."""
+    must hold integers or floats (`real_array`): strings, bools or objects
+    are a DomainError naming the grade function."""
     joint = getattr(space.mu, "joint", None)
     if joint is not None and joint is getattr(space.nu, "joint", None):
         return joint(x, y, t)
-    tables = array_form(space.mu, 3)(x, y, t), array_form(space.nu, 3)(x, y, t)
-    for fn, table in zip((space.mu, space.nu), tables):
-        if (dtype := np.asarray(table).dtype).kind not in "iuf":
-            name = getattr(fn, "__name__", "fn")
-            raise DomainError(f"{name}.array returns {dtype} values, not real numbers")
-    return tables
+    mu, nu = space.mu, space.nu
+    return real_array(mu, array_form(mu, 3)(x, y, t)), real_array(nu, array_form(nu, 3)(x, y, t))
 
 
 @dataclass(frozen=True, eq=False)

@@ -427,6 +427,36 @@ def test_cauchy_detectors_match_scalar_pairs(case, window, m_offset, epsilon):
             space, pairs, t, epsilon)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=30),
+       st.sampled_from((1e-9, 1e-7, 1e-5, 1e-3, 1.0)), st.integers(4, 12),
+       st.sampled_from((1e-2, 1e-6)), st.sampled_from((0.1, 1.0, 10.0)))
+def test_m_cauchy_implies_g_cauchy(noise, spread, window, epsilon, t):
+    # George and Veeramani: an M-Cauchy sequence is G-Cauchy.  A near window
+    # holds the last three pairs at every offset m with m + 3 <= window
+    points = [0.5 + spread * (u - 0.5) for u in noise]
+    window = min(window, len(points))
+    trace = IterationTrace(space=standard_space(IntervalDomain(0.0, 1.0), *NORMS),
+                           map=SelfMap.identity(), t_grid=(t,), points=points,
+                           mu_diag={}, nu_diag={}, stop_reason="max_iter")
+    if detect_m_cauchy(trace, epsilon, t, window):
+        for m in range(1, window - 2):
+            assert detect_g_cauchy(trace, m, t, epsilon)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 14: detect_m_cauchy accepts the "
+                                       "divergent harmonic sums until it takes the "
+                                       "a-posteriori bound of the Picard stop")
+def test_harmonic_sums_are_g_cauchy_but_not_m_cauchy():
+    # h_n - 1 grows without bound while its steps 1/n shrink below any eps
+    points = (np.cumsum(1.0 / np.arange(1, 20_001)) - 1.0).tolist()
+    trace = IterationTrace(space=standard_space(IntervalDomain(0.0, 100.0), *NORMS),
+                           map=SelfMap.identity(), t_grid=(1.0,), points=points,
+                           mu_diag={}, nu_diag={}, stop_reason="max_iter")
+    assert detect_g_cauchy(trace, 1, 1.0, 1e-3)
+    assert not detect_m_cauchy(trace, 1e-3, 1.0, 5)
+
+
 @st.composite
 def window_checks(draw):
     """A window length `back` + 1 and nearness per pair of points 0 .. m-1:
@@ -820,11 +850,13 @@ def test_diagnostics_are_float64_columns():
 
 def test_writer_buffers_stay_within_their_bytes():
     # one `_FieldWriter`'s work block and slot buffer stay within the
-    # 1,769,472 bytes they took at 8,192 fields per chunk; a write of more
-    # than one chunk adds a second slot buffer and the mask, 2.41 MiB in all
+    # 1,769,472 bytes they took at 8,192 fields per chunk; the second slot
+    # buffer and the mask add 1 MiB, 2.41 MiB in all
     # (test_pipeline_buffers_stay_within_their_bytes bounds the whole write)
     writer = _FieldWriter(_CSV_CHUNK_FIELDS)
     assert writer.block.nbytes + len(writer.raw) <= 1_769_472
+    assert writer.block.nbytes + sum(b.nbytes for b in writer.buffers) + writer.mask.nbytes \
+        <= 950_272 + 3 * 524_288
 
 
 def test_csv_write_faults_do_not_grow_with_chunk_count(tmp_path):
@@ -988,10 +1020,12 @@ def test_concurrent_writes_keep_their_chunks_in_order():
 
 
 def test_pipeline_buffers_stay_within_their_bytes(tmp_path):
-    # what a trace write adds to peak memory: the work block (950,272 bytes
-    # at 16,384 fields a chunk), two 524,288-byte slot buffers and the
-    # worker's 524,288-byte mask, then 8 bytes a row for the x_n column and
-    # at most 256 KiB for a 64 KiB piece of text and the layout's temporaries
+    # what a second trace write of the same shape adds to peak memory: none
+    # of the process's work block (950,272 bytes at 16,384 fields a chunk),
+    # two 524,288-byte slot buffers and the worker's 524,288-byte mask, which
+    # the first write allocated; 8 bytes a row for the x_n column of a trace
+    # not built by `picard_iterate`, and at most 256 KiB for 64 KiB pieces of
+    # text and the layout's temporaries
     tracemalloc = pytest.importorskip("tracemalloc")
     rows = 12 * CHUNK_ROWS
     trace = _random_trace(SYMMETRIC, rows)
@@ -1003,4 +1037,62 @@ def test_pipeline_buffers_stay_within_their_bytes(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - before <= 950_272 + 3 * 524_288 + 8 * (rows + 1) + (256 << 10)
+    assert peak - before <= 8 * (rows + 1) + (256 << 10)
+
+
+def test_interleaved_writes_through_the_shared_buffers_match_scalar(monkeypatch):
+    # one process's buffers grow to the largest chunk so far and serve every
+    # later write, whatever its shape: row widths of 1, 3 and 8 grid values,
+    # labels, and traces shorter than their buffers
+    monkeypatch.setattr(solver, "_shared", None)
+    rng = np.random.default_rng(5)
+    traces = [_random_trace(space, rows, t_grid=tuple(np.geomspace(0.1, 10.0, g).tolist()),
+                            seed=int(rng.integers(100)))
+              for space in (SYMMETRIC, LABELLED) for g in (1, 3, 8)
+              for rows in (1, 100, 3 * CHUNK_ROWS + 1)]
+    expected = [scalar_trace_to_csv(tr) for tr in traces]
+    sizes = []
+    for i in [*rng.permutation(len(traces)), *rng.permutation(len(traces))]:
+        assert trace_to_csv(traces[i]) == expected[i]
+        assert not solver._SHARED.locked()
+        sizes.append(solver._shared.size)
+    assert sizes == sorted(sizes) and len(set(sizes)) > 1
+
+
+@pytest.mark.parametrize("rows, fails", [(100, 2), (6 * CHUNK_ROWS, 1), (6 * CHUNK_ROWS, 20)])
+def test_a_failed_write_gives_the_shared_buffers_back(rows, fails):
+    # the write after a failed one, in the same thread, makes no buffers
+    trace = _random_trace(SYMMETRIC, rows)
+    text = scalar_trace_to_csv(trace)
+    assert trace_to_csv(trace) == text  # the shared buffers now fit the trace
+    made, init, texts = [], _FieldWriter.__init__, []
+
+    def counting(writer, size):
+        made.append(size)
+        init(writer, size)
+
+    def fail_then_write():
+        with pytest.raises(OSError):
+            solver._write_csv(trace, _FailingFile(fails))
+        texts.append(trace_to_csv(trace))
+
+    with mock.patch.object(_FieldWriter, "__init__", counting):
+        assert _within(60, fail_then_write) is None
+    assert texts == [text] and made == []
+    assert not solver._SHARED.locked()
+
+
+def test_x_n_is_read_from_the_orbit_array_when_it_fits():
+    # picard_iterate keeps its float64 orbit beside the points; the writer
+    # reads x_n from it unless it is not float64 or not as long as points
+    config = SolverConfig(epsilon=1e-12, t_grid=(0.1, 1.0), max_iter=300)
+    trace = picard_iterate(SYMMETRIC, SelfMap.scale(-0.5), 0.7, config)
+    assert trace.orbit.dtype == np.float64 and trace.orbit.tolist() == trace.points
+    assert "orbit" not in repr(trace) and replace(trace).orbit is None and replace(trace) == trace
+    text = scalar_trace_to_csv(trace)
+    assert trace_to_csv(trace) == text
+    for orbit in (trace.orbit[:-1], trace.orbit.astype(np.float32)):
+        trace.orbit = orbit
+        assert trace_to_csv(trace) == text
+    trace.orbit = np.full(len(trace.points), 0.25)
+    assert trace_to_csv(trace).splitlines()[1].split(",")[1] == "0.25"

@@ -2,6 +2,7 @@ import gc
 import importlib
 import itertools
 import sys
+import warnings
 import weakref
 from fractions import Fraction
 
@@ -37,6 +38,7 @@ from ifmkit import (
     tnorm_apply,
     verify_fixed_point,
 )
+from ifmkit.contraction import phi_from_k, psi_from_k
 from ifmkit.spaces import grade_tables
 
 TOL = 1e-12
@@ -135,6 +137,14 @@ class TestDomains:
         assert FiniteDomain.line(30, 1e5).metric[0, 6] == 6 * (1e5 / 29)
         with pytest.raises(DomainError, match=r"indices \(0, 1, 6\)"):
             FiniteDomain([str(i) for i in range(30)], FiniteDomain.line(30, 1e5).metric)
+
+    def test_line_past_the_largest_double_is_refused_without_a_warning(self):
+        # 3 * (max / 3) rounds past the largest double: numpy warned of the
+        # overflow before the constructor refused the inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^metric entries must be finite$"):
+                FiniteDomain.line(4, sys.float_info.max)
 
     @pytest.mark.parametrize("diameter", [float("inf"), float("nan"), -1.0])
     def test_line_keeps_the_other_checks(self, diameter):
@@ -452,6 +462,39 @@ class TestArrayFormGrades:
         space.nu.array = lambda x, y, t: np.full(np.broadcast(x, y, t).shape, "0.5")
         with pytest.raises(DomainError, match=r"^nu\.array returns <U3 values"):
             grade_tables(space, np.array([0.25, 0.5]), 0.75, 2.0)
+
+    # a control's own array form went into a float64 scatter as it came:
+    # numpy parsed a string table, and a bool one read as 0 and 1, so the
+    # check returned a report
+    @pytest.mark.parametrize("table", [NOT_REAL_TABLES["str"], NOT_REAL_TABLES["bool"]],
+                             ids=["str", "bool"])
+    @pytest.mark.parametrize("name", ["psi", "phi"])
+    def test_a_control_table_that_is_not_numeric_is_a_domain_error(self, table, name):
+        controls = {"psi": psi_from_k(0.5), "phi": phi_from_k(0.5)}
+        scalar = controls[name]
+
+        def control(s):
+            return scalar(s)
+
+        control.__name__, control.array = name, lambda a: table(scalar.array(a))
+        pair = PsiPhiPair(**{**controls, name: control})
+        sampler = SamplerConfig("random", 50, (0.5, 1.0))
+        with pytest.raises(DomainError, match=rf"^{name}\.array returns \S+ values, not real numbers$"):
+            check_psi_phi_contractive(_UNIT_SPACE, SelfMap.scale(0.5), pair, sampler)
+
+    # the audit's t-(co)norm bound tables were compared as they came: a
+    # string table ended in numpy's UFuncTypeError
+    @pytest.mark.parametrize("kind", ["tnorm", "tconorm"])
+    def test_a_norm_table_that_is_not_numeric_is_a_domain_error(self, kind):
+        def product(a, b):
+            return a * b
+
+        product.array = lambda a, b: (a * b).astype(str)
+        norms = {"tnorm": TNorm.product(), "tconorm": TConorm.probabilistic_sum()}
+        norms[kind] = (TNorm if kind == "tnorm" else TConorm).custom(product)
+        space = IFSpace(IntervalDomain(0.0, 1.0), _UNIT_SPACE.mu, _UNIT_SPACE.nu, **norms)
+        with pytest.raises(DomainError, match=r"^product\.array returns <U\d+ values, not real numbers$"):
+            audit_space(space, SamplerConfig("random", 50, (0.5, 1.0)))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64, np.uint8])
     def test_integer_and_float_tables_pass_as_they_are(self, dtype):
