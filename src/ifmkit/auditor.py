@@ -69,12 +69,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from functools import partial
 
 import numpy as np
 
-from .errors import PreconditionError, WitnessIntegrityError, real_array, real_call
+from .errors import PreconditionError, WitnessIntegrityError, real_array, real_call, record
 from .sampling import EXHAUSTIVE, Recorder, SamplerConfig, chunks, draw_array, shrink, violated
 from .sampling import draw_tuples  # noqa: F401  perfbench/tracer.py patches this name
 from .spaces import IFSpace, NON_ARCHIMEDEAN, array_form, grade_tables
@@ -90,8 +90,10 @@ _DETAILS = {"vii": "checked for distinct pairs with mu < 1",
             "na-nu": "single-t bound plus max(t,s) variant"}
 
 
-@dataclass(frozen=True)
+@record()
 class Witness:
+    """One violation of an axiom: its points, times and the two sides of the bound."""
+
     axiom: str
     x: object
     y: object
@@ -114,8 +116,10 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
+@record()
 class AxiomCheck:
+    """The verdict on one axiom, with its violation count and first witnesses."""
+
     axiom: str
     status: str  # "PASS" | "FAIL" | "PROBED" | "SKIPPED"
     violation_count: int = 0
@@ -123,8 +127,10 @@ class AxiomCheck:
     detail: str | None = None
 
 
-@dataclass
+@record(frozen=False)
 class AuditReport:
+    """The result of `audit_space`: one `AxiomCheck` per axiom of the space."""
+
     space_name: str
     triangle_mode: str
     sampler: SamplerConfig

@@ -50,14 +50,14 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .errors import (DomainError, PreconditionError, int_field, items, real_array,
-                     real_call, real_field, real_result, shown)
+                     real_call, real_field, real_result, record, shown)
 from .norms import _closest_witness
 from .sampling import Recorder, SamplerConfig, chunks, draw_array, shrink, violated
 from .sampling import draw_tuples  # noqa: F401  perfbench/tracer.py patches this name
@@ -109,8 +109,10 @@ def _validated_k(k) -> float:
     return real_field("k", k, 0.0, 1.0, open_lo=True)
 
 
-@dataclass(frozen=True)
+@record()
 class KContraction:
+    """The constant k of the k-contraction condition, checked to lie in (0, 1)."""
+
     k: float
 
     def __post_init__(self):
@@ -122,7 +124,7 @@ def _k_constant(k) -> float:
     return k.k if isinstance(k, KContraction) else _validated_k(k)
 
 
-@dataclass(frozen=True)
+@record()
 class PsiPhiPair:
     """A psi/phi control pair.  Constructed pairs are not verified here;
     `check_admissible` reports range, strictness, monotonicity and a
@@ -141,7 +143,7 @@ def pair_from_k(k: float) -> PsiPhiPair:
     return PsiPhiPair.from_k(k)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class SelfMap:
     """A self-map of a point domain, applied through the closure ``fn``:
     calling the map, `array` and the Picard loop all step with ``fn``.
@@ -268,7 +270,7 @@ class SelfMap:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record()
 class FunctionAdmissibility:
     """The grid probe of one control function.  `max_grid_jump` is the
     largest |f(s') - f(s)| over neighbouring grid points that is not NaN;
@@ -288,8 +290,10 @@ class FunctionAdmissibility:
         return self.range_ok and self.strict_ok and self.continuity_ok
 
 
-@dataclass(frozen=True)
+@record()
 class AdmissibilityReport:
+    """The result of `check_admissible`: the grid probes of psi and phi."""
+
     psi: FunctionAdmissibility
     phi: FunctionAdmissibility
     grid_size: int
@@ -395,8 +399,10 @@ def check_admissible(pair: PsiPhiPair, grid_size: int) -> AdmissibilityReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record()
 class ContractionWitness:
+    """One pair of points at which a map breaks a contraction on one side."""
+
     side: str  # "mu" | "nu"
     x: object
     y: object
@@ -416,8 +422,10 @@ class ContractionWitness:
         }
 
 
-@dataclass
+@record(frozen=False)
 class ContractionReport:
+    """The result of a contraction check: the pairs checked and the first witnesses."""
+
     condition: str  # "psi-phi" | "k"
     space_name: str
     map_name: str

@@ -1,11 +1,17 @@
-"""Exception types shared across the package, and how a caller's number or
-sequence is read (`real_field`, `int_field`, `items`) and shown (`shown`).
+"""Exception types shared across the package, how a caller's number or
+sequence is read (`real_field`, `int_field`, `items`) and shown (`shown`),
+and `record`, the decorator of every dataclass of the package.
 `real_number` is the one rule for a real number: `real_result` reads every
 result of a caller's grade, t-(co)norm or control by it, `real_array` every
-table of its array form."""
+table of its array form.  A record's repr, eq, hash, order and frozen guard
+are the functions written once here, not code compiled per class."""
 
 import math
 import numbers
+import operator
+import reprlib
+import sys
+from dataclasses import FrozenInstanceError, dataclass, fields
 
 import numpy as np
 
@@ -140,3 +146,70 @@ def shown(value) -> str:
     if isinstance(value, int) and value.bit_length() > 64:
         return f"a {value.bit_length()}-bit {'negative ' if value < 0 else ''}integer"
     return repr(value)
+
+
+def record(*, frozen=True, eq=True, order=False):
+    """`dataclasses.dataclass` with these flags, as a class decorator.  The
+    stdlib registers the fields and generates ``__init__``; repr, eq, hash,
+    order and the frozen guard are the functions below, which behave as the
+    generated ones do.  A method that the class body defines is kept."""
+    def decorate(cls):
+        params = dataclass(cls, repr=False, eq=False).__dataclass_params__
+        params.repr, params.eq, params.order, params.frozen = True, eq, order, frozen
+        methods = {"__repr__": _repr}
+        if eq:
+            methods.update(__eq__=_eq, __hash__=_hash if frozen else None)
+        if order:
+            methods.update(_ORDER)
+        if frozen:
+            methods.update(__setattr__=_setattr, __delattr__=_delattr,
+                           _record_init=cls.__init__.__code__)
+        for name, method in methods.items():
+            if name not in cls.__dict__:
+                setattr(cls, name, method)
+        return cls
+    return decorate
+
+
+def _compared(self) -> tuple:
+    return tuple(getattr(self, f.name) for f in fields(self) if f.compare)
+
+
+@reprlib.recursive_repr()
+def _repr(self):
+    shown_fields = (f"{f.name}={getattr(self, f.name)!r}" for f in fields(self) if f.repr)
+    return f"{self.__class__.__qualname__}({', '.join(shown_fields)})"
+
+
+def _hash(self):
+    return hash(tuple(getattr(self, f.name) for f in fields(self)
+                      if (f.compare if f.hash is None else f.hash)))
+
+
+def _comparison(op):
+    """The method ``__<op>__``: ``op`` on the compared fields of two
+    instances of one class, else NotImplemented."""
+    def compare(self, other):
+        if other.__class__ is self.__class__:
+            return op(_compared(self), _compared(other))
+        return NotImplemented
+    compare.__name__ = compare.__qualname__ = f"__{op.__name__}__"
+    return compare
+
+
+_eq = _comparison(operator.eq)
+_ORDER = {f"__{op.__name__}__": _comparison(op)
+          for op in (operator.lt, operator.le, operator.gt, operator.ge)}
+
+
+def _setattr(self, name, value):
+    # a frozen record is stored to only by its class's __init__ (a subclass's
+    # may call it), which the stdlib generates without the frozen flag;
+    # telling it apart by self.__dict__ would slow later attribute reads 4x
+    if sys._getframe(1).f_code is not self._record_init:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+    object.__setattr__(self, name, value)
+
+
+def _delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")

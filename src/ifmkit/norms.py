@@ -14,13 +14,13 @@ a custom function returns are read by the one rule, `errors.real_number`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, UnitRangeError, int_field, real_call, real_number
+from .errors import DomainError, UnitRangeError, int_field, real_call, real_number, record
 
 ALGEBRA_TOL = 1e-12
 
@@ -29,7 +29,7 @@ ALGEBRA_TOL = 1e-12
 _ANCHOR_GRID = (0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class UnitValue:
     """A real number constrained to [0, 1]; NaN and out-of-range are rejected."""
 
@@ -107,7 +107,7 @@ _DUAL_KIND = {
 }
 
 
-@dataclass(frozen=True)
+@record()
 class _BinaryOp:
     """A binary operation on [0,1]: a built-in ``kind`` from the subclass's
     ``BUILTINS`` table, or ``"custom"`` with a caller-supplied ``fn``.
@@ -220,7 +220,7 @@ def dual_of(norm: TNorm) -> TConorm:
     return TConorm.custom(dual_fn)
 
 
-@dataclass(frozen=True)
+@record()
 class NormCheck:
     """Outcome of one axiom check: PASS/FAIL plus a witness when failing."""
 
@@ -231,8 +231,10 @@ class NormCheck:
     detail: str | None = None
 
 
-@dataclass(frozen=True)
+@record()
 class NormAxiomReport:
+    """The result of `check_norm_axioms`: one `NormCheck` per axiom."""
+
     op_kind: str
     identity_element: float
     sample_count: int

@@ -12,11 +12,10 @@ makes a NaN grade violate (`violated`) and the witness shrinker (`shrink`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, int_field, shown
+from .errors import DomainError, PreconditionError, int_field, record, shown
 from .spaces import FiniteDomain, IntervalDomain, PointDomain, time_grid
 
 EXHAUSTIVE = "exhaustive"
@@ -30,7 +29,7 @@ _MAX_SHRINK_ROUNDS = 64
 _CHUNK_CELLS = 1 << 14
 
 
-@dataclass(frozen=True)
+@record()
 class SamplerConfig:
     """How a check draws its points; each field checked, as a plain Python value."""
 

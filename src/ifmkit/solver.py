@@ -44,14 +44,14 @@ import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import cache, partial
 
 import numpy as np
 
 from .contraction import SelfMap
 from .errors import (DomainError, NonConvergenceError, PreconditionError, int_field, items,
-                     real_field, shown)
+                     real_field, record, shown)
 from .sampling import MAX_WITNESSES
 from .spaces import (FiniteDomain, IFSpace, IntervalDomain, NON_ARCHIMEDEAN, grade_tables,
                      time_grid)
@@ -63,7 +63,7 @@ _FIRST_BLOCK = 16
 _BLOCK_CAP = 1024
 
 
-@dataclass(frozen=True)
+@record()
 class SolverConfig:
     """The solver's settings, each checked, as a plain Python value (not the seeds)."""
 
@@ -94,7 +94,7 @@ class SolverConfig:
         }
 
 
-@dataclass
+@record(frozen=False)
 class IterationTrace:
     """A Picard orbit plus per-t diagnostic sequences.
 
@@ -282,8 +282,10 @@ def picard_iterate(space: IFSpace, f: SelfMap, x0, config: SolverConfig) -> Iter
     return trace
 
 
-@dataclass(frozen=True)
+@record()
 class ResidualCheck:
+    """The fixed-point residuals of a point over the time grid, against ``tol``."""
+
     residual_mu: float  # min over grid t of mu(x, f(x), t)
     residual_nu: float  # max over grid t of nu(x, f(x), t)
     tol: float
@@ -314,8 +316,10 @@ def verify_fixed_point(space: IFSpace, f: SelfMap, x, t_grid, tol: float) -> Res
     return ResidualCheck(residual_mu=float(np.min(mu)), residual_nu=float(np.max(nu)), tol=tol)
 
 
-@dataclass
+@record(frozen=False)
 class FixedPointReport:
+    """The result of a solve: the limit of each seed, their agreement, the residual."""
+
     method: str  # "picard" | "edelstein"
     fixed_point: object
     limits: list            # one entry per seed; None when the seed found no limit
@@ -479,8 +483,10 @@ def edelstein_solve(space: IFSpace, f: SelfMap, config: SolverConfig) -> FixedPo
     )
 
 
-@dataclass(frozen=True)
+@record()
 class JointContinuityResult:
+    """The result of `check_joint_continuity`; true when the probe passes."""
+
     ok: bool
     threshold_index: int | None
     max_mu_gap: float | None

@@ -32,14 +32,14 @@ one rule, `errors.real_number`, so a bool or a numeric string is none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .errors import (DomainError, PreconditionError, int_field, items, real_array, real_call,
-                     real_field, real_number, shown)
+                     real_field, real_number, record, shown)
 from .norms import TConorm, TNorm, UnitValue
 
 POINT_EQ_TOL = 1e-12
@@ -48,7 +48,7 @@ ARCHIMEDEAN = "archimedean"
 NON_ARCHIMEDEAN = "non_archimedean"
 
 
-@dataclass(frozen=True)
+@record()
 class IntervalDomain:
     """A real interval [lo, hi] with the absolute-difference metric."""
 
@@ -230,17 +230,18 @@ def array_form(fn, nargs: int):
 def grade_tables(space: "IFSpace", x, y, t):
     """(mu, nu) of the space at the broadcast arrays of points x, y and
     times t: one pass of the joint form ``.joint`` when mu and nu carry the
-    same one, else their array forms (`array_form`), each table of which
-    must hold integers or floats (`real_array`): strings, bools or objects
-    are a DomainError naming the grade function."""
-    joint = getattr(space.mu, "joint", None)
-    if joint is not None and joint is getattr(space.nu, "joint", None):
-        return joint(x, y, t)
+    same one, else their array forms (`array_form`).  Each table, mu's
+    first, must hold integers or floats (`real_array`): strings, bools or
+    objects are a DomainError naming the grade function."""
     mu, nu = space.mu, space.nu
+    joint = getattr(mu, "joint", None)
+    if joint is not None and joint is getattr(nu, "joint", None):
+        mu_table, nu_table = joint(x, y, t)
+        return real_array(mu, mu_table), real_array(nu, nu_table)
     return real_array(mu, array_form(mu, 3)(x, y, t)), real_array(nu, array_form(nu, 3)(x, y, t))
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class IFSpace:
     """An intuitionistic fuzzy metric structure over a point domain.
 

@@ -438,24 +438,31 @@ class TestArrayFormGrades:
                        "object": lambda a: a.astype(object), "complex": lambda a: a + 0j}
 
     @staticmethod
-    def _space(table):
+    def _space(table, form="array"):
         """The space of `_space_of(float)` with array forms that pass mu
-        and nu's float tables through ``table``."""
+        and nu's float tables through ``table``; with ``form="joint"``, a
+        joint form of both that does."""
         space = _space_of(float)
         space.mu.array = lambda x, y, t: table(np.asarray(t / (t + np.abs(x - y))))
         space.nu.array = lambda x, y, t: table(np.asarray(np.abs(x - y) / (t + np.abs(x - y))))
+        if form == "joint":
+            space.mu.joint = space.nu.joint = lambda x, y, t: (space.mu.array(x, y, t),
+                                                               space.nu.array(x, y, t))
         return space
 
+    # a joint form's tables were returned unchecked: a string pair ended in
+    # numpy's UFuncTypeError
     @pytest.mark.parametrize("table", NOT_REAL_TABLES.values(), ids=NOT_REAL_TABLES.keys())
     def test_a_table_that_is_not_numeric_is_a_domain_error(self, table):
-        space = self._space(table)
         sampler = SamplerConfig("random", 50, (0.5, 1.0))
-        calls = [lambda: audit_space(space, sampler),
-                 lambda: check_k_contractive(space, SelfMap.scale(0.5), 0.5, sampler),
-                 lambda: verify_fixed_point(space, SelfMap.scale(0.5), 0.0, (0.1, 1.0), 1e-6)]
-        for call in calls:
-            with pytest.raises(DomainError, match=r"^mu\.array returns \S+ values, not real numbers$"):
-                call()
+        for form in ("array", "joint"):
+            space = self._space(table, form)
+            calls = [lambda: audit_space(space, sampler),
+                     lambda: check_k_contractive(space, SelfMap.scale(0.5), 0.5, sampler),
+                     lambda: verify_fixed_point(space, SelfMap.scale(0.5), 0.0, (0.1, 1.0), 1e-6)]
+            for call in calls:
+                with pytest.raises(DomainError, match=r"^mu\.array returns \S+ values, not real numbers$"):
+                    call()
 
     def test_the_message_names_the_grade_function(self):
         space = self._space(lambda a: a)
